@@ -93,14 +93,17 @@ def space_lattice(family: str, n, m):
 
 
 def emit(payload: dict, stream=None):
-    json.dump(payload, stream or sys.stdout, sort_keys=True, default=_jsonify)
-    (stream or sys.stdout).write("\n")
+    # json.dumps runs the C encoder; json.dump to a stream never does
+    text = json.dumps(payload, sort_keys=True, default=_jsonify)
+    (stream or sys.stdout).write(text + "\n")
 
 
 def _jsonify(obj):
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
-            return [[_c(v) for v in row] for row in np.atleast_2d(obj)]
+            obj = np.atleast_2d(obj)
+            return [[[x, y] if y != 0.0 else x for x, y in zip(re, im)]
+                    for re, im in zip(obj.real.tolist(), obj.imag.tolist())]
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
@@ -202,20 +205,30 @@ def cmd_lattice_info(args) -> int:
     return 0
 
 
+def _parse_direction(text: str) -> np.ndarray:
+    try:
+        return np.array([float(v) for v in text.split(",")])
+    except ValueError as exc:
+        raise UsageError(f"--direction must be comma-separated numbers, got {text!r}") from exc
+
+
+def _check_samples(samples: int):
+    if samples < 1:
+        raise UsageError(f"--samples must be a positive count, got {samples}")
+
+
 def cmd_cut_radius(args) -> int:
     sp, basis, label = space_lattice(args.space, args.n, args.m)
-    x = np.array([float(v) for v in args.direction.split(",")])
+    x = _parse_direction(args.direction)
     residuals = {}
-    if args.method in ("closed", "both") and not is_orthonormal(basis):
-        if args.method == "closed":
+    if args.method == "closed":
+        if not is_orthonormal(basis):
             raise DomainError("closed form needs an orthonormal lattice; use --method brute")
-        method = "brute"
+        res = cut_radius(x, basis)
     else:
-        method = args.method
-    res = cut_radius_brute(x, basis)
-    if method in ("closed", "both"):
-        closed = cut_radius_closed(x, basis)
-        residuals["closed_vs_brute"] = abs(closed - res.radius)
+        res = cut_radius_brute(x, basis)
+        if args.method == "both" and is_orthonormal(basis):
+            residuals["closed_vs_brute"] = abs(cut_radius_closed(x, basis) - res.radius)
     result = {
         "direction": x,
         "radius": res.radius,
@@ -253,6 +266,7 @@ def _grid_rows(basis: LatticeBasis, samples: int):
 
 
 def cmd_cutlocus_grid(args) -> int:
+    _check_samples(args.samples)
     sp, basis, label = space_lattice(args.space, args.n, args.m)
     rows = list(_grid_rows(basis, args.samples))
     if args.format == "json":
@@ -313,6 +327,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_samples(args.samples)
     seed = args.seed if args.seed is not None else default_seed()
     reports = []
     if args.property == "all" and args.space == "all":

@@ -8,8 +8,9 @@ descriptor and all agreeing with each other on the Grassmannian families:
 * ``g_embed``  -- factor the group element through the parabolic subgroup
   by block QR; the orthogonal/unitary factor represents the image coset;
 * ``f_embed``  -- pull the coset back to the tangent space, contract the
-  flat coordinates into the quarter-lattice box, and push forward with the
-  compact exponential;
+  flat coordinates into the quarter-lattice box, and push forward along
+  the compact flat, a direct sum of plane rotations, whose frame is
+  written down in closed form;
 * ``b_embed_rank1`` -- the stereographic formula on the rank-1 flat of the
   circle/sphere family, the one place where it differs from ``f_embed``.
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import DomainError, NumericalError
-from .lattice import cut_radius, in_half_region
+from .lattice import cut_radius
 from .spaces import (
     FlatCoordinates,
     Side,
@@ -258,12 +259,6 @@ def log_compact(space: SpaceDescriptor, point: SubspacePoint) -> TangentVector:
     return TangentVector(space, Side.COMPACT, x)
 
 
-def exp_point(space: SpaceDescriptor, xv: TangentVector) -> SubspacePoint:
-    """Exponential of a tangent vector applied to the base point."""
-    rep = nk.expm(xv.x)[:, : space.n]
-    return SubspacePoint(space, rep, orientation=1 if space.oriented else None)
-
-
 def point_flat_coords(space: SpaceDescriptor, point: SubspacePoint, side: Side) -> FlatCoordinates:
     """Lattice-unit flat coordinates of the log of a point, on either side."""
     xv = log_noncompact(space, point) if side is Side.NONCOMPACT else log_compact(space, point)
@@ -272,13 +267,18 @@ def point_flat_coords(space: SpaceDescriptor, point: SubspacePoint, side: Side) 
 
 
 def f_embed(space: SpaceDescriptor, x) -> SubspacePoint:
-    """Cut-locus embedding: compact exp of the contracted noncompact log.
+    """Cut-locus embedding: the contracted noncompact log, pushed forward
+    along the compact flat.
 
     Accepts either a noncompact :class:`GroupElement` or a space-like
     :class:`SubspacePoint`.  The pipeline takes the noncompact log, applies
     the coordinate-wise contraction on the flat in lattice units, rotates
-    back with the same isotropy element, and exponentiates on the compact
-    side.  The image always lies strictly inside half of the cut radius.
+    back with the same isotropy element, and lands on the compact side.
+    The compact flat is a direct sum of rotations of the (i, n+i) planes,
+    so with the slope SVD ``Y = w S z^H`` and the contracted angles Theta
+    the image is spanned by ``[z cos(Theta) z^H ; -w[:, :n] sin(Theta) z^H]``,
+    the first n columns of the compact exponential, with no exponential
+    taken.  The image always lies strictly inside half of the cut radius.
     """
     if isinstance(x, GroupElement):
         if x.side is not Side.NONCOMPACT:
@@ -292,11 +292,12 @@ def f_embed(space: SpaceDescriptor, x) -> SubspacePoint:
     w, sig, z = _checked_slope_svd(space, point)
     lattice_coords = np.linalg.solve(space.lattice_coeff, np.arctanh(sig[: space.rank]))
     contracted = h_flat(FlatCoordinates(space, lattice_coords))
-    theta = space.lattice_coeff @ contracted.coords.coords
+    n = space.n
+    theta = np.zeros(n)
+    theta[: space.rank] = space.lattice_coeff @ contracted.coords.coords
 
-    k = _block_diag(z, w)
-    xc = _flat_point(space, k, theta, Side.COMPACT)
-    rep = nk.expm(xc)[:, : space.n]
+    zh = z.conj().T
+    rep = np.vstack(((z * np.cos(theta)) @ zh, -(w[:, :n] * np.sin(theta)) @ zh))
     return SubspacePoint(space, rep, orientation=1 if space.oriented else None)
 
 
@@ -308,9 +309,3 @@ def image_region_fraction(space: SpaceDescriptor, point: SubspacePoint) -> float
     if nrm == 0.0:
         return 0.0
     return nrm / cut_radius(coords).radius
-
-
-def in_image_region(space: SpaceDescriptor, point: SubspacePoint, fraction: float) -> bool:
-    """Whether a compact point lies strictly inside ``fraction`` of the cut radius."""
-    coords = point_flat_coords(space, point, Side.COMPACT)
-    return in_half_region(coords, fraction)

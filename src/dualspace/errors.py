@@ -13,6 +13,7 @@ class DomainError(ValueError):
 class NumericalError(ArithmeticError):
     """A computation cannot be carried out to the required accuracy.
 
-    Examples: Gram-Schmidt on a (numerically) singular matrix, or a coset
+    Examples: the QR factorization of a (numerically) singular matrix, whose
+    triangular factor has a vanishing diagonal entry, or a coset
     so close to the boundary that artanh would destroy all precision.
     """

@@ -143,11 +143,12 @@ def block_qr(a, shape: BlockShape | None = None):
     """Factor an invertible matrix as ``q = a @ rinv`` with ``q`` in the
     compact group and ``rinv`` inverse-to an upper triangular matrix.
 
-    Modified Gram-Schmidt over the columns, left to right, with one
-    re-orthogonalization pass.  The triangular factor has a positive real
-    diagonal, which pins the result uniquely; since it is genuinely upper
-    triangular it conforms to every parabolic ``shape`` (the shape argument
-    is validated against the matrix dimension).
+    One Householder QR (LAPACK, through ``np.linalg.qr``), made unique by
+    moving the phase of each diagonal entry of R into the matching column
+    of Q.  The triangular factor then has a positive real diagonal, which
+    pins the result; since it is genuinely upper triangular it conforms to
+    every parabolic ``shape`` (the shape argument is validated against the
+    matrix dimension).
 
     Returns
     -------
@@ -158,8 +159,9 @@ def block_qr(a, shape: BlockShape | None = None):
     Raises
     ------
     NumericalError
-        If a Gram-Schmidt step drops below 1e-12 of the original column
-        scale, i.e. the matrix is numerically singular.
+        If a diagonal entry of R, the part of a column orthogonal to the
+        columns before it, drops below 1e-12 of that column's norm, i.e.
+        the matrix is numerically singular.
     """
     a = as_matrix(a)
     k = a.shape[0]
@@ -168,21 +170,15 @@ def block_qr(a, shape: BlockShape | None = None):
     if shape is not None:
         shape.check_dim(k)
 
-    q = a.copy()
-    r = np.zeros((k, k), dtype=q.dtype)
-    col_scale = np.linalg.norm(a, axis=0)
-    for j in range(k):
-        for _ in range(2):  # second pass re-orthogonalizes
-            for i in range(j):
-                c = np.vdot(q[:, i], q[:, j])
-                r[i, j] += c
-                q[:, j] = q[:, j] - c * q[:, i]
-        nrm = np.linalg.norm(q[:, j])
-        if nrm <= 1e-12 * max(col_scale[j], 1e-300):
-            raise NumericalError(f"Gram-Schmidt breakdown at column {j}: input is singular")
-        r[j, j] = nrm
-        q[:, j] = q[:, j] / nrm
-
+    q, r = np.linalg.qr(a)
+    diag = np.diagonal(r)
+    mag = np.abs(diag)
+    small = np.flatnonzero(mag <= 1e-12 * np.maximum(np.linalg.norm(a, axis=0), 1e-300))
+    if small.size:
+        raise NumericalError(f"QR breakdown at column {small[0]}: input is singular")
+    phase = diag / mag
+    q = q * phase
+    r = phase.conj()[:, None] * r
     rinv = scipy.linalg.solve_triangular(r, np.eye(k, dtype=r.dtype))
     return q, rinv
 

@@ -1,11 +1,12 @@
 """Tests for the command-line interface: schema, exit codes, determinism."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
-from dualspace.cli import main
+from dualspace.cli import _jsonify, emit, main
 
 ENVELOPE_KEYS = {"space", "method", "result", "residuals", "seed", "version"}
 
@@ -66,6 +67,64 @@ def test_cut_radius_diagonal(capsys):
                        "--direction", "1,1")
     assert payload["result"]["radius"] == pytest.approx(np.pi / np.sqrt(2), abs=1e-12)
     assert payload["residuals"]["closed_vs_brute"] <= 1e-12
+
+
+@pytest.mark.parametrize("method,used_closed", [("brute", False), ("closed", True),
+                                                ("both", False)])
+def test_cut_radius_methods(capsys, method, used_closed):
+    payload = run_json(capsys, "cut-radius", "gr-real", "3", "4",
+                       "--direction", "1,0.3,0.2", "--method", method)
+    result = payload["result"]
+    # closed form alpha^2 / (2 max |<X, A_i>|) with alpha = pi, |X| = 1
+    x = np.array([1.0, 0.3, 0.2])
+    assert result["radius"] == pytest.approx(np.pi * np.linalg.norm(x) / 2.0, abs=1e-12)
+    assert result["minimizer"] == [-1, 0, 0]
+    assert result["used_closed_form"] is used_closed
+    if method == "both":
+        assert payload["residuals"]["closed_vs_brute"] <= 1e-12
+    else:
+        assert payload["residuals"] == {}
+
+
+def test_cut_radius_bad_direction_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "cut-radius", "gr-real", "2", "2", "--direction", "abc")
+    assert code == 2
+    assert out == ""
+    assert "--direction" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--samples", "0"),
+    ("verify", "--space", "gr-real:1:2", "--property", "triple", "--samples", "-2"),
+    ("cutlocus-grid", "gr-real", "2", "2", "--samples", "-3"),
+])
+def test_nonpositive_samples_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err
+
+
+def test_emit_matches_json_dump():
+    rng = np.random.default_rng(41)
+    payload = {
+        "real": rng.standard_normal((64, 16)),
+        "complex": rng.standard_normal((32, 16)) + 1j * rng.standard_normal((32, 16)),
+        "scalars": [np.float64(0.1), np.int64(-3), np.float32(2.5), 1 + 2j, complex(4.0, 0.0)],
+        "nested": {"b": True, "a": None, "s": "text"},
+    }
+    expected = io.StringIO()
+    json.dump(payload, expected, sort_keys=True, default=_jsonify)
+    expected.write("\n")
+    got = io.StringIO()
+    emit(payload, got)
+    assert got.getvalue() == expected.getvalue()
+    # complex entries are [re, im] pairs, plain numbers when the imaginary part is zero
+    out = json.loads(got.getvalue())
+    z = payload["complex"]
+    assert out["complex"][3][5] == [z[3, 5].real, z[3, 5].imag]
+    assert out["scalars"][3:] == [[1.0, 2.0], 4.0]
+    assert json.loads(json.dumps(np.array([1 + 0j, 2j]), default=_jsonify)) == [[1.0, [0.0, 2.0]]]
 
 
 def test_embed_all_methods_scalar_slope(tmp_path, capsys):

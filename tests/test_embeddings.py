@@ -21,6 +21,7 @@ from dualspace.embeddings import (
     point_flat_coords,
     space_like,
 )
+from dualspace.embeddings import _checked_slope_svd, _flat_point
 from dualspace.errors import DomainError, NumericalError
 from dualspace.spaces import (
     Family,
@@ -29,9 +30,11 @@ from dualspace.spaces import (
     SubspacePoint,
     in_group,
     in_isotropy,
+    _block_diag,
     make_space,
     transitivity_element,
 )
+from dualspace.verify import catalog_spaces, random_coset
 
 GR11 = make_space(Family.REAL_GRASSMANNIAN, 1, 1)
 GR22 = make_space(Family.REAL_GRASSMANNIAN, 2, 2)
@@ -312,6 +315,28 @@ def test_f_embed_flat_relation_per_coordinate():
         theta = -np.arctan(np.tanh(yc))
         expected = nk.expm(FlatCoordinates(GR23, theta / np.pi).tangent(Side.COMPACT).x)[:, :2]
         assert got.distance(SubspacePoint(GR23, expected)) <= 1e-12
+
+
+def f_embed_by_expm(space, g):
+    """f through the compact exponential of the contracted flat point."""
+    w, sig, z = _checked_slope_svd(space, g.point())
+    lattice_coords = np.linalg.solve(space.lattice_coeff, np.arctanh(sig[: space.rank]))
+    theta = space.lattice_coeff @ h_flat(FlatCoordinates(space, lattice_coords)).coords.coords
+    xc = _flat_point(space, _block_diag(z, w), theta, Side.COMPACT)
+    return nk.expm(xc)[:, : space.n]
+
+
+@pytest.mark.parametrize(
+    "space",
+    catalog_spaces() + [make_space(Family.REAL_GRASSMANNIAN, 16, 48)],
+    ids=lambda sp: sp.label(),
+)
+def test_f_embed_closed_frame_matches_compact_exponential(space):
+    rng = np.random.default_rng(37)
+    for _ in range(5 if space.dim > 8 else 20):
+        g = random_coset(space, rng)
+        got = f_embed(space, g).rep
+        assert np.max(np.abs(got - f_embed_by_expm(space, g))) <= 1e-12
 
 
 def test_f_embed_accepts_subspace_points():

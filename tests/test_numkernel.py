@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from dualspace import numkernel as nk
 from dualspace.errors import DomainError, NumericalError
+from dualspace.spaces import Family, make_space
+from dualspace.verify import random_coset
 
 # angle of the rotation produced by orthonormalizing the unit boost:
 # tan(theta) = -tanh(1), evaluated independently of the kernel under test
@@ -176,6 +178,48 @@ def test_block_qr_complex_unitary_factor():
 
 def test_block_qr_singular_raises():
     a = np.array([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(NumericalError):
+        nk.block_qr(a)
+
+
+def mgs_reference(a):
+    """Modified Gram-Schmidt with one re-orthogonalization pass."""
+    k = a.shape[0]
+    q = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
+    r = np.zeros((k, k), dtype=q.dtype)
+    for j in range(k):
+        for _ in range(2):
+            for i in range(j):
+                c = np.vdot(q[:, i], q[:, j])
+                r[i, j] += c
+                q[:, j] = q[:, j] - c * q[:, i]
+        r[j, j] = np.linalg.norm(q[:, j])
+        q[:, j] = q[:, j] / r[j, j]
+    return q, np.linalg.inv(r)
+
+
+@pytest.mark.parametrize("family,n,m", [
+    (Family.REAL_GRASSMANNIAN, 16, 48),
+    (Family.COMPLEX_GRASSMANNIAN, 16, 16),
+])
+def test_block_qr_matches_gram_schmidt_reference(family, n, m):
+    space = make_space(family, n, m)
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        a = random_coset(space, rng).a
+        q, rinv = nk.block_qr(a, space.parabolic)
+        q_ref, rinv_ref = mgs_reference(a)
+        assert np.max(np.abs(q - q_ref)) <= 1e-10
+        assert np.max(np.abs(rinv - rinv_ref)) <= 1e-10 * max(1.0, np.max(np.abs(rinv_ref)))
+        r = np.linalg.inv(rinv)
+        assert np.max(np.abs(np.diag(r).imag)) <= 1e-12
+        assert np.all(np.diag(r).real > 0)
+
+
+def test_block_qr_nearly_repeated_column_raises():
+    rng = np.random.default_rng(32)
+    a = rng.standard_normal((6, 6))
+    a[:, -1] = a[:, -2] + 1e-14 * rng.standard_normal(6)
     with pytest.raises(NumericalError):
         nk.block_qr(a)
 
