@@ -28,12 +28,14 @@ from .lattice import (
     cut_radius_closed,
     in_half_region,
     is_orthonormal,
+    region_fraction,
     su3_lattice,
 )
 from .embeddings import (
     GroupElement,
     HMapImage,
     b_embed_rank1,
+    embed,
     f_embed,
     f_flat_rank1,
     g_embed,

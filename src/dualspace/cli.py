@@ -18,6 +18,7 @@ overrides the default sampling seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -28,11 +29,8 @@ from . import __version__, verify
 from .embeddings import (
     GroupElement,
     b_embed_rank1,
-    f_embed,
+    embed,
     f_flat_rank1,
-    g_embed,
-    image_region_fraction,
-    p_embed,
     point_flat_coords,
     space_like,
 )
@@ -41,8 +39,8 @@ from .lattice import (
     LatticeBasis,
     cut_radius,
     cut_radius_brute,
-    cut_radius_closed,
     is_orthonormal,
+    region_fraction,
     su3_lattice,
 )
 from .spaces import Family, Side, SpaceDescriptor, make_space, transitivity_element
@@ -221,14 +219,15 @@ def cmd_cut_radius(args) -> int:
     sp, basis, label = space_lattice(args.space, args.n, args.m)
     x = _parse_direction(args.direction)
     residuals = {}
-    if args.method == "closed":
-        if not is_orthonormal(basis):
-            raise DomainError("closed form needs an orthonormal lattice; use --method brute")
-        res = cut_radius(x, basis)
-    else:
+    if args.method == "brute":
         res = cut_radius_brute(x, basis)
-        if args.method == "both" and is_orthonormal(basis):
-            residuals["closed_vs_brute"] = abs(cut_radius_closed(x, basis) - res.radius)
+    else:
+        res = cut_radius(x, basis)  # brute force already when the lattice is not orthonormal
+        if args.method == "closed" and not res.used_closed_form:
+            raise DomainError("closed form needs an orthonormal lattice; use --method brute")
+        if args.method == "both" and res.used_closed_form:
+            closed, res = res, cut_radius_brute(x, basis)
+            residuals["closed_vs_brute"] = abs(closed.radius - res.radius)
     result = {
         "direction": x,
         "radius": res.radius,
@@ -280,16 +279,6 @@ def cmd_cutlocus_grid(args) -> int:
     return 0
 
 
-def _embed_one(space, method, g):
-    if method == "p":
-        return p_embed(space, g)
-    if method == "g":
-        return g_embed(space, g).point()
-    if method == "f":
-        return f_embed(space, g)
-    raise UsageError(f"unknown method {method!r}")
-
-
 def cmd_embed(args) -> int:
     sp = parse_space(args.space, args.n, args.m)
     if sp is None:
@@ -309,7 +298,7 @@ def cmd_embed(args) -> int:
         raise UsageError("embed needs --input (matrix file or '-')")
     g = coset_from_matrix(sp, read_matrix(args.input))
     methods = ("p", "g", "f") if args.method == "all" else (args.method,)
-    points = {m: _embed_one(sp, m, g) for m in methods}
+    points = {m: embed(sp, m, g) for m in methods}
     residuals = {}
     if len(points) > 1:
         pairs = [("p", "g"), ("p", "f"), ("g", "f")]
@@ -319,7 +308,7 @@ def cmd_embed(args) -> int:
     result = {
         "subspace": first.rep,
         "flat_coords": coords.coords,
-        "region_fraction": image_region_fraction(sp, first),
+        "region_fraction": region_fraction(coords),
         "space_like": space_like(sp, first),
     }
     emit(envelope(sp.label(), args.method, result, residuals))
@@ -373,7 +362,9 @@ def _add_space_args(p, required_dims=True):
     p.add_argument("m", nargs="?", type=int, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     top = argparse.ArgumentParser(
         prog="dualspace",
         description="Embeddings of noncompact symmetric spaces into their compact duals",

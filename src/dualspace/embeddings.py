@@ -6,13 +6,15 @@ descriptor and all agreeing with each other on the Grassmannian families:
 * ``p_embed``  -- realize the coset as a space-like subspace (act on the
   base point and keep the column span);
 * ``g_embed``  -- factor the group element through the parabolic subgroup
-  by block QR; the orthogonal/unitary factor represents the image coset;
+  by QR; the orthogonal/unitary factor represents the image coset;
 * ``f_embed``  -- pull the coset back to the tangent space, contract the
   flat coordinates into the quarter-lattice box, and push forward along
   the compact flat, a direct sum of plane rotations, whose frame is
   written down in closed form;
 * ``b_embed_rank1`` -- the stereographic formula on the rank-1 flat of the
   circle/sphere family, the one place where it differs from ``f_embed``.
+
+``embed`` dispatches to p, g or f by id.
 
 The sign convention of the flat contraction is chosen so that p, g and f
 produce literally the same subspaces: a boost of rapidity t along a flat
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import DomainError, NumericalError
-from .lattice import cut_radius
+from .lattice import region_fraction
 from .spaces import (
     FlatCoordinates,
     Side,
@@ -35,8 +37,8 @@ from .spaces import (
     SubspacePoint,
     TangentVector,
     _block_diag,
-    flat_decompose,
     in_group,
+    special_svd,
 )
 
 # cosets whose slope block has a singular value this close to 1 are
@@ -144,16 +146,29 @@ def p_embed(space: SpaceDescriptor, g: GroupElement) -> SubspacePoint:
 
 
 def g_embed(space: SpaceDescriptor, g: GroupElement) -> GroupElement:
-    """Parabolic factorization: the compact factor of the block QR of A.
+    """Parabolic factorization: the compact factor Q of A = QR.
 
+    R is upper triangular, so it lies in the parabolic (block
+    upper-triangular) subgroup and A and Q represent the same coset of it.
     Well defined on cosets: right-multiplying A by an isotropy element only
     changes the result by right isotropy multiplication, so the image
     subspace is unchanged.
     """
     if g.side is not Side.NONCOMPACT:
         raise DomainError("g_embed expects a noncompact coset representative")
-    q, _ = nk.block_qr(g.a, space.parabolic)
+    q, _ = nk.block_qr(g.a)
     return GroupElement(space, Side.COMPACT, q)
+
+
+def embed(space: SpaceDescriptor, which: str, g: GroupElement) -> SubspacePoint:
+    """Image subspace of a noncompact coset under embedding ``which``: "p", "g" or "f"."""
+    if which == "p":
+        return p_embed(space, g)
+    if which == "g":
+        return g_embed(space, g).point()
+    if which == "f":
+        return f_embed(space, g)
+    raise DomainError(f"unknown embedding id {which!r}")
 
 
 def _slope_block(space: SpaceDescriptor, point: SubspacePoint) -> np.ndarray:
@@ -168,40 +183,10 @@ def _slope_block(space: SpaceDescriptor, point: SubspacePoint) -> np.ndarray:
 
 
 def _slope_svd(space: SpaceDescriptor, y: np.ndarray):
-    """SVD ``y = w @ rect_diag(s) @ z.conj().T`` with isotropy-ready factors.
-
-    For the oriented families both factors are pushed into the special
-    group.  Flipping column j of w together with column j of z preserves
-    the product, as does flipping any column of w beyond the singular
-    block; when m = n one leftover sign is absorbed into the last (and
-    smallest) coefficient, which may therefore come back negative.
-    """
-    w, s, zh = np.linalg.svd(y, full_matrices=True)
-    w = w.copy()
-    z = zh.conj().T.copy()
-    s = s.copy()
-    if space.oriented:
-        n = z.shape[0]
-        m = w.shape[0]
-        if np.linalg.det(z) < 0:
-            z[:, n - 1] *= -1.0
-            w[:, n - 1] *= -1.0
-        if np.linalg.det(w) < 0:
-            if m > n:
-                w[:, m - 1] *= -1.0
-            else:
-                w[:, n - 1] *= -1.0
-                s[n - 1] *= -1.0
-    return w, s, z
-
-
-def _flat_point(space: SpaceDescriptor, k: np.ndarray, cartan_coeffs, side: Side) -> np.ndarray:
-    """Matrix of k . (sum_i c_i R_i) . k^-1 for cartan coefficients c."""
-    basis = space.cartan_basis(side)
-    flat = np.zeros((space.dim, space.dim), dtype=space.dtype)
-    for c, b in zip(cartan_coeffs, basis):
-        flat = flat + c * b
-    return k @ flat @ k.conj().T
+    """SVD ``y = w @ diag(s) @ z.conj().T`` with isotropy-ready factors,
+    from :func:`spaces.special_svd` of ``y^H``."""
+    u, s, vh = special_svd(y.conj().T, space.oriented)
+    return vh.conj().T, s, u
 
 
 def _checked_slope_svd(space: SpaceDescriptor, point: SubspacePoint):
@@ -222,6 +207,24 @@ def _checked_slope_svd(space: SpaceDescriptor, point: SubspacePoint):
     return w, sig, z
 
 
+def _log_flat(space: SpaceDescriptor, point: SubspacePoint, side: Side):
+    """Isotropy rotation k and lattice-unit flat coordinates h of the log of
+    a point on either side, log = k h.matrix(side) k^-1, read off the slope SVD.
+
+    Noncompact side: the slope's singular values are hyperbolic tangents of
+    the flat coefficients.  Compact side: they are tangents, and since the
+    slope of a flat point is minus the tangent of its angle, the negated
+    slope is decomposed.
+    """
+    if side is Side.NONCOMPACT:
+        w, sig, z = _checked_slope_svd(space, point)
+        cart = np.arctanh(sig)
+    else:
+        w, sig, z = _slope_svd(space, -_slope_block(space, point))
+        cart = np.arctan(sig)
+    return _block_diag(z, w), FlatCoordinates(space, np.linalg.solve(space.lattice_coeff, cart))
+
+
 def log_noncompact(space: SpaceDescriptor, point: SubspacePoint) -> TangentVector:
     """Tangent vector X with exp(X) . o = point, on the noncompact side.
 
@@ -237,10 +240,8 @@ def log_noncompact(space: SpaceDescriptor, point: SubspacePoint) -> TangentVecto
         If a singular value of the slope exceeds 1 - 1e-13; such cosets
         are rejected rather than clamped.
     """
-    w, sig, z = _checked_slope_svd(space, point)
-    k = _block_diag(z, w)
-    x = _flat_point(space, k, np.arctanh(sig), Side.NONCOMPACT)
-    return TangentVector(space, Side.NONCOMPACT, x)
+    k, coords = _log_flat(space, point, Side.NONCOMPACT)
+    return TangentVector(space, Side.NONCOMPACT, k @ coords.matrix(Side.NONCOMPACT) @ k.conj().T)
 
 
 def log_compact(space: SpaceDescriptor, point: SubspacePoint) -> TangentVector:
@@ -252,18 +253,13 @@ def log_compact(space: SpaceDescriptor, point: SubspacePoint) -> TangentVector:
     convention (slope of a flat point is minus the tangent of its angle)
     is handled by decomposing the negated slope.
     """
-    y = _slope_block(space, point)
-    w, sig, z = _slope_svd(space, -y)
-    k = _block_diag(z, w)
-    x = _flat_point(space, k, np.arctan(sig), Side.COMPACT)
-    return TangentVector(space, Side.COMPACT, x)
+    k, coords = _log_flat(space, point, Side.COMPACT)
+    return TangentVector(space, Side.COMPACT, k @ coords.matrix(Side.COMPACT) @ k.conj().T)
 
 
 def point_flat_coords(space: SpaceDescriptor, point: SubspacePoint, side: Side) -> FlatCoordinates:
     """Lattice-unit flat coordinates of the log of a point, on either side."""
-    xv = log_noncompact(space, point) if side is Side.NONCOMPACT else log_compact(space, point)
-    _, coords = flat_decompose(space, xv)
-    return coords
+    return _log_flat(space, point, side)[1]
 
 
 def f_embed(space: SpaceDescriptor, x) -> SubspacePoint:
@@ -289,13 +285,10 @@ def f_embed(space: SpaceDescriptor, x) -> SubspacePoint:
     else:
         raise DomainError("f_embed takes a GroupElement or a SubspacePoint")
 
-    w, sig, z = _checked_slope_svd(space, point)
-    lattice_coords = np.linalg.solve(space.lattice_coeff, np.arctanh(sig[: space.rank]))
-    contracted = h_flat(FlatCoordinates(space, lattice_coords))
+    k, coords = _log_flat(space, point, Side.NONCOMPACT)
+    theta = h_flat(coords).coords.cartan_coords()
     n = space.n
-    theta = np.zeros(n)
-    theta[: space.rank] = space.lattice_coeff @ contracted.coords.coords
-
+    z, w = k[:n, :n], k[n:, n:]
     zh = z.conj().T
     rep = np.vstack(((z * np.cos(theta)) @ zh, -(w[:, :n] * np.sin(theta)) @ zh))
     return SubspacePoint(space, rep, orientation=1 if space.oriented else None)
@@ -304,8 +297,4 @@ def f_embed(space: SpaceDescriptor, x) -> SubspacePoint:
 def image_region_fraction(space: SpaceDescriptor, point: SubspacePoint) -> float:
     """Distance of a compact point from the base point, as a fraction of the
     cut radius along its own direction (0 at the base point)."""
-    coords = point_flat_coords(space, point, Side.COMPACT)
-    nrm = coords.metric_norm()
-    if nrm == 0.0:
-        return 0.0
-    return nrm / cut_radius(coords).radius
+    return region_fraction(point_flat_coords(space, point, Side.COMPACT))

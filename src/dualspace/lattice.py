@@ -121,10 +121,15 @@ def cut_radius_closed(coords, basis: LatticeBasis = None) -> float:
     x, basis = _coords_array(coords, basis)
     if not is_orthonormal(basis):
         raise DomainError("closed-form cut radius needs an orthonormal lattice")
-    x = _unit_direction(x, basis.gram)
+    return _closed_form(x, basis)[0]
+
+
+def _closed_form(x, basis: LatticeBasis):
+    """(radius, index of the generator attaining it) on an orthonormal lattice."""
+    c = np.abs(basis.gram @ _unit_direction(x, basis.gram))
+    i0 = int(np.argmax(c))
     alpha2 = float(np.mean(np.diag(basis.gram)))
-    c = basis.gram @ x
-    return alpha2 / (2.0 * float(np.max(np.abs(c))))
+    return alpha2 / (2.0 * float(c[i0])), i0
 
 
 def _l1_shell(rank: int, s: int):
@@ -183,13 +188,21 @@ def cut_radius_brute(coords, basis: LatticeBasis = None) -> CutRadiusResult:
 def cut_radius(coords, basis: LatticeBasis = None) -> CutRadiusResult:
     """Cut radius by the closed form when available, brute force otherwise."""
     x, basis = _coords_array(coords, basis)
-    if is_orthonormal(basis):
-        radius = cut_radius_closed(x, basis)
-        c = np.abs(basis.gram @ _unit_direction(x, basis.gram))
-        i0 = int(np.argmax(c))
-        m = tuple(-1 if i == i0 else 0 for i in range(basis.rank))
-        return CutRadiusResult(radius=radius, minimizer=m, used_closed_form=True)
-    return cut_radius_brute(x, basis)
+    if not is_orthonormal(basis):
+        return cut_radius_brute(x, basis)
+    radius, i0 = _closed_form(x, basis)
+    m = tuple(-1 if i == i0 else 0 for i in range(basis.rank))
+    return CutRadiusResult(radius=radius, minimizer=m, used_closed_form=True)
+
+
+def region_fraction(coords, basis: LatticeBasis = None) -> float:
+    """Length of a flat vector as a fraction of the cut radius along its
+    own direction; 0 for the zero vector."""
+    x, basis = _coords_array(coords, basis)
+    nrm = float(np.sqrt(max(x @ basis.gram @ x, 0.0)))
+    if nrm == 0.0:
+        return 0.0
+    return nrm / cut_radius(x, basis).radius
 
 
 def in_half_region(coords, fraction: float, basis: LatticeBasis = None) -> bool:
@@ -202,11 +215,7 @@ def in_half_region(coords, fraction: float, basis: LatticeBasis = None) -> bool:
     """
     if not 0.0 < fraction <= 1.0:
         raise DomainError(f"fraction must be in (0, 1], got {fraction}")
-    x, basis = _coords_array(coords, basis)
-    nrm = float(np.sqrt(x @ basis.gram @ x))
-    if nrm == 0.0:
-        return True
-    return nrm < fraction * cut_radius(x, basis).radius
+    return region_fraction(coords, basis) < fraction
 
 
 def su3_lattice() -> LatticeBasis:

@@ -9,14 +9,12 @@ never mutated, so values are safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
 from .errors import DomainError, NumericalError
 
-# Structural checks (orthogonality, forced zero blocks) default to 1e-10;
+# Structural checks (orthogonality, positivity) default to 1e-10;
 # reconstruction-grade identities to 1e-11 .. 1e-12.  Double precision
 # leaves comfortable headroom at the n + m <= 64 sizes targeted here.
 ORTHO_TOL = 1e-10
@@ -62,102 +60,26 @@ def expm(x) -> np.ndarray:
     return scipy.linalg.expm(x)
 
 
-def svd(y):
-    """Full singular value decomposition ``y = u @ rect_diag(s) @ v.conj().T``.
-
-    Returns
-    -------
-    (u, s, v)
-        ``u`` is rows x rows, ``v`` is cols x cols, both unitary; ``s`` holds
-        the singular values in descending order.
-    """
-    y = as_matrix(y)
-    u, s, vh = np.linalg.svd(y, full_matrices=True)
-    return u, s, vh.conj().T
-
-
-def rect_diag(s, rows: int, cols: int, dtype=np.float64) -> np.ndarray:
-    """Embed the vector ``s`` as the leading diagonal of a rows x cols matrix."""
-    out = np.zeros((rows, cols), dtype=dtype)
-    k = min(len(s), rows, cols)
-    out[np.arange(k), np.arange(k)] = s[:k]
-    return out
-
-
-@dataclass(frozen=True)
-class BlockShape:
-    """Block partition of a square matrix with forced-zero blocks.
-
-    ``zero_pattern`` lists (block row, block column) pairs that must vanish;
-    for the parabolic shapes used here it is exactly the strictly lower
-    block triangle, so conforming matrices are block upper-triangular.
-    """
-
-    row_blocks: tuple
-    col_blocks: tuple
-    zero_pattern: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "row_blocks", tuple(int(b) for b in self.row_blocks))
-        object.__setattr__(self, "col_blocks", tuple(int(b) for b in self.col_blocks))
-        object.__setattr__(self, "zero_pattern", tuple((int(i), int(j)) for i, j in self.zero_pattern))
-        if min(self.row_blocks, default=0) <= 0 or min(self.col_blocks, default=0) <= 0:
-            raise DomainError("block sizes must be positive")
-        for i, j in self.zero_pattern:
-            if i <= j:
-                raise DomainError("zero pattern must be strictly lower block triangular")
-
-    @classmethod
-    def parabolic(cls, sizes) -> "BlockShape":
-        """Block upper-triangular shape with the given diagonal block sizes."""
-        sizes = tuple(int(b) for b in sizes)
-        zeros = tuple((i, j) for i in range(len(sizes)) for j in range(i))
-        return cls(sizes, sizes, zeros)
-
-    @property
-    def dim(self) -> int:
-        return sum(self.row_blocks)
-
-    def check_dim(self, k: int):
-        if sum(self.row_blocks) != k or sum(self.col_blocks) != k:
-            raise DomainError(f"block sizes {self.row_blocks} do not sum to matrix dimension {k}")
-
-    def _slices(self, blocks):
-        edges = np.cumsum((0,) + blocks)
-        return [slice(edges[i], edges[i + 1]) for i in range(len(blocks))]
-
-    def max_forced_entry(self, a: np.ndarray) -> float:
-        """Largest |entry| inside the forced-zero blocks of ``a``."""
-        a = np.asarray(a)
-        rows = self._slices(self.row_blocks)
-        cols = self._slices(self.col_blocks)
-        worst = 0.0
-        for i, j in self.zero_pattern:
-            block = a[rows[i], cols[j]]
-            if block.size:
-                worst = max(worst, float(np.max(np.abs(block))))
-        return worst
-
-
-def block_qr(a, shape: BlockShape | None = None):
+def block_qr(a):
     """Factor an invertible matrix as ``q = a @ rinv`` with ``q`` in the
     compact group and ``rinv`` inverse-to an upper triangular matrix.
 
     One Householder QR (LAPACK, through ``np.linalg.qr``), made unique by
     moving the phase of each diagonal entry of R into the matching column
     of Q.  The triangular factor then has a positive real diagonal, which
-    pins the result; since it is genuinely upper triangular it conforms to
-    every parabolic ``shape`` (the shape argument is validated against the
-    matrix dimension).
+    pins the result.  Being upper triangular, R lies in every parabolic
+    (block upper-triangular) subgroup, so no block shape is needed.
 
     Returns
     -------
     (q, rinv)
         ``q`` orthogonal/unitary, ``rinv`` upper triangular with
-        ``a @ rinv == q`` and ``inv(rinv)`` respecting ``shape``.
+        ``a @ rinv == q``.
 
     Raises
     ------
+    DomainError
+        If ``a`` is not square.
     NumericalError
         If a diagonal entry of R, the part of a column orthogonal to the
         columns before it, drops below 1e-12 of that column's norm, i.e.
@@ -167,8 +89,6 @@ def block_qr(a, shape: BlockShape | None = None):
     k = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise DomainError(f"block_qr needs a square matrix, got {a.shape}")
-    if shape is not None:
-        shape.check_dim(k)
 
     q, r = np.linalg.qr(a)
     diag = np.diagonal(r)

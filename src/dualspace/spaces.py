@@ -1,8 +1,8 @@
 """Catalog of the classical symmetric-space families in scope.
 
 Each space is described by a :class:`SpaceDescriptor` holding the base
-point, the indefinite form, the commuting flat generators, the unit
-lattice, and the parabolic block shape.  Conventions:
+point, the indefinite form, the commuting flat generators and the unit
+lattice.  Conventions:
 
 * the ambient space is R^(n+m) or C^(n+m) with n <= m, the quadratic form
   has signature (n, m), and the base point is the span of the first n
@@ -67,7 +67,6 @@ class SpaceDescriptor:
     form_j: np.ndarray              # diag(+1 x n, -1 x m)
     lattice_coeff: np.ndarray       # columns: lattice generators in R_i coordinates
     lattice: LatticeBasis
-    parabolic: nk.BlockShape
 
     @property
     def dim(self) -> int:
@@ -165,12 +164,8 @@ class FlatCoordinates:
         return self.space.lattice_coeff @ self.coords
 
     def matrix(self, side: Side) -> np.ndarray:
-        basis = self.space.cartan_basis(side)
-        cart = self.cartan_coords()
-        out = np.zeros((self.space.dim, self.space.dim), dtype=self.space.dtype)
-        for c, b in zip(cart, basis):
-            out = out + c * b
-        return out
+        """The flat tangent matrix sum_i c_i R_i on the given side."""
+        return sum(c * b for c, b in zip(self.cartan_coords(), self.space.cartan_basis(side)))
 
     def tangent(self, side: Side) -> TangentVector:
         return TangentVector(self.space, side, self.matrix(side))
@@ -300,7 +295,6 @@ def make_space(family: Family, n: int, m: int) -> SpaceDescriptor:
         form_j=form_j,
         lattice_coeff=coeff,
         lattice=basis,
-        parabolic=nk.BlockShape.parabolic((n, m)),
     )
 
 
@@ -411,18 +405,18 @@ def _block_diag(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _det_sign_fix(u, vh, s, oriented):
-    """Push determinant signs around so both factors are special.
+def special_svd(b: np.ndarray, oriented: bool):
+    """Full SVD ``b = u @ diag(s) @ vh`` of an n x m block (n <= m), with
+    both factors pushed into the special group when ``oriented``.
 
-    Flipping column j of u together with row j of vh preserves u @ S @ vh.
-    When m > n a row of vh outside the singular block is free; when m = n
-    the leftover sign is absorbed into the last (smallest) coefficient.
+    Flipping column j of u together with row j of vh preserves the
+    product.  When m > n a row of vh outside the singular block is free;
+    when m = n the leftover sign is absorbed into the last (smallest)
+    value of ``s``, which may therefore come back negative.
     """
+    u, s, vh = np.linalg.svd(b, full_matrices=True)
     if not oriented:
-        return u, vh, s
-    u = u.copy()
-    vh = vh.copy()
-    s = s.copy()
+        return u, s, vh
     n = u.shape[0]
     m = vh.shape[0]
     if np.linalg.det(u) < 0:
@@ -434,7 +428,7 @@ def _det_sign_fix(u, vh, s, oriented):
         else:
             vh[n - 1, :] *= -1.0
             s[n - 1] *= -1.0
-    return u, vh, s
+    return u, s, vh
 
 
 def flat_decompose(space: SpaceDescriptor, xv: TangentVector):
@@ -450,12 +444,6 @@ def flat_decompose(space: SpaceDescriptor, xv: TangentVector):
     """
     if xv.space is not space and xv.space.label() != space.label():
         raise DomainError("tangent vector belongs to a different space")
-    b = xv.block()
-    u, s, vh = np.linalg.svd(b, full_matrices=True)
-    sgn = s.copy()
-    u, vh, sgn = _det_sign_fix(u, vh, sgn, space.oriented)
+    u, s, vh = special_svd(xv.block(), space.oriented)
     k = _block_diag(u, vh.conj().T)
-    coeffs = np.zeros(space.rank)
-    coeffs[: len(sgn)] = sgn[: space.rank]
-    coords = np.linalg.solve(space.lattice_coeff, coeffs)
-    return k, FlatCoordinates(space, coords)
+    return k, FlatCoordinates(space, np.linalg.solve(space.lattice_coeff, s))

@@ -17,10 +17,8 @@ from . import numkernel as nk
 from .embeddings import (
     GroupElement,
     b_embed_rank1,
-    f_embed,
-    g_embed,
+    embed,
     log_noncompact,
-    p_embed,
     point_flat_coords,
     space_like,
 )
@@ -29,6 +27,7 @@ from .lattice import cut_radius_brute, cut_radius_closed, in_half_region
 from .spaces import (
     CATALOG,
     Family,
+    FlatCoordinates,
     Side,
     SpaceDescriptor,
     SubspacePoint,
@@ -127,16 +126,6 @@ def random_unit_flat(space: SpaceDescriptor, rng) -> np.ndarray:
     return x / np.sqrt(x @ g @ x)
 
 
-def _embed_point(space, which, g):
-    if which == "p":
-        return p_embed(space, g)
-    if which == "g":
-        return g_embed(space, g).point()
-    if which == "f":
-        return f_embed(space, g)
-    raise DomainError(f"unknown embedding id {which!r}")
-
-
 # ---------------------------------------------------------------------------
 # property checks
 
@@ -149,7 +138,7 @@ def check_triple_equality(space, samples: int = 200, seed: int = DEFAULT_SEED,
     failures = 0
     for _ in range(samples):
         g = random_coset(space, rng)
-        pts = [_embed_point(space, which, g) for which in ("p", "g", "f")]
+        pts = [embed(space, which, g) for which in ("p", "g", "f")]
         resid = max(
             pts[0].distance(pts[1]),
             pts[0].distance(pts[2]),
@@ -171,8 +160,8 @@ def check_equivariance(space, embedding_id: str, samples: int = 200,
         g = random_coset(space, rng)
         k = random_isotropy(space, rng)
         moved = GroupElement(space, Side.NONCOMPACT, k @ g.a)
-        lhs = _embed_point(space, embedding_id, moved)
-        rhs = act(k, _embed_point(space, embedding_id, g))
+        lhs = embed(space, embedding_id, moved)
+        rhs = act(k, embed(space, embedding_id, g))
         resid = lhs.distance(rhs)
         worst = max(worst, resid)
         failures += resid > tol
@@ -212,7 +201,7 @@ def check_image_region(space, embedding_id: str, samples: int = 500,
         near_boundary = i % 5 == 0
         sigma = 1.0 - 1e-6 if near_boundary else None
         g = random_coset(space, rng, sigma_max=sigma)
-        pt = _embed_point(space, embedding_id, g)
+        pt = embed(space, embedding_id, g)
         ok = space_like(space, pt)
         coords = point_flat_coords(space, pt, Side.COMPACT)
         inside = in_half_region(coords, 0.5)
@@ -246,11 +235,8 @@ def check_cut_loci_grassmannian(space, samples: int = 100,
     worst = 0.0
     for _ in range(samples):
         xl = random_unit_flat(space, rng)
-        coords_obj = np.asarray(xl)
-        t0 = cut_radius_closed(coords_obj, space.lattice)
-        cart = space.lattice_coeff @ xl  # coefficients on the R_i generators
-        basis = space.cartan_basis(Side.COMPACT)
-        flat = sum(c * b for c, b in zip(cart, basis))
+        t0 = cut_radius_closed(xl, space.lattice)
+        flat = FlatCoordinates(space, xl).matrix(Side.COMPACT)
         for t, expect_deficient in ((t0, True), (t0 - 0.01, False)):
             frame = nk.expm(t * flat)[:, : space.n]
             svals = np.linalg.svd(frame[: space.n, :], compute_uv=False)

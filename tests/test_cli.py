@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dualspace
 from dualspace.cli import _jsonify, emit, main
 
 ENVELOPE_KEYS = {"space", "method", "result", "residuals", "seed", "version"}
@@ -267,3 +272,23 @@ def test_seed_env_override(capsys, monkeypatch):
     monkeypatch.setenv("DUALSPACE_SEED", "0x2A")
     payload = run_json(capsys, "lattice-info", "gr-real", "1", "1")
     assert payload["seed"] == 42
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    # the parser is built once per process: defaults must not leak between calls
+    calls = [
+        ("cut-radius", "gr-real", "2", "2", "--direction", "1,1", "--method", "brute"),
+        ("cut-radius", "gr-real", "2", "2", "--direction", "1,1"),
+        ("lattice-info", "su3"),
+        ("cutlocus-grid", "gr-real", "2", "2", "--samples", "4", "--format", "json"),
+        ("cutlocus-grid", "gr-real", "2", "2", "--samples", "3"),
+    ]
+    env = dict(os.environ)
+    src = str(Path(dualspace.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    for argv in calls:
+        _, out, _ = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "dualspace.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert fresh.returncode == 0, fresh.stderr
+        assert out == fresh.stdout

@@ -10,6 +10,7 @@ from dualspace.embeddings import (
     GroupElement,
     HMapImage,
     b_embed_rank1,
+    embed,
     f_embed,
     f_flat_rank1,
     g_embed,
@@ -21,13 +22,14 @@ from dualspace.embeddings import (
     point_flat_coords,
     space_like,
 )
-from dualspace.embeddings import _checked_slope_svd, _flat_point
+from dualspace.embeddings import _checked_slope_svd
 from dualspace.errors import DomainError, NumericalError
 from dualspace.spaces import (
     Family,
     FlatCoordinates,
     Side,
     SubspacePoint,
+    flat_decompose,
     in_group,
     in_isotropy,
     _block_diag,
@@ -283,6 +285,25 @@ def test_log_compact_round_trip():
         assert nk.projector_distance(back, pt.rep) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "space",
+    catalog_spaces() + [make_space(Family.REAL_GRASSMANNIAN, 16, 48)],
+    ids=lambda sp: sp.label(),
+)
+def test_point_flat_coords_match_flat_decompose_of_log(space):
+    # the closed form read off the slope SVD against a second SVD of the log
+    rng = np.random.default_rng(47)
+    for _ in range(5 if space.dim > 8 else 20):
+        g = random_coset(space, rng)
+        cases = ((Side.NONCOMPACT, g.point(), log_noncompact),
+                 (Side.COMPACT, g.point(), log_compact),
+                 (Side.COMPACT, f_embed(space, g), log_compact))
+        for side, pt, log in cases:
+            _, expected = flat_decompose(space, log(space, pt))
+            got = point_flat_coords(space, pt, side)
+            assert np.max(np.abs(got.coords - expected.coords)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # f
 
@@ -320,10 +341,10 @@ def test_f_embed_flat_relation_per_coordinate():
 def f_embed_by_expm(space, g):
     """f through the compact exponential of the contracted flat point."""
     w, sig, z = _checked_slope_svd(space, g.point())
-    lattice_coords = np.linalg.solve(space.lattice_coeff, np.arctanh(sig[: space.rank]))
-    theta = space.lattice_coeff @ h_flat(FlatCoordinates(space, lattice_coords)).coords.coords
-    xc = _flat_point(space, _block_diag(z, w), theta, Side.COMPACT)
-    return nk.expm(xc)[:, : space.n]
+    lattice_coords = np.linalg.solve(space.lattice_coeff, np.arctanh(sig))
+    contracted = h_flat(FlatCoordinates(space, lattice_coords)).coords
+    k = _block_diag(z, w)
+    return nk.expm(k @ contracted.matrix(Side.COMPACT) @ k.conj().T)[:, : space.n]
 
 
 @pytest.mark.parametrize(
@@ -408,6 +429,16 @@ def test_triple_equality_small():
             gg = g_embed(sp, g).point()
             ff = f_embed(sp, g)
             assert max(pp.distance(gg), pp.distance(ff), gg.distance(ff)) <= 1e-9
+
+
+def test_embed_dispatches_by_id():
+    rng = np.random.default_rng(53)
+    g = coset_from_slope(GR23, capped(0.5 * rng.standard_normal((3, 2))))
+    direct = {"p": p_embed(GR23, g), "g": g_embed(GR23, g).point(), "f": f_embed(GR23, g)}
+    for which, pt in direct.items():
+        np.testing.assert_array_equal(embed(GR23, which, g).rep, pt.rep)
+    with pytest.raises(DomainError):
+        embed(GR23, "x", g)
 
 
 def test_equivariance_small():

@@ -81,58 +81,6 @@ def test_expm_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# svd
-
-
-def _sym2x2_eigs(g):
-    # characteristic-polynomial eigenvalues of a symmetric 2x2 matrix
-    tr = g[0, 0] + g[1, 1]
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    disc = np.sqrt(max(tr * tr / 4.0 - det, 0.0))
-    return tr / 2.0 + disc, tr / 2.0 - disc
-
-
-def test_svd_zero_matrix():
-    _, s, _ = nk.svd(np.zeros((2, 3)))
-    np.testing.assert_allclose(s, [0.0, 0.0])
-
-
-def test_svd_diagonal():
-    u, s, v = nk.svd(np.diag([3.0, 1.0]))
-    np.testing.assert_allclose(s, [3.0, 1.0])
-    np.testing.assert_allclose(np.abs(u), np.eye(2), atol=1e-14)
-    np.testing.assert_allclose(np.abs(v), np.eye(2), atol=1e-14)
-
-
-def test_svd_against_characteristic_polynomial():
-    y = np.array([[0.6, 0.0], [0.0, 0.2], [0.0, 0.0]])
-    lam1, lam2 = _sym2x2_eigs(y.T @ y)
-    _, s, _ = nk.svd(y)
-    np.testing.assert_allclose(s, [np.sqrt(lam1), np.sqrt(lam2)], atol=1e-14)
-    np.testing.assert_allclose(s, [0.6, 0.2], atol=1e-14)
-
-
-def test_svd_reconstruction_and_orthogonality():
-    rng = np.random.default_rng(11)
-    for shape in [(3, 5), (5, 3), (4, 4)]:
-        y = rng.standard_normal(shape)
-        u, s, v = nk.svd(y)
-        recon = u @ nk.rect_diag(s, *shape) @ v.conj().T
-        assert np.linalg.norm(y - recon) <= 1e-11 * np.linalg.norm(y)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(shape[0]))) <= 1e-12
-        assert np.max(np.abs(v.conj().T @ v - np.eye(shape[1]))) <= 1e-12
-        assert np.all(np.diff(s) <= 0)
-
-
-def test_svd_complex():
-    rng = np.random.default_rng(12)
-    y = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    u, s, v = nk.svd(y)
-    recon = u @ nk.rect_diag(s, 3, 2) @ v.conj().T
-    assert np.linalg.norm(y - recon) <= 1e-11 * np.linalg.norm(y)
-
-
-# ---------------------------------------------------------------------------
 # block_qr
 
 
@@ -143,7 +91,7 @@ def test_block_qr_identity():
 
 
 def test_block_qr_boost_gives_pinned_rotation():
-    q, rinv = nk.block_qr(boost(1.0), nk.BlockShape.parabolic((1, 1)))
+    q, rinv = nk.block_qr(boost(1.0))
     expected = rotation(THETA_BOOST)
     np.testing.assert_allclose(q, expected, atol=1e-12)
     assert THETA_BOOST == pytest.approx(-0.6508801680230075, abs=1e-12)
@@ -152,15 +100,15 @@ def test_block_qr_boost_gives_pinned_rotation():
 
 def test_block_qr_random_invertible():
     rng = np.random.default_rng(21)
-    shape = nk.BlockShape.parabolic((2, 2))
     for _ in range(20):
         a = rng.standard_normal((4, 4)) + np.eye(4)
         if abs(np.linalg.det(a)) < 1e-3:
             continue
-        q, rinv = nk.block_qr(a, shape)
+        q, rinv = nk.block_qr(a)
         assert np.max(np.abs(q.T @ q - np.eye(4))) <= 1e-10
         r = np.linalg.inv(rinv)
-        assert shape.max_forced_entry(r) <= 1e-10
+        # upper triangular, hence in every parabolic (block upper-triangular) subgroup
+        assert np.max(np.abs(np.tril(r, -1))) <= 1e-10
         assert np.max(np.abs(a @ rinv - q)) <= 1e-10
         # positive diagonal pins the representative
         assert np.all(np.diag(r) > 0)
@@ -207,7 +155,7 @@ def test_block_qr_matches_gram_schmidt_reference(family, n, m):
     rng = np.random.default_rng(31)
     for _ in range(3):
         a = random_coset(space, rng).a
-        q, rinv = nk.block_qr(a, space.parabolic)
+        q, rinv = nk.block_qr(a)
         q_ref, rinv_ref = mgs_reference(a)
         assert np.max(np.abs(q - q_ref)) <= 1e-10
         assert np.max(np.abs(rinv - rinv_ref)) <= 1e-10 * max(1.0, np.max(np.abs(rinv_ref)))
@@ -226,12 +174,7 @@ def test_block_qr_nearly_repeated_column_raises():
 
 def test_block_qr_shape_mismatch():
     with pytest.raises(DomainError):
-        nk.block_qr(np.eye(3), nk.BlockShape.parabolic((2, 2)))
-
-
-def test_block_shape_rejects_upper_zero_pattern():
-    with pytest.raises(DomainError):
-        nk.BlockShape((2, 2), (2, 2), ((0, 1),))
+        nk.block_qr(np.ones((3, 2)))
 
 
 # ---------------------------------------------------------------------------

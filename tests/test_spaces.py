@@ -18,6 +18,7 @@ from dualspace.spaces import (
     in_isotropy,
     make_space,
     same_point,
+    special_svd,
     transitivity_element,
 )
 
@@ -213,7 +214,77 @@ def test_transitivity_rejects_non_spacelike():
 
 
 # ---------------------------------------------------------------------------
+# special_svd
+
+
+def _sym2x2_eigs(g):
+    # characteristic-polynomial eigenvalues of a symmetric 2x2 matrix
+    tr = g[0, 0] + g[1, 1]
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    disc = np.sqrt(max(tr * tr / 4.0 - det, 0.0))
+    return tr / 2.0 + disc, tr / 2.0 - disc
+
+
+def _svd_product(u, s, vh):
+    k = len(s)
+    return (u[:, :k] * s) @ vh[:k, :]
+
+
+def test_special_svd_zero_matrix():
+    _, s, _ = special_svd(np.zeros((2, 3)), oriented=False)
+    np.testing.assert_allclose(s, [0.0, 0.0])
+
+
+def test_special_svd_diagonal():
+    u, s, vh = special_svd(np.diag([3.0, 1.0]), oriented=False)
+    np.testing.assert_allclose(s, [3.0, 1.0])
+    np.testing.assert_allclose(np.abs(u), np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(np.abs(vh), np.eye(2), atol=1e-14)
+
+
+def test_special_svd_against_characteristic_polynomial():
+    y = np.array([[0.6, 0.0], [0.0, 0.2], [0.0, 0.0]])
+    lam1, lam2 = _sym2x2_eigs(y.T @ y)
+    _, s, _ = special_svd(y, oriented=False)
+    np.testing.assert_allclose(s, [np.sqrt(lam1), np.sqrt(lam2)], atol=1e-14)
+    np.testing.assert_allclose(s, [0.6, 0.2], atol=1e-14)
+
+
+def test_special_svd_reconstruction_and_orthogonality():
+    rng = np.random.default_rng(11)
+    for shape in [(3, 5), (5, 3), (4, 4)]:
+        y = rng.standard_normal(shape)
+        # the oriented push needs rows <= cols, the catalog's n x m blocks
+        for oriented in (False, True) if shape[0] <= shape[1] else (False,):
+            u, s, vh = special_svd(y, oriented)
+            assert np.linalg.norm(y - _svd_product(u, s, vh)) <= 1e-11 * np.linalg.norm(y)
+            assert np.max(np.abs(u.conj().T @ u - np.eye(shape[0]))) <= 1e-12
+            assert np.max(np.abs(vh @ vh.conj().T - np.eye(shape[1]))) <= 1e-12
+            assert np.all(np.diff(np.abs(s)) <= 0)
+            if oriented:
+                assert np.linalg.det(u) == pytest.approx(1.0, abs=1e-12)
+                assert np.linalg.det(vh) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_special_svd_complex():
+    rng = np.random.default_rng(12)
+    y = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    u, s, vh = special_svd(y, oriented=False)
+    assert np.linalg.norm(y - _svd_product(u, s, vh)) <= 1e-11 * np.linalg.norm(y)
+
+
+def test_special_svd_square_oriented_sign_goes_to_last_value():
+    # det < 0 on a square block cannot be split between two special factors
+    y = np.diag([0.7, 0.3]) @ np.array([[0.0, 1.0], [1.0, 0.0]])
+    u, s, vh = special_svd(y, oriented=True)
+    np.testing.assert_allclose(s, [0.7, -0.3], atol=1e-14)
+    assert np.linalg.det(u) == pytest.approx(1.0) and np.linalg.det(vh) == pytest.approx(1.0)
+    np.testing.assert_allclose(_svd_product(u, s, vh), y, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
 # tangent vectors and the flat decomposition
+
 
 
 def tangent_from_block(sp, b, side):
@@ -283,6 +354,23 @@ def test_flat_decompose_recovers_known_construction():
                                np.sort(h0)[::-1], atol=1e-10)
     rec = k @ h.matrix(Side.NONCOMPACT) @ k.T
     np.testing.assert_allclose(rec, x, atol=1e-10)
+
+
+@pytest.mark.parametrize("family,n,m", CATALOG)
+@pytest.mark.parametrize("side", [Side.COMPACT, Side.NONCOMPACT])
+def test_flat_matrix_is_sum_over_cartan_basis(family, n, m, side):
+    sp = make_space(family, n, m)
+    coords = FlatCoordinates(sp, np.linspace(0.3, -0.2, sp.rank))
+    cart = coords.cartan_coords()
+    expected = sum(c * r for c, r in zip(cart, sp.cartan_basis(side)))
+    np.testing.assert_allclose(coords.matrix(side), expected, atol=1e-15)
+    # the layout of the R_i: c_i at (i, n+i), and -c_i (compact) or +c_i at (n+i, i)
+    lower = -1.0 if side is Side.COMPACT else 1.0
+    explicit = np.zeros((sp.dim, sp.dim))
+    for i, c in enumerate(cart):
+        explicit[i, n + i] = c
+        explicit[n + i, i] = lower * c
+    np.testing.assert_allclose(coords.matrix(side), explicit, atol=1e-15)
 
 
 def test_flat_coordinates_reconstruction_invariant():
