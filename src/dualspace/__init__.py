@@ -33,7 +33,6 @@ from .lattice import (
 )
 from .embeddings import (
     GroupElement,
-    HMapImage,
     b_embed_rank1,
     embed,
     f_embed,

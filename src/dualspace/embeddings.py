@@ -67,17 +67,6 @@ class GroupElement:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class HMapImage:
-    """Flat coordinates produced by the contraction; all lie in (-1/4, 1/4)."""
-
-    coords: FlatCoordinates
-
-    def __post_init__(self):
-        if np.max(np.abs(self.coords.coords)) >= 0.25:
-            raise DomainError("contracted coordinates must lie strictly inside (-1/4, 1/4)")
-
-
 def _contract(x):
     """Odd increasing squash of the line onto (-1/4, 1/4), per coordinate.
 
@@ -90,7 +79,7 @@ def _contract(x):
     return np.clip(out, -limit, limit)
 
 
-def h_flat(coords: FlatCoordinates) -> HMapImage:
+def h_flat(coords: FlatCoordinates) -> FlatCoordinates:
     """Contract noncompact flat coordinates into the open quarter-lattice box.
 
     Acts coordinate-wise in lattice units as x -> -arctan(tanh(pi x)) / pi,
@@ -99,7 +88,7 @@ def h_flat(coords: FlatCoordinates) -> HMapImage:
     which is what keeps the resulting embedding inside the space-like
     region.
     """
-    return HMapImage(FlatCoordinates(coords.space, -_contract(coords.coords)))
+    return FlatCoordinates(coords.space, -_contract(coords.coords))
 
 
 def b_embed_rank1(t: float) -> float:
@@ -286,7 +275,7 @@ def f_embed(space: SpaceDescriptor, x) -> SubspacePoint:
         raise DomainError("f_embed takes a GroupElement or a SubspacePoint")
 
     k, coords = _log_flat(space, point, Side.NONCOMPACT)
-    theta = h_flat(coords).coords.cartan_coords()
+    theta = h_flat(coords).cartan_coords()
     n = space.n
     z, w = k[:n, :n], k[n:, n:]
     zh = z.conj().T

@@ -237,7 +237,8 @@ def make_space(family: Family, n: int, m: int) -> SpaceDescriptor:
         One of the four in-scope families.  Real and complex Grassmannians
         accept any 1 <= n <= m.  The oriented families are the rank <= 2
         ones: oriented 2-planes need n = 2 (rank 2), and n = 1 gives the
-        oriented lines, i.e. the circle/sphere family (rank 1).
+        oriented lines, i.e. the circle/sphere family (rank 1), whose
+        descriptor is returned.
     n, m : int
         Subspace dimension and codimension, n <= m.
 
@@ -262,6 +263,7 @@ def make_space(family: Family, n: int, m: int) -> SpaceDescriptor:
         coeff = np.pi * np.eye(rank)
         fld = "complex" if family is Family.COMPLEX_GRASSMANNIAN else "real"
     elif family is Family.CIRCLE_SPHERE or (family is Family.ORIENTED_TWO_PLANE and n == 1):
+        family = Family.CIRCLE_SPHERE
         if n != 1:
             raise DomainError("the circle/sphere family needs n = 1")
         rank = 1

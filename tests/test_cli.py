@@ -1,5 +1,6 @@
 """Tests for the command-line interface: schema, exit codes, determinism."""
 
+import contextlib
 import io
 import json
 import os
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualspace
 from dualspace.cli import _jsonify, emit, main
@@ -260,6 +263,115 @@ def test_verify_subcommand_passes(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["result"][0]["failures"] == 0
+
+
+@pytest.mark.parametrize("space", ["gr-real:a:b", "su3", "gr-real:2:3:9", "gr-real:2",
+                                   "gr-real", "octonionic:1:2"])
+def test_verify_bad_space_is_usage_error(capsys, space):
+    code, out, err = run_cli(capsys, "verify", "--space", space, "--property", "triple",
+                             "--samples", "2")
+    assert code == 2
+    assert out == ""
+    if space == "su3":
+        assert "verify needs a catalog space" in err
+
+
+@pytest.mark.parametrize("space,prop,family", [("oriented2:2:2", "triple", "oriented-2plane"),
+                                               ("oriented2:2:2", "image", "oriented-2plane"),
+                                               ("sphere:1:2", "cutloci", "sphere")])
+def test_verify_unclaimed_property_is_domain_error(capsys, space, prop, family):
+    code, out, err = run_cli(capsys, "verify", "--space", space, "--property", prop,
+                             "--samples", "2")
+    assert code == 3
+    assert out == ""
+    assert prop in err and family in err
+
+
+def verify_reports(capsys, *argv):
+    payload = run_json(capsys, "verify", "--samples", "2", *argv)
+    return payload, {r["property"]: r for r in payload["result"]}
+
+
+def test_verify_one_space_all_properties(capsys):
+    _, reports = verify_reports(capsys, "--space", "gr-real:2:3", "--property", "all")
+    claimed = ["triple-equality", "equivariance-p", "equivariance-g", "equivariance-f",
+               "image-region-f", "cut-radius-agreement", "round-trip", "cut-loci"]
+    assert set(reports) == {f"{c}/gr-real(2,3)" for c in claimed} | {"trig-duality-random"}
+
+
+def test_verify_all_spaces_one_property(capsys):
+    payload, reports = verify_reports(capsys, "--space", "all", "--property", "triple")
+    assert len(payload["result"]) == 8
+    assert all(name.startswith("triple-equality/gr-") for name in reports)
+
+
+def test_verify_trig_needs_no_space(capsys):
+    payload, reports = verify_reports(capsys, "--property", "trig")
+    assert list(reports) == ["trig-duality-random"]
+
+
+def test_verify_oriented_line_is_the_sphere(capsys):
+    _, reports = verify_reports(capsys, "--space", "oriented2:1:1", "--property", "image")
+    assert list(reports) == ["image-region-b/sphere(1,1)"]
+
+
+def test_verify_tol_reaches_every_check_that_takes_one(capsys):
+    _, reports = verify_reports(capsys, "--space", "gr-real:2:2", "--property", "all",
+                                "--tol", "1e-3")
+    fixed = {"image-region-f/gr-real(2,2)": None, "cut-loci/gr-real(2,2)": 1e-10}
+    for name, r in reports.items():
+        assert r["tolerance"] == fixed.get(name, 1e-3), name
+
+
+def test_verify_residuals_split_worst_residual_and_margin(capsys):
+    payload, reports = verify_reports(capsys, "--space", "gr-real:1:2", "--property", "all")
+    margins = [r["worst_residual"] for r in reports.values() if r["tolerance"] is None]
+    residuals = [r["worst_residual"] for r in reports.values() if r["tolerance"] is not None]
+    assert len(margins) == 1 and len(residuals) == 8
+    assert payload["residuals"] == {"worst_residual": max(residuals),
+                                    "worst_margin": min(margins)}
+    # an image margin is the distance to a wall, far above any residual
+    assert payload["residuals"]["worst_margin"] > payload["residuals"]["worst_residual"]
+
+
+SPACE_IDS = st.sampled_from(["gr-real", "gr-complex", "oriented2", "sphere", "circle", "su3",
+                             "junk", ""])
+DIMS = st.sampled_from(["-1", "0", "1", "2", "3", "x", "1.5"])
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["lattice-info", "cut-radius", "cutlocus-grid", "embed",
+                                    "verify", "junk"]))
+    samples = str(draw(st.integers(-2, 3)))
+    if command == "verify":
+        space = draw(st.one_of(
+            st.just("all"),
+            st.builds(lambda f, dims: ":".join([f, *dims]), SPACE_IDS,
+                      st.lists(DIMS, max_size=3))))
+        prop = draw(st.sampled_from(("all",) + dualspace.verify.PROPERTIES + ("junk",)))
+        return ["verify", "--space", space, "--property", prop, "--samples", samples]
+    argv = [command, draw(SPACE_IDS)] + draw(st.lists(DIMS, max_size=2))
+    if command == "cut-radius":
+        argv += ["--direction", draw(st.sampled_from(["1,0", "1,0,0", "0,0", "nan,1", "a"]))]
+    elif command == "cutlocus-grid":
+        argv += ["--samples", samples]
+    elif command == "embed":
+        argv += draw(st.sampled_from([["--method", "b", "--t", "1"], ["--method", "b"],
+                                      ["--method", "p"], ["--method", "b", "--t", "nan"]]))
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_argv())
+def test_cli_random_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in {0, 1, 2, 3, 4}, (argv, err.getvalue())
 
 
 def test_output_is_deterministic(capsys):

@@ -82,6 +82,8 @@ def test_make_space_oriented_two_plane():
     # the rank-1 oriented case is the sphere
     sp1 = make_space(Family.ORIENTED_TWO_PLANE, 1, 3)
     assert sp1.rank == 1
+    assert sp1.family is Family.CIRCLE_SPHERE
+    assert sp1.label() == "sphere(1,3)"
     np.testing.assert_allclose(sp1.lattice.gram, [[16 * np.pi ** 2]], rtol=1e-14)
 
 

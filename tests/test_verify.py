@@ -147,3 +147,32 @@ def test_run_suite_smoke():
     assert {"triple-equality", "equivariance-p", "equivariance-g", "equivariance-f",
             "image-region-f", "image-region-b", "cut-radius-agreement",
             "round-trip", "cut-loci", "trig-duality-random"} <= names
+
+
+def test_run_suite_runs_every_claimed_row():
+    reports = verify.run_suite(samples=2, seed=41)
+    # 8 Grassmannians x 7 rows, 5 real ones x cut loci, oriented2(2,2) and
+    # the two spheres x (equivariance p/g/f, cut radius, round trip), b on
+    # both spheres, and the triangle laws once
+    assert len(reports) == 56 + 5 + 5 + 2 * 6 + 1
+    assert all(r.samples == 2 for r in reports)
+    names = {r.property_name for r in reports}
+    assert "image-region-b/sphere(1,1)" in names
+    assert "cut-loci/gr-real(1,1)" in names
+    off_grassmannian = {n.split("/")[0] for n in names if "/gr-" not in n}
+    assert not off_grassmannian & {"triple-equality", "image-region-f", "cut-loci"}
+
+
+def test_run_suite_unclaimed_property_names_family():
+    oriented = make_space(Family.ORIENTED_TWO_PLANE, 2, 2)
+    with pytest.raises(DomainError, match="triple.*oriented-2plane"):
+        verify.run_suite(2, spaces=[oriented], prop="triple")
+    r, = verify.run_suite(2, spaces=[oriented], prop="roundtrip", tol=1e-6)
+    assert r.tolerance == 1e-6
+
+
+def test_sampled_counts_nan_as_failure():
+    values = iter([1e-12, float("nan"), 1e-13])
+    r = verify._sampled("probe", 3, 0, 1e-9, lambda rng: next(values))
+    assert r.failures == 1
+    assert np.isnan(r.worst_residual)
