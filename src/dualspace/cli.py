@@ -347,7 +347,7 @@ def cmd_verify(args) -> int:
 # parser and dispatch
 
 
-def _add_space_args(p, required_dims=True):
+def _add_space_args(p):
     p.add_argument("space", help="space id: gr-real, gr-complex, oriented2, sphere, or su3")
     p.add_argument("n", nargs="?", type=int, default=None)
     p.add_argument("m", nargs="?", type=int, default=None)

@@ -61,10 +61,7 @@ class GroupElement:
         object.__setattr__(self, "a", a)
 
     def point(self) -> SubspacePoint:
-        return SubspacePoint(
-            self.space, self.a[:, : self.space.n],
-            orientation=1 if self.space.oriented else None,
-        )
+        return SubspacePoint(self.space, self.a[:, : self.space.n])
 
 
 def _contract(x):
@@ -119,7 +116,7 @@ def f_flat_rank1(t: float) -> float:
 
 def space_like(space: SpaceDescriptor, point: SubspacePoint, tol: float = 1e-10) -> bool:
     """Whether the indefinite form is positive definite on the subspace."""
-    q = nk.orthonormal_basis(point.rep)
+    q = point.basis
     gram = q.conj().T @ space.form_j.astype(q.dtype) @ q
     try:
         return nk.is_positive_definite(gram, tol)
@@ -280,7 +277,7 @@ def f_embed(space: SpaceDescriptor, x) -> SubspacePoint:
     z, w = k[:n, :n], k[n:, n:]
     zh = z.conj().T
     rep = np.vstack(((z * np.cos(theta)) @ zh, -(w[:, :n] * np.sin(theta)) @ zh))
-    return SubspacePoint(space, rep, orientation=1 if space.oriented else None)
+    return SubspacePoint(space, rep)
 
 
 def image_region_fraction(space: SpaceDescriptor, point: SubspacePoint) -> float:

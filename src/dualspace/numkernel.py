@@ -14,16 +14,15 @@ import scipy.linalg
 
 from .errors import DomainError, NumericalError
 
-# Structural checks (orthogonality, positivity) default to 1e-10;
-# reconstruction-grade identities to 1e-11 .. 1e-12.  Double precision
-# leaves comfortable headroom at the n + m <= 64 sizes targeted here.
+# Structural checks (orthogonality, positivity) default to 1e-10, as does
+# the relative rank test of a subspace frame.  Double precision leaves
+# comfortable headroom at the n + m <= 64 sizes targeted here.
 ORTHO_TOL = 1e-10
-RECON_TOL = 1e-11
-RANK_TOL = 1e-12
 
 
 def as_matrix(a, dtype=None) -> np.ndarray:
-    """Validate and return ``a`` as a finite 2-d float64/complex128 array."""
+    """Validate and return ``a`` as a finite 2-d float64/complex128 array;
+    a real ``dtype`` refuses complex input with a nonzero imaginary part."""
     out = np.asarray(a)
     if out.dtype.kind in "iub":
         out = out.astype(np.float64)
@@ -34,6 +33,10 @@ def as_matrix(a, dtype=None) -> np.ndarray:
     else:
         raise DomainError(f"unsupported entry type {out.dtype}")
     if dtype is not None:
+        if out.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+            if np.any(out.imag != 0.0):
+                raise DomainError("complex entries where a real matrix is expected")
+            out = out.real
         out = out.astype(dtype, copy=False)
     if out.ndim != 2:
         raise DomainError(f"expected a matrix, got array of ndim {out.ndim}")
@@ -116,13 +119,13 @@ def is_positive_definite(s, tol: float = ORTHO_TOL) -> bool:
 
 
 def orthonormal_basis(l) -> np.ndarray:
-    """Orthonormal basis of the column span of a full-column-rank matrix."""
+    """Orthonormal frame of the column span of a full-column-rank matrix, from
+    one thin SVD: the singular values give the rank verdict, U the frame."""
     l = as_matrix(l)
-    sv = np.linalg.svd(l, compute_uv=False)
+    u, sv, _ = np.linalg.svd(l, full_matrices=False)
     if sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
         raise DomainError("rank-deficient column span")
-    q, _ = np.linalg.qr(l)
-    return q
+    return u
 
 
 def projector(l) -> np.ndarray:
@@ -131,16 +134,16 @@ def projector(l) -> np.ndarray:
     return q @ q.conj().T
 
 
-def projector_distance(l1, l2) -> float:
-    """Frobenius distance between the orthogonal projectors onto two spans.
+def frame_distance(q1: np.ndarray, q2: np.ndarray) -> float:
+    """Frobenius distance between the orthogonal projectors onto the spans
+    of two orthonormal frames: the principal-angle metric of the
+    Grassmannian, zero exactly when the spans coincide."""
+    if q1.shape[0] != q2.shape[0]:
+        raise DomainError(f"ambient dimensions differ: {q1.shape[0]} vs {q2.shape[0]}")
+    return float(np.linalg.norm(q1 @ q1.conj().T - q2 @ q2.conj().T))
 
-    Zero exactly when the two (full-column-rank) matrices have the same
-    column span; invariant under right multiplication by invertible
-    matrices.  This is the canonical basis-free way to compare subspace
-    representatives.
-    """
-    p1 = projector(l1)
-    p2 = projector(l2)
-    if p1.shape != p2.shape:
-        raise DomainError(f"ambient dimensions differ: {p1.shape} vs {p2.shape}")
-    return float(np.linalg.norm(p1 - p2))
+
+def projector_distance(l1, l2) -> float:
+    """:func:`frame_distance` between the spans of two full-column-rank
+    matrices; invariant under right multiplication by invertible matrices."""
+    return frame_distance(orthonormal_basis(l1), orthonormal_basis(l2))

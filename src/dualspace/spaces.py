@@ -20,7 +20,7 @@ lattice.  Conventions:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,13 +76,10 @@ class SpaceDescriptor:
     def dtype(self):
         return np.complex128 if self.field == "complex" else np.float64
 
-    def identity(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=self.dtype)
-
     def base_point(self) -> "SubspacePoint":
         rep = np.zeros((self.dim, self.n), dtype=self.dtype)
         rep[: self.n, : self.n] = np.eye(self.n)
-        return SubspacePoint(self, rep, orientation=1 if self.oriented else None)
+        return SubspacePoint(self, rep)
 
     def cartan_basis(self, side: Side) -> list:
         """The rank commuting generators R_i (compact) or their boosts."""
@@ -94,17 +91,6 @@ class SpaceDescriptor:
 
     def label(self) -> str:
         return f"{self.family.value}({self.n},{self.m})"
-
-
-def inner(space: SpaceDescriptor, x, y) -> float:
-    """Invariant inner product on the tangent space."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    return space.metric_scale * float(np.real(np.trace(x.conj().T @ y)))
-
-
-def norm(space: SpaceDescriptor, x) -> float:
-    return float(np.sqrt(max(inner(space, x, x), 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +125,6 @@ class TangentVector:
     def block(self) -> np.ndarray:
         """The free n x m block determining the vector."""
         return self.x[: self.space.n, self.space.n :]
-
-    def norm(self) -> float:
-        return norm(self.space, self.x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,44 +162,45 @@ class FlatCoordinates:
 class SubspacePoint:
     """Point of the (compact or dual) Grassmannian, as a tall frame matrix.
 
-    Two points are equal when their column spans coincide, and, for the
-    oriented families, when the orientation signs agree as well.
+    The orthonormal frame ``basis`` of the span is computed once, at
+    construction, and every comparison reads it.  Two points are equal
+    when their column spans coincide, and, for the oriented families, when
+    the orientation signs agree as well.
     """
 
     space: SpaceDescriptor
     rep: np.ndarray
     orientation: int | None = None
+    basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rep = nk.as_matrix(self.rep, dtype=self.space.dtype)
         if rep.shape != (self.space.dim, self.space.n):
             raise DomainError(f"representative must be {self.space.dim} x {self.space.n}")
-        sv = np.linalg.svd(rep, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
-            raise DomainError("rank-deficient subspace representative")
         object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "basis", nk.orthonormal_basis(rep))
         if self.space.oriented and self.orientation is None:
             object.__setattr__(self, "orientation", 1)
 
-    def projector(self) -> np.ndarray:
-        return nk.projector(self.rep)
-
     def distance(self, other: "SubspacePoint") -> float:
-        return nk.projector_distance(self.rep, other.rep)
+        return nk.frame_distance(self.basis, other.basis)
+
+
+def same_orientation(a: SubspacePoint, b: SubspacePoint) -> bool:
+    """Whether two points of one span carry the same orientation; always
+    true when either orientation is untracked."""
+    if a.orientation is None or b.orientation is None:
+        return True
+    g1 = a.basis.conj().T @ a.rep
+    g2 = a.basis.conj().T @ b.rep
+    rel = np.linalg.solve(g1, g2)  # change of frame within the common span
+    sign = np.sign(np.real(np.linalg.det(rel)))
+    return bool(sign * a.orientation * b.orientation > 0)
 
 
 def same_point(a: SubspacePoint, b: SubspacePoint, tol: float = 1e-9) -> bool:
     """Equality of subspace points: same span, and same orientation if tracked."""
-    if a.distance(b) > tol:
-        return False
-    if a.orientation is None or b.orientation is None:
-        return True
-    basis = nk.orthonormal_basis(a.rep)
-    g1 = basis.conj().T @ a.rep
-    g2 = basis.conj().T @ b.rep
-    rel = np.linalg.solve(g1, g2)  # change of frame within the common span
-    sign = np.sign(np.real(np.linalg.det(rel)))
-    return bool(sign * a.orientation * b.orientation > 0)
+    return a.distance(b) <= tol and same_orientation(a, b)
 
 
 def act(g: np.ndarray, point: SubspacePoint) -> SubspacePoint:

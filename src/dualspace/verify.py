@@ -5,7 +5,9 @@ evaluates a pointwise identity, and returns a :class:`PropertyReport`
 with the worst residual seen.  Residual aggregation is worst-case, not
 mean: the identities under test are exact, so a single bad sample is a
 failure, and a NaN residual is a failure and the worst.  :func:`_sampled`
-is the one loop that applies this policy.  Reports are reproducible from
+is the one loop that applies this policy.  Every check draws from
+:func:`_generator`, which refuses fewer than one sample, so no report can
+pass over an empty batch.  Reports are reproducible from
 (property name, seed, samples).  :data:`CLAIMS` is the one table of which
 property is claimed on which family; :func:`run_suite` and the CLI read it.
 """
@@ -37,6 +39,7 @@ from .spaces import (
     SubspacePoint,
     act,
     make_space,
+    same_orientation,
     transitivity_element,
 )
 
@@ -134,10 +137,17 @@ def random_unit_flat(space: SpaceDescriptor, rng) -> np.ndarray:
 # property checks
 
 
+def _generator(samples: int, seed: int):
+    """The seeded generator of one check, which must draw at least one sample."""
+    if samples < 1:
+        raise DomainError(f"a check needs at least one sample, got {samples}")
+    return np.random.default_rng(seed)
+
+
 def _sampled(name: str, samples: int, seed: int, tol: float, residual) -> PropertyReport:
     """Worst case of ``residual(rng)`` over ``samples`` draws from one seeded
     generator; a sample fails when its residual is not at most ``tol``."""
-    rng = np.random.default_rng(seed)
+    rng = _generator(samples, seed)
     resid = np.array([residual(rng) for _ in range(samples)], dtype=np.float64)
     failures = int(np.count_nonzero(~(resid <= tol)))
     return PropertyReport(name, samples, failures, float(np.max(resid, initial=0.0)), seed, tol)
@@ -155,12 +165,15 @@ def check_triple_equality(space, samples: int = 200, seed: int = DEFAULT_SEED,
 
 def check_equivariance(space, embedding_id: str, samples: int = 200,
                        seed: int = DEFAULT_SEED, tol: float = 1e-9) -> PropertyReport:
-    """embed(k . x) == k . embed(x) for random isotropy elements k."""
+    """embed(k . x) == k . embed(x) for random isotropy elements k; images of
+    opposite orientation (oriented families) have residual inf."""
     def residual(rng):
         g = random_coset(space, rng)
         k = random_isotropy(space, rng)
         moved = GroupElement(space, Side.NONCOMPACT, k @ g.a)
-        return embed(space, embedding_id, moved).distance(act(k, embed(space, embedding_id, g)))
+        lhs = embed(space, embedding_id, moved)
+        rhs = act(k, embed(space, embedding_id, g))
+        return lhs.distance(rhs) if same_orientation(lhs, rhs) else np.inf
     return _sampled(f"equivariance-{embedding_id}/" + space.label(), samples, seed, tol,
                     residual)
 
@@ -174,7 +187,7 @@ def check_image_region(space, embedding_id: str, samples: int = 500,
     samples are drawn at slope 1 - 1e-6 to probe the boundary: those must
     approach the quarter-lattice box within 1e-5 without crossing it.
     """
-    rng = np.random.default_rng(seed)
+    rng = _generator(samples, seed)
     failures = 0
     worst_margin = np.inf  # smallest distance to the boundary (must stay > 0)
     boundary_gap = 0.0     # largest gap at the near-boundary samples
@@ -226,7 +239,7 @@ def check_cut_loci_grassmannian(space, samples: int = 100,
     """
     if space.family is not Family.REAL_GRASSMANNIAN:
         raise DomainError("cut loci structure check runs on real Grassmannians")
-    rng = np.random.default_rng(seed)
+    rng = _generator(samples, seed)
     failures = 0
     worst = 0.0
     for _ in range(samples):
@@ -259,9 +272,10 @@ def check_round_trip(space, samples: int = 500, seed: int = DEFAULT_SEED,
                      tol: float = 1e-9) -> PropertyReport:
     """exp(log(point)) reproduces random space-like points."""
     def residual(rng):
-        rep = np.vstack([np.eye(space.n, dtype=space.dtype), random_slope(space, rng)])
-        xv = log_noncompact(space, SubspacePoint(space, rep))
-        return nk.projector_distance(nk.expm(xv.x)[:, : space.n], rep)
+        pt = SubspacePoint(space, np.vstack([np.eye(space.n, dtype=space.dtype),
+                                             random_slope(space, rng)]))
+        xv = log_noncompact(space, pt)
+        return SubspacePoint(space, nk.expm(xv.x)[:, : space.n]).distance(pt)
     return _sampled("round-trip/" + space.label(), samples, seed, tol, residual)
 
 
@@ -427,7 +441,7 @@ def check_trig_duality(sides, seed: int = DEFAULT_SEED, tol: float = 1e-8) -> Pr
 def check_trig_duality_random(samples: int = 100, seed: int = DEFAULT_SEED,
                               tol: float = 1e-8) -> PropertyReport:
     """Both laws on random triangles, measured from random group orbits."""
-    rng = np.random.default_rng(seed)
+    rng = _generator(samples, seed)
     worst = 0.0
     failures = 0
     plus_worst = 0.0

@@ -168,6 +168,15 @@ def test_embed_complex_entries(tmp_path, capsys):
     assert payload["residuals"]["p-f"] <= 1e-9
 
 
+def test_embed_complex_slope_on_real_family_is_domain_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[[[0.5, 0.4]]]"))
+    code, out, err = run_cli(capsys, "embed", "gr-real", "1", "1",
+                             "--method", "all", "--input", "-")
+    assert code == 3
+    assert out == ""
+    assert "complex" in err
+
+
 def test_embed_stereographic(capsys):
     payload = run_json(capsys, "embed", "sphere", "1", "2", "--method", "b", "--t", "1")
     assert payload["result"]["angle"] == pytest.approx(0.8657694832396586, abs=1e-12)

@@ -470,3 +470,28 @@ def test_real_f_restricts_complex_f():
 def test_group_element_validates_membership():
     with pytest.raises(DomainError):
         GroupElement(GR11, Side.NONCOMPACT, np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def test_group_element_rejects_complex_entries_on_a_real_family():
+    a = np.eye(2) + 0.3j * np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(DomainError, match="complex"):
+        GroupElement(GR11, Side.NONCOMPACT, a)
+
+
+def test_zero_imaginary_complex_slope_still_embeds():
+    y = np.array([[0.5 + 0.0j]])
+    pt = embed(GR11, "f", coset_from_slope(GR11, y))
+    assert pt.rep.dtype == np.float64
+    assert pt.distance(embed(GR11, "f", coset_from_slope(GR11, y.real))) == 0.0
+
+
+def test_space_like_reads_the_stored_frame(monkeypatch):
+    base = GR22.base_point()
+    timelike = SubspacePoint(GR22, np.eye(4)[:, 2:])
+
+    def refuse(_):
+        raise AssertionError("frame recomputed")
+
+    monkeypatch.setattr(nk, "orthonormal_basis", refuse)
+    assert space_like(GR22, base)
+    assert not space_like(GR22, timelike)

@@ -204,6 +204,23 @@ def test_positive_definite_rejects_nonhermitian():
 
 
 # ---------------------------------------------------------------------------
+# orthonormal_basis
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_orthonormal_basis_is_an_orthonormal_frame_of_the_span(complex_):
+    rng = np.random.default_rng(53)
+    l = rng.standard_normal((6, 3))
+    if complex_:
+        l = l + 1j * rng.standard_normal((6, 3))
+    q = nk.orthonormal_basis(l)
+    assert q.shape == l.shape and q.dtype == l.dtype
+    assert np.max(np.abs(q.conj().T @ q - np.eye(3))) <= 1e-14
+    # every column of l lies in span(q), and q has full rank 3
+    assert np.linalg.norm(l - q @ (q.conj().T @ l)) <= 1e-13 * np.linalg.norm(l)
+
+
+# ---------------------------------------------------------------------------
 # projector_distance
 
 

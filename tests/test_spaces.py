@@ -414,3 +414,31 @@ def test_same_point_tracks_orientation():
     assert a.distance(b) <= 1e-14
     assert not same_point(a, b)
     assert same_point(a, SubspacePoint(sp, flipped, orientation=-1))
+
+
+def test_subspace_point_stores_its_frame():
+    sp = make_space(Family.COMPLEX_GRASSMANNIAN, 2, 2)
+    rng = np.random.default_rng(31)
+    rep = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    pt = SubspacePoint(sp, rep)
+    assert np.max(np.abs(pt.basis.conj().T @ pt.basis - np.eye(2))) <= 1e-14
+    assert nk.projector_distance(pt.basis, rep) <= 1e-14
+
+
+def test_comparisons_read_the_stored_frames(monkeypatch):
+    sp = make_space(Family.ORIENTED_TWO_PLANE, 2, 2)
+    rng = np.random.default_rng(37)
+    rep = rng.standard_normal((4, 2))
+    g = rng.standard_normal((2, 2)) + 3 * np.eye(2)
+    a, b = SubspacePoint(sp, rep), SubspacePoint(sp, rep @ g)
+    c = SubspacePoint(sp, rep[:, ::-1])
+
+    def refuse(*_):
+        raise AssertionError("frame recomputed")
+
+    monkeypatch.setattr(nk, "orthonormal_basis", refuse)
+    monkeypatch.setattr(nk, "projector_distance", refuse)
+    assert a.distance(b) <= 1e-13
+    assert np.linalg.det(g) > 0 and same_point(a, b)
+    assert a.distance(c) <= 1e-13
+    assert not same_point(a, c)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from dualspace import numkernel as nk
 from dualspace import verify
 from dualspace.errors import DomainError
-from dualspace.spaces import Family, make_space
+from dualspace.spaces import Family, SubspacePoint, make_space
 
 GR23 = make_space(Family.REAL_GRASSMANNIAN, 2, 3)
 
@@ -176,3 +177,60 @@ def test_sampled_counts_nan_as_failure():
     r = verify._sampled("probe", 3, 0, 1e-9, lambda rng: next(values))
     assert r.failures == 1
     assert np.isnan(r.worst_residual)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("check, extra, families", [row[1:] for row in verify.CLAIMS],
+                         ids=["-".join((row[0],) + row[2]) for row in verify.CLAIMS])
+def test_every_claimed_check_refuses_empty_batches(check, extra, families, samples):
+    target = () if families is None else (
+        next(sp for sp in verify.catalog_spaces() if sp.family in families),)
+    with pytest.raises(DomainError, match="at least one sample"):
+        check(*target, *extra, samples=samples)
+
+
+def test_run_suite_refuses_zero_samples():
+    with pytest.raises(DomainError, match="at least one sample"):
+        verify.run_suite(0)
+
+
+def test_round_trip_compares_points(monkeypatch):
+    calls = []
+    orthonormal_basis = nk.orthonormal_basis
+
+    def counted(l):
+        calls.append(1)
+        return orthonormal_basis(l)
+
+    def refuse(*_):
+        raise AssertionError("raw matrices compared")
+
+    monkeypatch.setattr(nk, "orthonormal_basis", counted)
+    monkeypatch.setattr(nk, "projector_distance", refuse)
+    r = verify.check_round_trip(GR23, samples=5, seed=3)
+    assert r.passed
+    assert len(calls) == 2 * 5  # one frame per point, two points per sample
+
+
+def test_equivariance_counts_orientation(monkeypatch):
+    embed = verify.embed
+
+    def flipping_embed(space, which, g):
+        # same span everywhere, reversed frame orientation on some inputs
+        pt = embed(space, which, g)
+        if g.a[-1, 0] > 0:
+            return pt
+        rep = pt.rep.copy()
+        rep[:, -1] *= -1.0
+        return SubspacePoint(space, rep)
+
+    grassmannian = verify.check_equivariance(GR23, "f", samples=20, seed=13)
+    monkeypatch.setattr(verify, "embed", flipping_embed)
+    for sp in (make_space(Family.ORIENTED_TWO_PLANE, 2, 2), make_space(Family.CIRCLE_SPHERE, 1, 2)):
+        for which in ("p", "g", "f"):
+            r = verify.check_equivariance(sp, which, samples=20, seed=13)
+            assert r.failures > 0, (sp.label(), which)
+            assert r.worst_residual == np.inf
+    flipped = verify.check_equivariance(GR23, "f", samples=20, seed=13)
+    assert flipped.passed
+    assert flipped.worst_residual == pytest.approx(grassmannian.worst_residual, abs=1e-15)
