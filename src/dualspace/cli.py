@@ -63,9 +63,12 @@ def default_seed() -> int:
     if raw is None:
         return verify.DEFAULT_SEED
     try:
-        return int(raw, 0)
-    except ValueError as exc:
-        raise UsageError(f"DUALSPACE_SEED is not an integer: {raw!r}") from exc
+        seed = int(raw, 0)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise UsageError(f"DUALSPACE_SEED must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 class UsageError(Exception):
@@ -330,6 +333,10 @@ def _parse_space_id(text: str) -> SpaceDescriptor:
 
 def cmd_verify(args) -> int:
     _check_samples(args.samples)
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
+    if args.tol is not None and not 0.0 <= args.tol < np.inf:
+        raise UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
     seed = args.seed if args.seed is not None else default_seed()
     spaces = None if args.space == "all" else [_parse_space_id(args.space)]
     reports = verify.run_suite(args.samples, seed, spaces, args.property, args.tol)

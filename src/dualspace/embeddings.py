@@ -38,11 +38,11 @@ from .spaces import (
     TangentVector,
     _block_diag,
     in_group,
-    special_svd,
+    slope_svd,
 )
 
-# cosets whose slope block has a singular value this close to 1 are
-# rejected: artanh would amplify roundoff past any useful accuracy
+# the library's only space-like tolerance: the logs and f refuse slope
+# singular values in [1 - 1e-13, 1), where artanh amplifies roundoff
 BOUNDARY_GUARD = 1e-13
 
 
@@ -114,14 +114,15 @@ def f_flat_rank1(t: float) -> float:
     return 4.0 * np.arctan(np.tanh(t / 4.0))
 
 
-def space_like(space: SpaceDescriptor, point: SubspacePoint, tol: float = 1e-10) -> bool:
-    """Whether the indefinite form is positive definite on the subspace."""
-    q = point.basis
-    gram = q.conj().T @ space.form_j.astype(q.dtype) @ q
+def space_like(space: SpaceDescriptor, point: SubspacePoint) -> bool:
+    """Whether the form is positive definite on the subspace: every slope
+    singular value below 1, no tolerance, from the slope SVD the logs and f
+    read, so their verdicts agree on every point."""
     try:
-        return nk.is_positive_definite(gram, tol)
+        _, sig, _ = slope_svd(space, _slope_block(space, point))
     except DomainError:
         return False
+    return bool(np.max(np.abs(sig)) < 1.0)
 
 
 def p_embed(space: SpaceDescriptor, g: GroupElement) -> SubspacePoint:
@@ -158,21 +159,13 @@ def embed(space: SpaceDescriptor, which: str, g: GroupElement) -> SubspacePoint:
 
 
 def _slope_block(space: SpaceDescriptor, point: SubspacePoint) -> np.ndarray:
-    """Normalized slope Y with span([I; Y]) = span(point)."""
+    """Slope Y with span([I; Y]) = span(point), read off the stored frame,
+    whose top block has singular values >= 1/sqrt(2) if space-like."""
     n = space.n
-    top = point.rep[:n, :]
-    bot = point.rep[n:, :]
-    sv = np.linalg.svd(top, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-13 * max(sv[0], 1.0):
+    top = point.basis[:n, :]
+    if np.linalg.svd(top, compute_uv=False)[-1] <= 1e-13:
         raise DomainError("subspace is not a graph over the base point")
-    return bot @ np.linalg.inv(top)
-
-
-def _slope_svd(space: SpaceDescriptor, y: np.ndarray):
-    """SVD ``y = w @ diag(s) @ z.conj().T`` with isotropy-ready factors,
-    from :func:`spaces.special_svd` of ``y^H``."""
-    u, s, vh = special_svd(y.conj().T, space.oriented)
-    return vh.conj().T, s, u
+    return point.basis[n:, :] @ np.linalg.inv(top)
 
 
 def _checked_slope_svd(space: SpaceDescriptor, point: SubspacePoint):
@@ -183,9 +176,8 @@ def _checked_slope_svd(space: SpaceDescriptor, point: SubspacePoint):
     rejected rather than clamped, since artanh would amplify roundoff past
     any useful accuracy there.
     """
-    y = _slope_block(space, point)
-    w, sig, z = _slope_svd(space, y)
-    top = float(np.max(np.abs(sig))) if sig.size else 0.0
+    w, sig, z = slope_svd(space, _slope_block(space, point))
+    top = float(np.max(np.abs(sig)))
     if top >= 1.0:
         raise DomainError("point is not space-like")
     if top >= 1.0 - BOUNDARY_GUARD:
@@ -206,7 +198,7 @@ def _log_flat(space: SpaceDescriptor, point: SubspacePoint, side: Side):
         w, sig, z = _checked_slope_svd(space, point)
         cart = np.arctanh(sig)
     else:
-        w, sig, z = _slope_svd(space, -_slope_block(space, point))
+        w, sig, z = slope_svd(space, -_slope_block(space, point))
         cart = np.arctan(sig)
     return _block_diag(z, w), FlatCoordinates(space, np.linalg.solve(space.lattice_coeff, cart))
 
@@ -261,17 +253,22 @@ def f_embed(space: SpaceDescriptor, x) -> SubspacePoint:
     the image is spanned by ``[z cos(Theta) z^H ; -w[:, :n] sin(Theta) z^H]``,
     the first n columns of the compact exponential, with no exponential
     taken.  The image always lies strictly inside half of the cut radius.
+    A slope singular value >= 1 - 1e-13 raises NumericalError; >= 1 raises
+    DomainError on a SubspacePoint, but is roundoff on a GroupElement,
+    whose point is space-like, so NumericalError there too.
     """
     if isinstance(x, GroupElement):
         if x.side is not Side.NONCOMPACT:
             raise DomainError("f_embed expects a noncompact coset representative")
-        point = x.point()
+        try:
+            k, coords = _log_flat(space, x.point(), Side.NONCOMPACT)
+        except DomainError as exc:
+            raise NumericalError(f"coset too close to the boundary: {exc}") from exc
     elif isinstance(x, SubspacePoint):
-        point = x
+        k, coords = _log_flat(space, x, Side.NONCOMPACT)
     else:
         raise DomainError("f_embed takes a GroupElement or a SubspacePoint")
 
-    k, coords = _log_flat(space, point, Side.NONCOMPACT)
     theta = h_flat(coords).cartan_coords()
     n = space.n
     z, w = k[:n, :n], k[n:, n:]

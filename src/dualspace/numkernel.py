@@ -14,11 +14,6 @@ import scipy.linalg
 
 from .errors import DomainError, NumericalError
 
-# Structural checks (orthogonality, positivity) default to 1e-10, as does
-# the relative rank test of a subspace frame.  Double precision leaves
-# comfortable headroom at the n + m <= 64 sizes targeted here.
-ORTHO_TOL = 1e-10
-
 
 def as_matrix(a, dtype=None) -> np.ndarray:
     """Validate and return ``a`` as a finite 2-d float64/complex128 array;
@@ -104,18 +99,6 @@ def block_qr(a):
     r = phase.conj()[:, None] * r
     rinv = scipy.linalg.solve_triangular(r, np.eye(k, dtype=r.dtype))
     return q, rinv
-
-
-def is_positive_definite(s, tol: float = ORTHO_TOL) -> bool:
-    """True iff the Hermitian matrix ``s`` has smallest eigenvalue > tol."""
-    s = as_matrix(s)
-    if s.shape[0] != s.shape[1]:
-        raise DomainError(f"expected a square matrix, got {s.shape}")
-    scale = max(1.0, float(np.max(np.abs(s))))
-    if np.max(np.abs(s - s.conj().T)) > tol * scale:
-        raise DomainError("matrix is not Hermitian within tolerance")
-    sym = 0.5 * (s + s.conj().T)
-    return bool(np.linalg.eigvalsh(sym)[0] > tol)
 
 
 def orthonormal_basis(l) -> np.ndarray:

@@ -352,33 +352,29 @@ def in_isotropy(space: SpaceDescriptor, k, tol: float = 1e-10) -> bool:
     return True
 
 
-def _inv_sqrt_pd(s: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (s + s.conj().T))
-    if w[0] <= 1e-14:
-        raise DomainError("matrix is not positive definite: input is not space-like")
-    return (v * (w ** -0.5)) @ v.conj().T
-
-
 def transitivity_element(space: SpaceDescriptor, y) -> np.ndarray:
     """The standard form-preserving matrix mapping the base point to span([I; Y]).
 
-    ``y`` is the m x n slope block; the space-like condition I - Y^H Y > 0
-    must hold.  The result A satisfies A^H J A = J, has determinant one,
-    and its first n columns span [I; Y].
+    ``y`` is the m x n slope block, space-like iff its singular values are
+    below one (else DomainError).  From ``Y = w diag(s) z^H`` and
+    ``ch = 1/sqrt((1 - s)(1 + s))``, A is ``k exp(sum_i artanh(s_i) B_i) k^-1``
+    in closed form; A^H J A = J, det A = 1, and A[:, :n] spans [I; Y].
     """
     y = nk.as_matrix(y, dtype=space.dtype)
     if y.shape != (space.m, space.n):
         raise DomainError(f"slope block must be {space.m} x {space.n}, got {y.shape}")
+    w, s, z = slope_svd(space, y)
+    if np.max(np.abs(s)) >= 1.0:
+        raise DomainError("slope has a singular value >= 1: input is not space-like")
     n = space.n
-    s_top = np.eye(n, dtype=space.dtype) - y.conj().T @ y
-    s_bot = np.eye(space.m, dtype=space.dtype) - y @ y.conj().T
-    isr_top = _inv_sqrt_pd(s_top)
-    isr_bot = _inv_sqrt_pd(s_bot)
-    a = np.zeros((space.dim, space.dim), dtype=space.dtype)
-    a[:n, :n] = isr_top
-    a[:n, n:] = y.conj().T @ isr_bot
-    a[n:, :n] = y @ isr_top
-    a[n:, n:] = isr_bot
+    wn = w[:, :n]
+    ch = 1.0 / np.sqrt((1.0 - s) * (1.0 + s))
+    zh, wnh = z.conj().T, wn.conj().T
+    a = np.empty((space.dim, space.dim), dtype=space.dtype)
+    a[:n, :n] = (z * ch) @ zh
+    a[:n, n:] = (z * (s * ch)) @ wnh
+    a[n:, :n] = (wn * (s * ch)) @ zh
+    a[n:, n:] = np.eye(space.m) + (wn * (ch - 1.0)) @ wnh
     return a
 
 
@@ -415,6 +411,13 @@ def special_svd(b: np.ndarray, oriented: bool):
             vh[n - 1, :] *= -1.0
             s[n - 1] *= -1.0
     return u, s, vh
+
+
+def slope_svd(space: SpaceDescriptor, y: np.ndarray):
+    """SVD ``y = w[:, :n] @ diag(s) @ z^H`` of an m x n slope, with ``diag(z, w)``
+    an isotropy element; the one space-like test is max |s| < 1."""
+    u, s, vh = special_svd(y.conj().T, space.oriented)
+    return vh.conj().T, s, u
 
 
 def flat_decompose(space: SpaceDescriptor, xv: TangentVector):

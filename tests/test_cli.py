@@ -226,6 +226,42 @@ def test_embed_near_boundary_is_numerical_error(tmp_path, capsys):
     assert "boundary" in err
 
 
+@pytest.mark.parametrize("method,code", [("p", 0), ("g", 4), ("f", 4), ("all", 4)])
+def test_embed_boundary_boost_is_never_a_domain_error(tmp_path, capsys, method, code):
+    # cosh(20) == sinh(20) in double precision: the group element is
+    # accepted, its point reads slope 1; f reports that as roundoff (4) like
+    # g's QR breakdown, and p reports the subspace it reads
+    f = tmp_path / "boost.json"
+    f.write_text(json.dumps([[np.cosh(20.0), np.sinh(20.0)], [np.sinh(20.0), np.cosh(20.0)]]))
+    got, out, err = run_cli(capsys, "embed", "gr-real", "1", "1",
+                            "--method", method, "--input", str(f))
+    assert got == code, err
+    if code == 0:
+        assert json.loads(out)["result"]["space_like"] is False
+
+
+@pytest.mark.parametrize("sigma,methods", [(1.0 - 1e-10, ("p", "f", "all")),
+                                           (1.0 - 1e-11, ("p", "f", "all")),
+                                           (1.0 - 1e-12, ("p", "f"))])
+def test_embed_near_boundary_slopes_are_space_like(tmp_path, capsys, sigma, methods):
+    rng = np.random.default_rng(5)
+    w, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    z, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    f = tmp_path / "y.json"
+    f.write_text(json.dumps((w[:, :2] @ np.diag([sigma, 0.3]) @ z.T).tolist()))
+    for method in methods:
+        payload = run_json(capsys, "embed", "gr-real", "2", "3",
+                           "--method", method, "--input", str(f))
+        assert payload["result"]["space_like"] is True, method
+
+
+def test_embed_scalar_slope_just_below_one_is_space_like(tmp_path, capsys):
+    f = tmp_path / "y.json"
+    f.write_text("[[0.999999999999]]")
+    payload = run_json(capsys, "embed", "gr-real", "1", "1", "--method", "p", "--input", str(f))
+    assert payload["result"]["space_like"] is True
+
+
 def test_cutlocus_grid_su3_uses_brute_force(capsys):
     code, out, _ = run_cli(capsys, "cutlocus-grid", "su3", "--samples", "12")
     assert code == 0
@@ -332,6 +368,35 @@ def test_verify_tol_reaches_every_check_that_takes_one(capsys):
         assert r["tolerance"] == fixed.get(name, 1e-3), name
 
 
+@pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed", "x"], ["--tol", "nan"],
+                                  ["--tol", "inf"], ["--tol", "-1"], ["--tol", "x"]])
+def test_verify_bad_seed_or_tol_is_usage_error(capsys, argv):
+    try:
+        code = main(["verify", "--space", "gr-real:1:1", "--samples", "1", *argv])
+    except SystemExit as exc:  # argparse rejects a value that is not a number
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_negative_seed_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("DUALSPACE_SEED", "-1")
+    code, out, err = run_cli(capsys, "verify", "--space", "gr-real:1:1", "--samples", "1")
+    assert code == 2
+    assert out == "" and "DUALSPACE_SEED" in err
+    monkeypatch.setenv("DUALSPACE_SEED", "x")
+    assert run_cli(capsys, "lattice-info", "su3")[0] == 2
+
+
+def test_verify_accepts_zero_tol_and_prefixed_seed(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--space", "gr-real:1:1", "--property", "cutradius",
+                           "--samples", "2", "--seed", "0x10", "--tol", "0")
+    payload = json.loads(out)
+    assert payload["seed"] == 16
+    assert {r["tolerance"] for r in payload["result"]} == {0.0}
+    assert code in (0, 1)
+
+
 def test_verify_residuals_split_worst_residual_and_margin(capsys):
     payload, reports = verify_reports(capsys, "--space", "gr-real:1:2", "--property", "all")
     margins = [r["worst_residual"] for r in reports.values() if r["tolerance"] is None]
@@ -359,12 +424,18 @@ def cli_argv(draw):
             st.builds(lambda f, dims: ":".join([f, *dims]), SPACE_IDS,
                       st.lists(DIMS, max_size=3))))
         prop = draw(st.sampled_from(("all",) + dualspace.verify.PROPERTIES + ("junk",)))
-        return ["verify", "--space", space, "--property", prop, "--samples", samples]
+        argv = ["verify", "--space", space, "--property", prop, "--samples", samples]
+        for flag, values in (("--seed", ["-1", "0", "0x10", "x"]),
+                             ("--tol", ["1e-9", "0", "-1", "nan", "inf", "x"])):
+            value = draw(st.one_of(st.none(), st.sampled_from(values)))
+            if value is not None:
+                argv += [flag, value]
+        return argv
     argv = [command, draw(SPACE_IDS)] + draw(st.lists(DIMS, max_size=2))
     if command == "cut-radius":
         argv += ["--direction", draw(st.sampled_from(["1,0", "1,0,0", "0,0", "nan,1", "a"]))]
     elif command == "cutlocus-grid":
-        argv += ["--samples", samples]
+        argv += ["--samples", samples, "--format", draw(st.sampled_from(["csv", "json"]))]
     elif command == "embed":
         argv += draw(st.sampled_from([["--method", "b", "--t", "1"], ["--method", "b"],
                                       ["--method", "p"], ["--method", "b", "--t", "nan"]]))
@@ -381,6 +452,13 @@ def test_cli_random_argv_exits_with_a_documented_code(argv):
         except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
     assert code in {0, 1, 2, 3, 4}, (argv, err.getvalue())
+    text = out.getvalue()
+    if text and "csv" not in argv:
+        json.loads(text, parse_constant=reject_constant)  # no bare NaN or Infinity
+
+
+def reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
 
 
 def test_output_is_deterministic(capsys):

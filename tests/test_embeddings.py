@@ -35,7 +35,7 @@ from dualspace.spaces import (
     make_space,
     transitivity_element,
 )
-from dualspace.verify import catalog_spaces, random_coset
+from dualspace.verify import catalog_spaces, random_coset, random_orthogonal
 
 GR11 = make_space(Family.REAL_GRASSMANNIAN, 1, 1)
 GR22 = make_space(Family.REAL_GRASSMANNIAN, 2, 2)
@@ -164,6 +164,61 @@ def test_space_like_boundary_along_flat():
     for t, expected in ((t_boundary - 1e-3, True), (t_boundary + 1e-3, False)):
         rep = nk.expm(t * flat)[:, :2]
         assert space_like(GR22, SubspacePoint(GR22, rep)) is expected
+
+
+def test_space_like_flips_at_unit_slope():
+    # the top singular value of the slope crosses 1 between the two cases
+    rng = np.random.default_rng(31)
+    w, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    z, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    for top, expected in [(0.999, True), (1.001, False)]:
+        y = w[:, :2] @ np.diag([top, 0.3]) @ z.T
+        assert space_like(GR23, graph_point(GR23, y)) is expected
+        if expected:
+            transitivity_element(GR23, y)
+        else:
+            with pytest.raises(DomainError):
+                transitivity_element(GR23, y)
+
+
+def log_calls_space_like(space, point):
+    """False iff log_noncompact refuses the point as not space-like; its
+    boundary guard (NumericalError) still counts as space-like."""
+    try:
+        log_noncompact(space, point)
+    except DomainError:
+        return False
+    except NumericalError:
+        pass
+    return True
+
+
+@pytest.mark.parametrize(
+    "space",
+    [GR11, GR23, make_space(Family.COMPLEX_GRASSMANNIAN, 2, 2),
+     make_space(Family.ORIENTED_TWO_PLANE, 2, 2)],
+    ids=lambda sp: sp.label(),
+)
+def test_one_space_like_verdict_up_to_the_boundary(space):
+    # transitivity_element, space_like and log_noncompact give one verdict
+    # on graph points [I; Y] and on coset points A[:, :n], up to 1e-15
+    # below slope 1 and just above it
+    rng = np.random.default_rng(5)
+    cplx = space.field == "complex"
+    w = random_orthogonal(rng, space.m, cplx)[:, : space.n]
+    z = random_orthogonal(rng, space.n, cplx)
+    for sigma in [1.0 - 10.0 ** -k for k in range(1, 16)] + [1.0 + 1e-12]:
+        y = (w * np.linspace(sigma, 0.3, space.n)) @ z.conj().T
+        expected = sigma < 1.0
+        points = [graph_point(space, y)]
+        if expected:
+            points.append(SubspacePoint(space, transitivity_element(space, y)[:, : space.n]))
+        else:
+            with pytest.raises(DomainError):
+                transitivity_element(space, y)
+        for pt in points:
+            assert space_like(space, pt) is expected, sigma
+            assert log_calls_space_like(space, pt) is expected, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +452,22 @@ def test_f_embed_inverts_through_the_contraction():
         recovered = np.arctanh(np.tan(np.pi * np.abs(theta))) / np.pi
         original = np.abs(point_flat_coords(GR23, p_embed(GR23, g), Side.NONCOMPACT).coords)
         np.testing.assert_allclose(np.sort(recovered), np.sort(original), atol=1e-10)
+
+
+def test_f_embed_on_a_coset_reads_a_boundary_slope_as_numerical():
+    # cosh(20) == sinh(20) in double precision: the boost is accepted as a
+    # group element, but its point reads slope 1.  A coset's point is
+    # space-like, so that reading is roundoff: NumericalError, not DomainError
+    g = boost_coset(GR11, 20.0)
+    with pytest.raises(NumericalError):
+        f_embed(GR11, g)
+    with pytest.raises(NumericalError):
+        embed(GR11, "f", g)
+    # the same subspace given as a point keeps its domain verdict
+    with pytest.raises(DomainError):
+        f_embed(GR11, g.point())
+    with pytest.raises(DomainError):
+        log_noncompact(GR11, g.point())
 
 
 def test_f_embed_rejects_wrong_inputs():

@@ -178,32 +178,6 @@ def test_block_qr_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# is_positive_definite
-
-
-def test_positive_definite_basics():
-    assert nk.is_positive_definite(np.eye(3))
-    assert not nk.is_positive_definite(np.diag([1.0, -0.1]))
-
-
-def test_positive_definite_spacelike_gram():
-    # I - Y^T Y has eigenvalues 1 - sigma_i^2 (svd oracle), so the test
-    # flips exactly when the top singular value crosses 1
-    rng = np.random.default_rng(31)
-    w, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    z, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-    for top, expected in [(0.999, True), (1.001, False)]:
-        y = w[:, :2] @ np.diag([top, 0.3]) @ z.T
-        gram = np.eye(2) - y.T @ y
-        assert nk.is_positive_definite(gram, tol=1e-10) is expected
-
-
-def test_positive_definite_rejects_nonhermitian():
-    with pytest.raises(DomainError):
-        nk.is_positive_definite(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-# ---------------------------------------------------------------------------
 # orthonormal_basis
 
 
