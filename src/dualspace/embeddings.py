@@ -16,6 +16,11 @@ descriptor and all agreeing with each other on the Grassmannian families:
 
 ``embed`` dispatches to p, g or f by id.
 
+A ``GroupElement`` may hold a stack of cosets along leading axes; every
+map then embeds the whole stack at once and returns a stack of points,
+with each check (form, rank, boundary) run once over the stack.  One
+coset is a stack with no leading axes, so it runs the same code.
+
 The sign convention of the flat contraction is chosen so that p, g and f
 produce literally the same subspaces: a boost of rapidity t along a flat
 direction lands at the rotation angle theta with tan(theta) = -tanh(t).
@@ -37,6 +42,7 @@ from .spaces import (
     SubspacePoint,
     TangentVector,
     _block_diag,
+    _built,
     in_group,
     slope_svd,
 )
@@ -48,20 +54,23 @@ BOUNDARY_GUARD = 1e-13
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
-    """A form-preserving matrix representing a coset point."""
+    """A form-preserving matrix representing a coset point, or a stack of them."""
 
     space: SpaceDescriptor
     side: Side
     a: np.ndarray
 
     def __post_init__(self):
-        a = nk.as_matrix(self.a, dtype=self.space.dtype)
-        if not in_group(self.space, a, self.side):
+        object.__setattr__(self, "a", nk.as_matrix(self.a, dtype=self.space.dtype))
+        self._check()
+
+    def _check(self):
+        if not in_group(self.space, self.a, self.side):
             raise DomainError("matrix does not preserve the defining form of this side")
-        object.__setattr__(self, "a", a)
 
     def point(self) -> SubspacePoint:
-        return SubspacePoint(self.space, self.a[:, : self.space.n])
+        return _built(SubspacePoint, space=self.space, rep=self.a[..., : self.space.n],
+                      orientation=None)
 
 
 def _contract(x):
@@ -114,15 +123,17 @@ def f_flat_rank1(t: float) -> float:
     return 4.0 * np.arctan(np.tanh(t / 4.0))
 
 
-def space_like(space: SpaceDescriptor, point: SubspacePoint) -> bool:
+def space_like(space: SpaceDescriptor, point: SubspacePoint):
     """Whether the form is positive definite on the subspace: every slope
     singular value below 1, no tolerance, from the slope SVD the logs and f
-    read, so their verdicts agree on every point."""
+    read, so their verdicts agree on every point.  Per slice of a stack;
+    a stack holding a point that is not a graph over the base point is
+    space-like nowhere."""
     try:
         _, sig, _ = slope_svd(space, _slope_block(space, point))
     except DomainError:
-        return False
-    return bool(np.max(np.abs(sig)) < 1.0)
+        return nk.per_slice(np.zeros(point.rep.shape[:-2], dtype=bool))
+    return nk.per_slice(np.abs(sig).max(axis=-1) < 1.0)
 
 
 def p_embed(space: SpaceDescriptor, g: GroupElement) -> SubspacePoint:
@@ -143,8 +154,8 @@ def g_embed(space: SpaceDescriptor, g: GroupElement) -> GroupElement:
     """
     if g.side is not Side.NONCOMPACT:
         raise DomainError("g_embed expects a noncompact coset representative")
-    q, _ = nk.block_qr(g.a)
-    return GroupElement(space, Side.COMPACT, q)
+    q, _ = nk.phase_fixed_qr(g.a)
+    return _built(GroupElement, space=space, side=Side.COMPACT, a=q)
 
 
 def embed(space: SpaceDescriptor, which: str, g: GroupElement) -> SubspacePoint:
@@ -160,12 +171,13 @@ def embed(space: SpaceDescriptor, which: str, g: GroupElement) -> SubspacePoint:
 
 def _slope_block(space: SpaceDescriptor, point: SubspacePoint) -> np.ndarray:
     """Slope Y with span([I; Y]) = span(point), read off the stored frame,
-    whose top block has singular values >= 1/sqrt(2) if space-like."""
+    whose top block has singular values >= 1/sqrt(2) if space-like; per
+    slice of a stack, DomainError if any slice is not a graph."""
     n = space.n
-    top = point.basis[:n, :]
-    if np.linalg.svd(top, compute_uv=False)[-1] <= 1e-13:
+    top = point.basis[..., :n, :]
+    if (np.linalg.svd(top, compute_uv=False)[..., -1] <= 1e-13).any():
         raise DomainError("subspace is not a graph over the base point")
-    return point.basis[n:, :] @ np.linalg.inv(top)
+    return point.basis[..., n:, :] @ np.linalg.inv(top)
 
 
 def _checked_slope_svd(space: SpaceDescriptor, point: SubspacePoint):
@@ -174,7 +186,7 @@ def _checked_slope_svd(space: SpaceDescriptor, point: SubspacePoint):
     The subspace is space-like exactly when every slope singular value is
     below one; values in [1 - 1e-13, 1) are mathematically fine but are
     rejected rather than clamped, since artanh would amplify roundoff past
-    any useful accuracy there.
+    any useful accuracy there.  A stack is refused if any slice is.
     """
     w, sig, z = slope_svd(space, _slope_block(space, point))
     top = float(np.max(np.abs(sig)))
@@ -186,8 +198,9 @@ def _checked_slope_svd(space: SpaceDescriptor, point: SubspacePoint):
 
 
 def _log_flat(space: SpaceDescriptor, point: SubspacePoint, side: Side):
-    """Isotropy rotation k and lattice-unit flat coordinates h of the log of
-    a point on either side, log = k h.matrix(side) k^-1, read off the slope SVD.
+    """Isotropy blocks (z, w) and lattice-unit flat coordinates h of the log
+    of a point (or stack) on either side, log = k h.matrix(side) k^-1 with
+    k = diag(z, w), read off the slope SVD.
 
     Noncompact side: the slope's singular values are hyperbolic tangents of
     the flat coefficients.  Compact side: they are tangents, and since the
@@ -200,7 +213,15 @@ def _log_flat(space: SpaceDescriptor, point: SubspacePoint, side: Side):
     else:
         w, sig, z = slope_svd(space, -_slope_block(space, point))
         cart = np.arctan(sig)
-    return _block_diag(z, w), FlatCoordinates(space, np.linalg.solve(space.lattice_coeff, cart))
+    coords = np.linalg.solve(space.lattice_coeff, cart[..., None])[..., 0]
+    return z, w, FlatCoordinates(space, coords)
+
+
+def _log(space: SpaceDescriptor, point: SubspacePoint, side: Side) -> TangentVector:
+    """The log k h.matrix(side) k^-1 of a point (or stack) on either side."""
+    z, w, coords = _log_flat(space, point, side)
+    k = _block_diag(z, w)
+    return _built(TangentVector, space=space, side=side, x=k @ coords.matrix(side) @ nk.herm(k))
 
 
 def log_noncompact(space: SpaceDescriptor, point: SubspacePoint) -> TangentVector:
@@ -218,8 +239,7 @@ def log_noncompact(space: SpaceDescriptor, point: SubspacePoint) -> TangentVecto
         If a singular value of the slope exceeds 1 - 1e-13; such cosets
         are rejected rather than clamped.
     """
-    k, coords = _log_flat(space, point, Side.NONCOMPACT)
-    return TangentVector(space, Side.NONCOMPACT, k @ coords.matrix(Side.NONCOMPACT) @ k.conj().T)
+    return _log(space, point, Side.NONCOMPACT)
 
 
 def log_compact(space: SpaceDescriptor, point: SubspacePoint) -> TangentVector:
@@ -231,13 +251,12 @@ def log_compact(space: SpaceDescriptor, point: SubspacePoint) -> TangentVector:
     convention (slope of a flat point is minus the tangent of its angle)
     is handled by decomposing the negated slope.
     """
-    k, coords = _log_flat(space, point, Side.COMPACT)
-    return TangentVector(space, Side.COMPACT, k @ coords.matrix(Side.COMPACT) @ k.conj().T)
+    return _log(space, point, Side.COMPACT)
 
 
 def point_flat_coords(space: SpaceDescriptor, point: SubspacePoint, side: Side) -> FlatCoordinates:
     """Lattice-unit flat coordinates of the log of a point, on either side."""
-    return _log_flat(space, point, side)[1]
+    return _log_flat(space, point, side)[2]
 
 
 def f_embed(space: SpaceDescriptor, x) -> SubspacePoint:
@@ -261,20 +280,19 @@ def f_embed(space: SpaceDescriptor, x) -> SubspacePoint:
         if x.side is not Side.NONCOMPACT:
             raise DomainError("f_embed expects a noncompact coset representative")
         try:
-            k, coords = _log_flat(space, x.point(), Side.NONCOMPACT)
+            z, w, coords = _log_flat(space, x.point(), Side.NONCOMPACT)
         except DomainError as exc:
             raise NumericalError(f"coset too close to the boundary: {exc}") from exc
     elif isinstance(x, SubspacePoint):
-        k, coords = _log_flat(space, x, Side.NONCOMPACT)
+        z, w, coords = _log_flat(space, x, Side.NONCOMPACT)
     else:
         raise DomainError("f_embed takes a GroupElement or a SubspacePoint")
 
-    theta = h_flat(coords).cartan_coords()
-    n = space.n
-    z, w = k[:n, :n], k[n:, n:]
-    zh = z.conj().T
-    rep = np.vstack(((z * np.cos(theta)) @ zh, -(w[:, :n] * np.sin(theta)) @ zh))
-    return SubspacePoint(space, rep)
+    theta = h_flat(coords).cartan_coords()[..., None, :]
+    zh = nk.herm(z)
+    rep = np.concatenate(((z * np.cos(theta)) @ zh, -(w[..., :, : space.n] * np.sin(theta)) @ zh),
+                         axis=-2)
+    return _built(SubspacePoint, space=space, rep=rep, orientation=None)
 
 
 def image_region_fraction(space: SpaceDescriptor, point: SubspacePoint) -> float:

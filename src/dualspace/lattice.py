@@ -10,6 +10,8 @@ Directions through these functions may be given either as plain
 coordinate arrays (with an explicit ``LatticeBasis``) or as
 ``spaces.FlatCoordinates`` objects, which carry their space's lattice
 along.  Coordinates are always with respect to the lattice generators.
+The closed-form radius and the region fraction also take a stack of
+directions, one per row.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numkernel as nk
 from .errors import DomainError
 
 _REL_TIE = 1e-12
@@ -71,15 +74,16 @@ class CutRadiusResult:
     used_closed_form: bool
 
 
-def _coords_array(coords, basis):
-    """Accept FlatCoordinates-like objects or raw arrays plus a basis."""
+def _coords_array(coords, basis, stack: bool = False):
+    """Accept FlatCoordinates-like objects or raw arrays plus a basis; one
+    direction, or with ``stack`` rows of shape (..., rank)."""
     if basis is None:
         space = getattr(coords, "space", None)
         if space is None or getattr(space, "lattice", None) is None:
             raise DomainError("no lattice basis supplied and none attached to the coordinates")
         basis = space.lattice
     x = np.asarray(getattr(coords, "coords", coords), dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != basis.rank:
+    if x.ndim < 1 or (x.ndim != 1 and not stack) or x.shape[-1] != basis.rank:
         raise DomainError(f"expected {basis.rank} flat coordinates, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise DomainError("non-finite flat coordinates")
@@ -98,15 +102,21 @@ def is_orthonormal(basis: LatticeBasis, tol: float = 1e-10) -> bool:
     return bool(np.max(np.abs(gram - alpha2 * np.eye(basis.rank))) <= tol * alpha2)
 
 
+def _norm2(x, gram):
+    """<x, x> under the Gram matrix, per row of a stack."""
+    return np.sum((x @ gram) * x, axis=-1)
+
+
 def _unit_direction(x, gram):
-    nrm2 = float(x @ gram @ x)
-    if nrm2 <= 0.0 or not np.isfinite(nrm2):
+    nrm2 = _norm2(x, gram)
+    if not np.all((nrm2 > 0.0) & np.isfinite(nrm2)):
         raise DomainError("zero flat direction")
-    return x / np.sqrt(nrm2)
+    return x / np.sqrt(nrm2)[..., None]
 
 
-def cut_radius_closed(coords, basis: LatticeBasis = None) -> float:
-    """Cut radius along a flat direction, by the orthonormal-lattice formula.
+def cut_radius_closed(coords, basis: LatticeBasis = None):
+    """Cut radius along a flat direction, by the orthonormal-lattice formula;
+    an array of radii for a stack of directions.
 
     For a unit direction X this is alpha^2 / (2 max_i |<X, A_i>|) where
     alpha is the common generator length.  The input direction may have any
@@ -116,20 +126,21 @@ def cut_radius_closed(coords, basis: LatticeBasis = None) -> float:
     ------
     DomainError
         If the lattice is not orthonormal (use :func:`cut_radius_brute`)
-        or the direction is zero.
+        or a direction is zero.
     """
-    x, basis = _coords_array(coords, basis)
+    x, basis = _coords_array(coords, basis, stack=True)
     if not is_orthonormal(basis):
         raise DomainError("closed-form cut radius needs an orthonormal lattice")
-    return _closed_form(x, basis)[0]
+    return nk.per_slice(_closed_form(x, basis)[0])
 
 
 def _closed_form(x, basis: LatticeBasis):
-    """(radius, index of the generator attaining it) on an orthonormal lattice."""
-    c = np.abs(basis.gram @ _unit_direction(x, basis.gram))
-    i0 = int(np.argmax(c))
+    """(radius, index of the generator attaining it) on an orthonormal
+    lattice, per row of a stack of directions."""
+    c = np.abs(_unit_direction(x, basis.gram) @ basis.gram)
+    i0 = np.argmax(c, axis=-1)
     alpha2 = float(np.mean(np.diag(basis.gram)))
-    return alpha2 / (2.0 * float(c[i0])), i0
+    return alpha2 / (2.0 * np.take_along_axis(c, i0[..., None], axis=-1)[..., 0]), i0
 
 
 def _l1_shell(rank: int, s: int):
@@ -188,25 +199,37 @@ def cut_radius_brute(coords, basis: LatticeBasis = None) -> CutRadiusResult:
 def cut_radius(coords, basis: LatticeBasis = None) -> CutRadiusResult:
     """Cut radius by the closed form when available, brute force otherwise."""
     x, basis = _coords_array(coords, basis)
+    return _cut_radii(x[None], basis)[0]
+
+
+def _cut_radii(x, basis: LatticeBasis) -> list:
+    """One result per row of a stack of directions: every row from one
+    vectorised closed form on an orthonormal lattice, each row by the
+    brute-force search otherwise.  The one place that chooses."""
     if not is_orthonormal(basis):
-        return cut_radius_brute(x, basis)
+        return [cut_radius_brute(row, basis) for row in x]
     radius, i0 = _closed_form(x, basis)
-    m = tuple(-1 if i == i0 else 0 for i in range(basis.rank))
-    return CutRadiusResult(radius=radius, minimizer=m, used_closed_form=True)
+    return [CutRadiusResult(radius=float(r), used_closed_form=True,
+                            minimizer=tuple(-1 if i == k else 0 for i in range(basis.rank)))
+            for r, k in zip(radius, i0)]
 
 
-def region_fraction(coords, basis: LatticeBasis = None) -> float:
+def region_fraction(coords, basis: LatticeBasis = None):
     """Length of a flat vector as a fraction of the cut radius along its
-    own direction; 0 for the zero vector."""
-    x, basis = _coords_array(coords, basis)
-    nrm = float(np.sqrt(max(x @ basis.gram @ x, 0.0)))
-    if nrm == 0.0:
-        return 0.0
-    return nrm / cut_radius(x, basis).radius
+    own direction; 0 for the zero vector.  A stack of vectors gives an
+    array, with the radii of all rows found at once (see :func:`cut_radius`)."""
+    x, basis = _coords_array(coords, basis, stack=True)
+    nrm = np.sqrt(np.maximum(_norm2(x, basis.gram), 0.0))
+    hit = nrm > 0.0
+    frac = np.zeros(nrm.shape)
+    if hit.any():
+        frac[hit] = nrm[hit] / [res.radius for res in _cut_radii(x[hit], basis)]
+    return nk.per_slice(frac)
 
 
-def in_half_region(coords, fraction: float, basis: LatticeBasis = None) -> bool:
-    """Whether a flat vector lies strictly inside ``fraction`` of the cut radius.
+def in_half_region(coords, fraction: float, basis: LatticeBasis = None):
+    """Whether a flat vector (or each row of a stack) lies strictly inside
+    ``fraction`` of the cut radius.
 
     The open star-shaped region { tX : |X| = 1, t < fraction * t0(X) } is
     where the embeddings of this library take their values (fraction 1/2,

@@ -3,8 +3,12 @@
 All data lives in plain numpy arrays.  Real matrices are float64 and
 complex ones complex128; the dtype doubles as the field tag, and binary
 operations follow numpy promotion (real operands are upcast to complex,
-never the other way around).  Every function here is pure: arguments are
-never mutated, so values are safe to share across threads.
+never the other way around).  The kernels take a matrix or a stack of
+matrices (``block_qr``, kept for its triangular inverse, takes one):
+leading axes index samples, the last two are the matrix, and a stack is
+checked once, with every slice held to the test a single matrix meets.
+Every function here is pure: arguments are never mutated, so values are
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ from .errors import DomainError, NumericalError
 
 
 def as_matrix(a, dtype=None) -> np.ndarray:
-    """Validate and return ``a`` as a finite 2-d float64/complex128 array;
-    a real ``dtype`` refuses complex input with a nonzero imaginary part."""
+    """Validate and return ``a`` as a finite float64/complex128 matrix, or
+    stack of matrices (ndim >= 2); a real ``dtype`` refuses complex input
+    with a nonzero imaginary part."""
     out = np.asarray(a)
     if out.dtype.kind in "iub":
         out = out.astype(np.float64)
@@ -33,7 +38,7 @@ def as_matrix(a, dtype=None) -> np.ndarray:
                 raise DomainError("complex entries where a real matrix is expected")
             out = out.real
         out = out.astype(dtype, copy=False)
-    if out.ndim != 2:
+    if out.ndim < 2:
         raise DomainError(f"expected a matrix, got array of ndim {out.ndim}")
     if not np.all(np.isfinite(out)):
         raise DomainError("matrix has non-finite entries")
@@ -44,8 +49,19 @@ def is_real(a: np.ndarray) -> bool:
     return np.asarray(a).dtype.kind != "c"
 
 
+def herm(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each slice of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def per_slice(x):
+    """A per-slice result: a Python scalar for one matrix, an array over a stack."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
+
+
 def expm(x) -> np.ndarray:
-    """Matrix exponential of a square matrix.
+    """Matrix exponential of a square matrix, or of each slice of a stack.
 
     Backed by scipy's scaling-and-squaring Pade implementation, which meets
     the accuracy budget (relative error well below 1e-12 in spectral norm)
@@ -53,20 +69,45 @@ def expm(x) -> np.ndarray:
     library.
     """
     x = as_matrix(x)
-    if x.shape[0] != x.shape[1]:
+    if x.shape[-2] != x.shape[-1]:
         raise DomainError(f"expm needs a square matrix, got {x.shape}")
     return scipy.linalg.expm(x)
+
+
+def phase_fixed_qr(a: np.ndarray):
+    """``a = q @ r`` with ``q`` orthogonal/unitary and ``r`` upper triangular
+    with a positive real diagonal, for a square matrix or a stack of them.
+
+    One Householder QR (LAPACK, through ``np.linalg.qr``), made unique by
+    moving the phase of each diagonal entry of R into the matching column
+    of Q.  ``a`` must be a finite float64/complex128 array.
+
+    Raises
+    ------
+    NumericalError
+        If a diagonal entry of R, the part of a column orthogonal to the
+        columns before it, drops below 1e-12 of that column's norm in any
+        slice, i.e. the matrix is numerically singular.
+    """
+    q, r = np.linalg.qr(a)
+    diag = r.diagonal(0, -2, -1)
+    mag = np.abs(diag)
+    small = mag <= 1e-12 * np.maximum(np.linalg.norm(a, axis=-2), 1e-300)
+    if small.any():
+        col = int(np.nonzero(small)[-1][0])
+        raise NumericalError(f"QR breakdown at column {col}: input is singular")
+    phase = diag / mag
+    return q * phase[..., None, :], phase.conj()[..., :, None] * r
 
 
 def block_qr(a):
     """Factor an invertible matrix as ``q = a @ rinv`` with ``q`` in the
     compact group and ``rinv`` inverse-to an upper triangular matrix.
 
-    One Householder QR (LAPACK, through ``np.linalg.qr``), made unique by
-    moving the phase of each diagonal entry of R into the matching column
-    of Q.  The triangular factor then has a positive real diagonal, which
-    pins the result.  Being upper triangular, R lies in every parabolic
-    (block upper-triangular) subgroup, so no block shape is needed.
+    :func:`phase_fixed_qr` gives Q and R, and R's inverse is one triangular
+    solve.  The triangular factor has a positive real diagonal, which pins
+    the result.  Being upper triangular, R lies in every parabolic (block
+    upper-triangular) subgroup, so no block shape is needed.
 
     Returns
     -------
@@ -77,56 +118,45 @@ def block_qr(a):
     Raises
     ------
     DomainError
-        If ``a`` is not square.
+        If ``a`` is not a square matrix.
     NumericalError
-        If a diagonal entry of R, the part of a column orthogonal to the
-        columns before it, drops below 1e-12 of that column's norm, i.e.
-        the matrix is numerically singular.
+        If ``a`` is numerically singular (see :func:`phase_fixed_qr`).
     """
     a = as_matrix(a)
-    k = a.shape[0]
-    if a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"block_qr needs a square matrix, got {a.shape}")
-
-    q, r = np.linalg.qr(a)
-    diag = np.diagonal(r)
-    mag = np.abs(diag)
-    small = np.flatnonzero(mag <= 1e-12 * np.maximum(np.linalg.norm(a, axis=0), 1e-300))
-    if small.size:
-        raise NumericalError(f"QR breakdown at column {small[0]}: input is singular")
-    phase = diag / mag
-    q = q * phase
-    r = phase.conj()[:, None] * r
-    rinv = scipy.linalg.solve_triangular(r, np.eye(k, dtype=r.dtype))
-    return q, rinv
+    q, r = phase_fixed_qr(a)
+    return q, scipy.linalg.solve_triangular(r, np.eye(a.shape[0], dtype=r.dtype))
 
 
-def orthonormal_basis(l) -> np.ndarray:
-    """Orthonormal frame of the column span of a full-column-rank matrix, from
-    one thin SVD: the singular values give the rank verdict, U the frame."""
-    l = as_matrix(l)
+def orthonormal_basis(l: np.ndarray) -> np.ndarray:
+    """Orthonormal frame of the column span of a full-column-rank matrix, or
+    of each slice of a stack, from one thin SVD: the singular values give
+    the rank verdict of every slice, U the frame.  ``l`` must be a finite
+    float64/complex128 array (see :func:`as_matrix`)."""
     u, sv, _ = np.linalg.svd(l, full_matrices=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
+    if ((sv[..., 0] == 0.0) | (sv[..., -1] <= 1e-10 * sv[..., 0])).any():
         raise DomainError("rank-deficient column span")
     return u
 
 
 def projector(l) -> np.ndarray:
     """Orthogonal projector onto the column span of ``l``."""
-    q = orthonormal_basis(l)
-    return q @ q.conj().T
+    q = orthonormal_basis(as_matrix(l))
+    return q @ herm(q)
 
 
-def frame_distance(q1: np.ndarray, q2: np.ndarray) -> float:
+def frame_distance(q1: np.ndarray, q2: np.ndarray):
     """Frobenius distance between the orthogonal projectors onto the spans
     of two orthonormal frames: the principal-angle metric of the
-    Grassmannian, zero exactly when the spans coincide."""
-    if q1.shape[0] != q2.shape[0]:
-        raise DomainError(f"ambient dimensions differ: {q1.shape[0]} vs {q2.shape[0]}")
-    return float(np.linalg.norm(q1 @ q1.conj().T - q2 @ q2.conj().T))
+    Grassmannian, zero exactly when the spans coincide.  A float for two
+    frames, an array over stacks of them."""
+    if q1.shape[-2] != q2.shape[-2]:
+        raise DomainError(f"ambient dimensions differ: {q1.shape[-2]} vs {q2.shape[-2]}")
+    return per_slice(np.linalg.norm(q1 @ herm(q1) - q2 @ herm(q2), axis=(-2, -1)))
 
 
 def projector_distance(l1, l2) -> float:
     """:func:`frame_distance` between the spans of two full-column-rank
     matrices; invariant under right multiplication by invertible matrices."""
-    return frame_distance(orthonormal_basis(l1), orthonormal_basis(l2))
+    return frame_distance(orthonormal_basis(as_matrix(l1)), orthonormal_basis(as_matrix(l2)))

@@ -15,6 +15,10 @@ lattice.  Conventions:
   ``R_i`` orthonormal.  The circle/sphere family uses scale 2, so its
   closed geodesics have length 4*pi; this pins where the quarter and half
   regions land for the rank-1 stereographic comparisons.
+
+Points, tangent vectors and flat coordinates may hold one value or a
+stack of them along leading axes; the functions here act slice by slice
+and check a stack once.
 """
 
 from __future__ import annotations
@@ -93,9 +97,21 @@ class SpaceDescriptor:
         return f"{self.family.value}({self.n},{self.m})"
 
 
+def _built(cls, **fields):
+    """An instance of one of the frozen value classes holding arrays the
+    library built itself: ``as_matrix`` is skipped, and only the class's
+    own invariant check ``_check`` runs, once for a whole stack."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    obj._check()
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class TangentVector:
-    """Element of the tangent space at the base point, as a block matrix.
+    """Element of the tangent space at the base point, as a block matrix
+    (or a stack of them).
 
     The matrix has vanishing diagonal blocks and off-diagonal blocks tied
     by ``lower = -upper^H`` (compact side) or ``lower = +upper^H``
@@ -107,48 +123,53 @@ class TangentVector:
     x: np.ndarray
 
     def __post_init__(self):
-        x = nk.as_matrix(self.x, dtype=self.space.dtype)
-        if x.shape != (self.space.dim, self.space.dim):
-            raise DomainError(f"tangent matrix must be {self.space.dim} x {self.space.dim}")
-        n = self.space.n
+        object.__setattr__(self, "x", nk.as_matrix(self.x, dtype=self.space.dtype))
+        self._check()
+
+    def _check(self):
+        x = self.x
+        dim, n = self.space.dim, self.space.n
+        if x.shape[-2:] != (dim, dim):
+            raise DomainError(f"tangent matrix must be {dim} x {dim}")
         sign = -1.0 if self.side is Side.COMPACT else 1.0
-        resid = max(
-            float(np.max(np.abs(x[:n, :n]))) if n else 0.0,
-            float(np.max(np.abs(x[n:, n:]))) if self.space.m else 0.0,
-            float(np.max(np.abs(x[n:, :n] - sign * x[:n, n:].conj().T))),
-        )
-        scale = max(1.0, float(np.max(np.abs(x))))
-        if resid > 1e-12 * scale:
+        resid = np.maximum.reduce([
+            np.abs(x[..., :n, :n]).max(axis=(-2, -1)),
+            np.abs(x[..., n:, n:]).max(axis=(-2, -1)),
+            np.abs(x[..., n:, :n] - sign * nk.herm(x[..., :n, n:])).max(axis=(-2, -1)),
+        ])
+        scale = np.maximum(1.0, np.abs(x).max(axis=(-2, -1)))
+        if not (resid <= 1e-12 * scale).all():
             raise DomainError("matrix does not lie in the tangent block structure")
-        object.__setattr__(self, "x", x)
 
     def block(self) -> np.ndarray:
         """The free n x m block determining the vector."""
-        return self.x[: self.space.n, self.space.n :]
+        return self.x[..., : self.space.n, self.space.n :]
 
 
 @dataclass(frozen=True, eq=False)
 class FlatCoordinates:
-    """Coordinates of a flat tangent vector in the lattice basis."""
+    """Coordinates of a flat tangent vector in the lattice basis; a stack of
+    vectors has shape (..., rank)."""
 
     space: SpaceDescriptor
     coords: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coords, dtype=np.float64).reshape(-1)
-        if c.shape[0] != self.space.rank:
-            raise DomainError(f"expected {self.space.rank} coordinates, got {c.shape[0]}")
-        if not np.all(np.isfinite(c)):
+        c = np.atleast_1d(np.asarray(self.coords, dtype=np.float64))
+        if c.shape[-1] != self.space.rank:
+            raise DomainError(f"expected {self.space.rank} coordinates, got {c.shape[-1]}")
+        if not np.isfinite(c).all():
             raise DomainError("non-finite flat coordinates")
         object.__setattr__(self, "coords", c)
 
     def cartan_coords(self) -> np.ndarray:
         """Coordinates with respect to the generators R_i."""
-        return self.space.lattice_coeff @ self.coords
+        return self.coords @ self.space.lattice_coeff.T
 
     def matrix(self, side: Side) -> np.ndarray:
         """The flat tangent matrix sum_i c_i R_i on the given side."""
-        return sum(c * b for c, b in zip(self.cartan_coords(), self.space.cartan_basis(side)))
+        cart = np.moveaxis(self.cartan_coords(), -1, 0)
+        return sum(c[..., None, None] * b for c, b in zip(cart, self.space.cartan_basis(side)))
 
     def tangent(self, side: Side) -> TangentVector:
         return TangentVector(self.space, side, self.matrix(side))
@@ -160,12 +181,13 @@ class FlatCoordinates:
 
 @dataclass(frozen=True, eq=False)
 class SubspacePoint:
-    """Point of the (compact or dual) Grassmannian, as a tall frame matrix.
+    """Point of the (compact or dual) Grassmannian, as a tall frame matrix,
+    or a stack of points as a stack of frames.
 
     The orthonormal frame ``basis`` of the span is computed once, at
     construction, and every comparison reads it.  Two points are equal
     when their column spans coincide, and, for the oriented families, when
-    the orientation signs agree as well.
+    the orientation signs agree as well.  A stack shares one orientation.
     """
 
     space: SpaceDescriptor
@@ -174,38 +196,42 @@ class SubspacePoint:
     basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rep = nk.as_matrix(self.rep, dtype=self.space.dtype)
-        if rep.shape != (self.space.dim, self.space.n):
+        object.__setattr__(self, "rep", nk.as_matrix(self.rep, dtype=self.space.dtype))
+        self._check()
+
+    def _check(self):
+        if self.rep.shape[-2:] != (self.space.dim, self.space.n):
             raise DomainError(f"representative must be {self.space.dim} x {self.space.n}")
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "basis", nk.orthonormal_basis(rep))
+        object.__setattr__(self, "basis", nk.orthonormal_basis(self.rep))
         if self.space.oriented and self.orientation is None:
             object.__setattr__(self, "orientation", 1)
 
-    def distance(self, other: "SubspacePoint") -> float:
+    def distance(self, other: "SubspacePoint"):
         return nk.frame_distance(self.basis, other.basis)
 
 
-def same_orientation(a: SubspacePoint, b: SubspacePoint) -> bool:
-    """Whether two points of one span carry the same orientation; always
-    true when either orientation is untracked."""
+def same_orientation(a: SubspacePoint, b: SubspacePoint):
+    """Whether two points of one span carry the same orientation, per slice
+    of a stack; always true when either orientation is untracked."""
     if a.orientation is None or b.orientation is None:
         return True
-    g1 = a.basis.conj().T @ a.rep
-    g2 = a.basis.conj().T @ b.rep
-    rel = np.linalg.solve(g1, g2)  # change of frame within the common span
+    bh = nk.herm(a.basis)
+    rel = np.linalg.solve(bh @ a.rep, bh @ b.rep)  # change of frame within the common span
     sign = np.sign(np.real(np.linalg.det(rel)))
-    return bool(sign * a.orientation * b.orientation > 0)
+    return nk.per_slice(sign * a.orientation * b.orientation > 0)
 
 
-def same_point(a: SubspacePoint, b: SubspacePoint, tol: float = 1e-9) -> bool:
-    """Equality of subspace points: same span, and same orientation if tracked."""
-    return a.distance(b) <= tol and same_orientation(a, b)
+def same_point(a: SubspacePoint, b: SubspacePoint, tol: float = 1e-9):
+    """Equality of subspace points, per slice of a stack: same span, and
+    same orientation if tracked."""
+    return nk.per_slice(np.logical_and(a.distance(b) <= tol, same_orientation(a, b)))
 
 
 def act(g: np.ndarray, point: SubspacePoint) -> SubspacePoint:
-    """Left action of a group matrix on a subspace point."""
-    return SubspacePoint(point.space, np.asarray(g) @ point.rep, orientation=point.orientation)
+    """Left action of a group matrix (or a stack, slice by slice) that the
+    caller built on a subspace point; the image gets its own frame."""
+    return _built(SubspacePoint, space=point.space, rep=g @ point.rep,
+                  orientation=point.orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -303,36 +329,34 @@ CATALOG = (
 # membership tests and group constructions
 
 
-def _scaled_tol(a: np.ndarray, tol: float) -> float:
+def _scaled_tol(a: np.ndarray, tol: float) -> np.ndarray:
     # residuals of A^H J A - J grow like ||A||^2 * eps; keep the test
     # meaningful for strong boosts without loosening it near the identity
-    scale = max(1.0, float(np.max(np.abs(a))) ** 2)
-    return tol * scale
+    return tol * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)) ** 2)
 
 
 def in_group(space: SpaceDescriptor, a, side: Side, tol: float = 1e-10) -> bool:
-    """Whether ``a`` preserves the defining form of the given side.
+    """Whether ``a``, or every slice of a stack, preserves the defining form
+    of the given side.
 
     Compact side: A^H A = I.  Noncompact side: A^H J A = J for the
     signature (n, m) form.  The oriented families additionally require
     det A = +1.  The tolerance applies relative to ||A||^2, which is the
-    natural scale of the residual.
+    natural scale of the residual.  A non-finite entry fails the test.
     """
-    a = nk.as_matrix(a)
-    if a.shape != (space.dim, space.dim):
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-2:] != (space.dim, space.dim):
         raise DomainError(f"expected a {space.dim} x {space.dim} matrix, got {a.shape}")
     if space.field == "real" and not nk.is_real(a):
-        if np.max(np.abs(a.imag)) > tol:
+        if not np.max(np.abs(a.imag)) <= tol:
             return False
         a = a.real
     j = np.eye(space.dim) if side is Side.COMPACT else space.form_j
-    resid = float(np.max(np.abs(a.conj().T @ j @ a - j)))
-    if resid > _scaled_tol(a, tol):
-        return False
+    scaled = _scaled_tol(a, tol)
+    ok = np.abs(nk.herm(a) @ j @ a - j).max(axis=(-2, -1)) <= scaled
     if space.oriented:
-        if abs(np.linalg.det(a) - 1.0) > _scaled_tol(a, tol):
-            return False
-    return True
+        ok &= np.abs(np.linalg.det(a) - 1.0) <= scaled
+    return bool(ok.all())
 
 
 def in_isotropy(space: SpaceDescriptor, k, tol: float = 1e-10) -> bool:
@@ -355,69 +379,85 @@ def in_isotropy(space: SpaceDescriptor, k, tol: float = 1e-10) -> bool:
 def transitivity_element(space: SpaceDescriptor, y) -> np.ndarray:
     """The standard form-preserving matrix mapping the base point to span([I; Y]).
 
-    ``y`` is the m x n slope block, space-like iff its singular values are
-    below one (else DomainError).  From ``Y = w diag(s) z^H`` and
-    ``ch = 1/sqrt((1 - s)(1 + s))``, A is ``k exp(sum_i artanh(s_i) B_i) k^-1``
-    in closed form; A^H J A = J, det A = 1, and A[:, :n] spans [I; Y].
+    ``y`` is the m x n slope block (or a stack of them), space-like iff its
+    singular values are below one (else DomainError).  Validates ``y`` and
+    runs :func:`_boost`.
     """
     y = nk.as_matrix(y, dtype=space.dtype)
-    if y.shape != (space.m, space.n):
+    if y.shape[-2:] != (space.m, space.n):
         raise DomainError(f"slope block must be {space.m} x {space.n}, got {y.shape}")
+    return _boost(space, y)
+
+
+def _boost(space: SpaceDescriptor, y: np.ndarray) -> np.ndarray:
+    """:func:`transitivity_element` of a slope, or a stack of slopes, of the
+    family dtype, from one stacked :func:`slope_svd`.
+
+    From ``Y = w diag(s) z^H`` and ``ch = 1/sqrt((1 - s)(1 + s))``, A is
+    ``k exp(sum_i artanh(s_i) B_i) k^-1`` in closed form; A^H J A = J,
+    det A = 1, and A[:, :n] spans [I; Y].  DomainError if any slope has a
+    singular value >= 1.
+    """
     w, s, z = slope_svd(space, y)
-    if np.max(np.abs(s)) >= 1.0:
+    if not np.abs(s).max() < 1.0:
         raise DomainError("slope has a singular value >= 1: input is not space-like")
     n = space.n
-    wn = w[:, :n]
+    wn = w[..., :, :n]
     ch = 1.0 / np.sqrt((1.0 - s) * (1.0 + s))
-    zh, wnh = z.conj().T, wn.conj().T
-    a = np.empty((space.dim, space.dim), dtype=space.dtype)
-    a[:n, :n] = (z * ch) @ zh
-    a[:n, n:] = (z * (s * ch)) @ wnh
-    a[n:, :n] = (wn * (s * ch)) @ zh
-    a[n:, n:] = np.eye(space.m) + (wn * (ch - 1.0)) @ wnh
+    sch = (s * ch)[..., None, :]
+    zh, wnh = nk.herm(z), nk.herm(wn)
+    a = np.empty(y.shape[:-2] + (space.dim, space.dim), dtype=space.dtype)
+    a[..., :n, :n] = (z * ch[..., None, :]) @ zh
+    a[..., :n, n:] = (z * sch) @ wnh
+    a[..., n:, :n] = (wn * sch) @ zh
+    a[..., n:, n:] = np.eye(space.m) + (wn * (ch - 1.0)[..., None, :]) @ wnh
     return a
 
 
 def _block_diag(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    n = u.shape[0]
-    m = v.shape[0]
-    out = np.zeros((n + m, n + m), dtype=np.promote_types(u.dtype, v.dtype))
-    out[:n, :n] = u
-    out[n:, n:] = v
+    """diag(u, v) of two square blocks, or of two stacks of them."""
+    n = u.shape[-1]
+    m = v.shape[-1]
+    out = np.zeros(u.shape[:-2] + (n + m, n + m), dtype=np.promote_types(u.dtype, v.dtype))
+    out[..., :n, :n] = u
+    out[..., n:, n:] = v
     return out
 
 
 def special_svd(b: np.ndarray, oriented: bool):
-    """Full SVD ``b = u @ diag(s) @ vh`` of an n x m block (n <= m), with
-    both factors pushed into the special group when ``oriented``.
+    """Full SVD ``b = u @ diag(s) @ vh`` of an n x m block (n <= m), or of
+    each slice of a stack, with both factors pushed into the special group
+    when ``oriented``.
 
     Flipping column j of u together with row j of vh preserves the
-    product.  When m > n a row of vh outside the singular block is free;
-    when m = n the leftover sign is absorbed into the last (smallest)
-    value of ``s``, which may therefore come back negative.
+    product; a sign mask applies the flip to the slices that need it.
+    When m > n a row of vh outside the singular block is free; when m = n
+    the leftover sign is absorbed into the last (smallest) value of ``s``,
+    which may therefore come back negative.
     """
     u, s, vh = np.linalg.svd(b, full_matrices=True)
     if not oriented:
         return u, s, vh
-    n = u.shape[0]
-    m = vh.shape[0]
-    if np.linalg.det(u) < 0:
-        u[:, n - 1] *= -1.0
-        vh[n - 1, :] *= -1.0
-    if np.linalg.det(vh) < 0:
-        if m > n:
-            vh[m - 1, :] *= -1.0
-        else:
-            vh[n - 1, :] *= -1.0
-            s[n - 1] *= -1.0
+    n = u.shape[-1]
+    m = vh.shape[-1]
+    flip = np.where(np.linalg.det(u) < 0, -1.0, 1.0)[..., None]
+    u[..., :, n - 1] *= flip
+    vh[..., n - 1, :] *= flip
+    flip = np.where(np.linalg.det(vh) < 0, -1.0, 1.0)
+    if m > n:
+        vh[..., m - 1, :] *= flip[..., None]
+    else:
+        vh[..., n - 1, :] *= flip[..., None]
+        s[..., n - 1] *= flip
     return u, s, vh
 
 
 def slope_svd(space: SpaceDescriptor, y: np.ndarray):
-    """SVD ``y = w[:, :n] @ diag(s) @ z^H`` of an m x n slope, with ``diag(z, w)``
-    an isotropy element; the one space-like test is max |s| < 1."""
-    u, s, vh = special_svd(y.conj().T, space.oriented)
-    return vh.conj().T, s, u
+    """SVD ``y = w[:, :n] @ diag(s) @ z^H`` of an m x n slope, or of each slice
+    of a stack, with ``diag(z, w)`` an isotropy element; the one space-like
+    test is max |s| < 1."""
+    u, s, vh = special_svd(nk.herm(y), space.oriented)
+    return nk.herm(vh), s, u
 
 
 def flat_decompose(space: SpaceDescriptor, xv: TangentVector):
@@ -434,5 +474,5 @@ def flat_decompose(space: SpaceDescriptor, xv: TangentVector):
     if xv.space is not space and xv.space.label() != space.label():
         raise DomainError("tangent vector belongs to a different space")
     u, s, vh = special_svd(xv.block(), space.oriented)
-    k = _block_diag(u, vh.conj().T)
-    return k, FlatCoordinates(space, np.linalg.solve(space.lattice_coeff, s))
+    k = _block_diag(u, nk.herm(vh))
+    return k, FlatCoordinates(space, np.linalg.solve(space.lattice_coeff, s[..., None])[..., 0])

@@ -1,0 +1,160 @@
+"""A stack of inputs through the stacked kernels equals its slices one by one,
+the checks of a single input hold for every slice of a stack, and a sampled
+check makes as many SVD, QR and exp calls for 64 samples as for 2."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from dualspace import numkernel as nk
+from dualspace import verify
+from dualspace.embeddings import GroupElement, embed, f_embed, log_compact, log_noncompact
+from dualspace.errors import DomainError, NumericalError
+from dualspace.spaces import (
+    Family,
+    Side,
+    SubspacePoint,
+    make_space,
+    same_orientation,
+    same_point,
+    slope_svd,
+    special_svd,
+    transitivity_element,
+)
+
+SPACES = verify.catalog_spaces() + [make_space(Family.REAL_GRASSMANNIAN, 16, 48)]
+STACK = 5
+TOL = 1e-13
+
+
+def assert_close(stacked, single):
+    assert np.max(np.abs(np.asarray(stacked) - np.asarray(single)), initial=0.0) <= TOL
+
+
+def slopes(space, seed, sigma_max=None):
+    return verify.random_slope(space, np.random.default_rng(seed), sigma_max, size=STACK)
+
+
+def graph_points(space, y):
+    top = np.broadcast_to(np.eye(space.n, dtype=space.dtype), (len(y), space.n, space.n))
+    return SubspacePoint(space, np.concatenate([top, y], axis=-2))
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda sp: sp.label())
+def test_stacked_svds_match_their_slices(space):
+    y = slopes(space, 61)
+    y[1::2, :, 0] *= -1.0  # for m = n this flips the sign of det(y) on every other slice
+    w, s, z = slope_svd(space, y)
+    u, t, vh = special_svd(nk.herm(y), space.oriented)
+    for i in range(STACK):
+        singles = slope_svd(space, y[i]) + special_svd(y[i].conj().T, space.oriented)
+        for stacked, single in zip((w, s, z, u, t, vh), singles):
+            assert_close(stacked[i], single)
+    if space.oriented:
+        # the sign push left both factors in the special group, slice by slice
+        assert_close(np.linalg.det(u), 1.0)
+        assert_close(np.linalg.det(vh), 1.0)
+        if space.m == space.n:
+            # det(u) det(vh) has the sign of det(y), so the push ran on some slices
+            raw_u, _, raw_vh = np.linalg.svd(nk.herm(y))
+            assert ((np.linalg.det(raw_u) < 0) | (np.linalg.det(raw_vh) < 0)).any()
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda sp: sp.label())
+def test_stacked_cosets_and_embeddings_match_their_slices(space):
+    y = slopes(space, 67)
+    a = transitivity_element(space, y)
+    g = GroupElement(space, Side.NONCOMPACT, a)
+    singles = [GroupElement(space, Side.NONCOMPACT, transitivity_element(space, y[i]))
+               for i in range(STACK)]
+    for i in range(STACK):
+        assert_close(a[i], singles[i].a)
+    points = {which: embed(space, which, g) for which in ("p", "g", "f")}
+    for which, pts in points.items():
+        for i in range(STACK):
+            single = embed(space, which, singles[i])
+            assert_close(pts.rep[i], single.rep)
+            assert_close(pts.basis[i], single.basis)
+    flipped = SubspacePoint(space, points["g"].rep[..., ::-1])  # same spans, frames reversed
+    for other in (points["g"], flipped):
+        dist = points["p"].distance(other)
+        same = np.broadcast_to(same_orientation(points["p"], other), STACK)  # True if untracked
+        equal = same_point(points["p"], other)
+        for i in range(STACK):
+            lhs = SubspacePoint(space, points["p"].rep[i])
+            rhs = SubspacePoint(space, other.rep[i])
+            assert abs(dist[i] - lhs.distance(rhs)) <= TOL
+            assert same[i] == same_orientation(lhs, rhs)
+            assert equal[i] == same_point(lhs, rhs)
+    if space.oriented and space.n > 1:
+        assert np.all(same_orientation(points["p"], points["g"]))
+        assert not np.any(same_orientation(points["p"], flipped))
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda sp: sp.label())
+def test_one_rank_deficient_slice_fails_the_stack(space):
+    rep = graph_points(space, slopes(space, 71)).rep.copy()
+    rep[2, :, -1] = 0.0
+    with pytest.raises(DomainError, match="rank-deficient"):
+        SubspacePoint(space, rep)
+    with pytest.raises(DomainError, match="rank-deficient"):
+        nk.orthonormal_basis(rep)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda sp: sp.label())
+def test_one_slice_at_the_boundary_fails_the_logs_and_f(space):
+    sigma = np.full(STACK, 0.5)
+    sigma[3] = 1.0 - 1e-14
+    y = slopes(space, 73, sigma)
+    points = graph_points(space, y)
+    cosets = GroupElement(space, Side.NONCOMPACT, transitivity_element(space, y))
+    with pytest.raises(NumericalError):
+        log_noncompact(space, points)
+    with pytest.raises(NumericalError):
+        f_embed(space, points)
+    with pytest.raises(NumericalError):
+        f_embed(space, cosets)
+    log_compact(space, points)  # the compact log has no boundary
+
+
+class CallCounter:
+    """Counts calls of np.linalg.svd, np.linalg.qr and scipy.linalg.expm."""
+
+    def __init__(self, monkeypatch):
+        self.calls = {}
+        for owner, name in ((np.linalg, "svd"), (np.linalg, "qr"), (scipy.linalg, "expm")):
+            monkeypatch.setattr(owner, name, self._counted(name, getattr(owner, name)))
+
+    def _counted(self, name, fn):
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def run(self, check, *args, **kwargs) -> dict:
+        self.calls = {}
+        check(*args, **kwargs)
+        return self.calls
+
+
+@pytest.mark.parametrize("space", [make_space(Family.REAL_GRASSMANNIAN, 2, 3),
+                                   make_space(Family.ORIENTED_TWO_PLANE, 2, 2)],
+                         ids=lambda sp: sp.label())
+@pytest.mark.parametrize("check, extra", [
+    (verify.check_triple_equality, ()),
+    (verify.check_equivariance, ("p",)),
+    (verify.check_equivariance, ("g",)),
+    (verify.check_equivariance, ("f",)),
+    (verify.check_image_region, ("f",)),
+    (verify.check_round_trip, ()),
+], ids=["triple", "equivariance-p", "equivariance-g", "equivariance-f", "image-f", "round-trip"])
+def test_sampled_checks_make_as_many_kernel_calls_for_any_batch(monkeypatch, space, check, extra):
+    counter = CallCounter(monkeypatch)
+    few = counter.run(check, space, *extra, samples=2, seed=5)
+    many = counter.run(check, space, *extra, samples=64, seed=5)
+    assert few and few == many
+
+
+def test_every_sampled_report_names_its_worst_sample():
+    for r in verify.run_suite(samples=6, seed=79):
+        assert 0 <= r.details["worst_index"] < r.samples, r.property_name

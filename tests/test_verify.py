@@ -173,10 +173,11 @@ def test_run_suite_unclaimed_property_names_family():
 
 
 def test_sampled_counts_nan_as_failure():
-    values = iter([1e-12, float("nan"), 1e-13])
-    r = verify._sampled("probe", 3, 0, 1e-9, lambda rng: next(values))
+    values = np.array([1e-12, float("nan"), 1e-13])
+    r = verify._sampled("probe", 3, 0, 1e-9, lambda rng, size: values[:size])
     assert r.failures == 1
     assert np.isnan(r.worst_residual)
+    assert r.details["worst_index"] == 1
 
 
 @pytest.mark.parametrize("samples", [0, -1])
@@ -199,7 +200,7 @@ def test_round_trip_compares_points(monkeypatch):
     orthonormal_basis = nk.orthonormal_basis
 
     def counted(l):
-        calls.append(1)
+        calls.append(len(l))
         return orthonormal_basis(l)
 
     def refuse(*_):
@@ -209,7 +210,7 @@ def test_round_trip_compares_points(monkeypatch):
     monkeypatch.setattr(nk, "projector_distance", refuse)
     r = verify.check_round_trip(GR23, samples=5, seed=3)
     assert r.passed
-    assert len(calls) == 2 * 5  # one frame per point, two points per sample
+    assert calls == [5, 5]  # one frame per point, two points per sample, one stack per side
 
 
 def test_equivariance_counts_orientation(monkeypatch):
@@ -218,10 +219,8 @@ def test_equivariance_counts_orientation(monkeypatch):
     def flipping_embed(space, which, g):
         # same span everywhere, reversed frame orientation on some inputs
         pt = embed(space, which, g)
-        if g.a[-1, 0] > 0:
-            return pt
         rep = pt.rep.copy()
-        rep[:, -1] *= -1.0
+        rep[g.a[..., -1, 0] <= 0, :, -1] *= -1.0
         return SubspacePoint(space, rep)
 
     grassmannian = verify.check_equivariance(GR23, "f", samples=20, seed=13)
