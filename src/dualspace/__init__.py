@@ -13,7 +13,6 @@ from .spaces import (
     SpaceDescriptor,
     SubspacePoint,
     TangentVector,
-    flat_decompose,
     in_group,
     in_isotropy,
     make_space,

@@ -34,7 +34,6 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import DomainError, NumericalError
-from .lattice import region_fraction
 from .spaces import (
     FlatCoordinates,
     Side,
@@ -294,8 +293,3 @@ def f_embed(space: SpaceDescriptor, x) -> SubspacePoint:
                          axis=-2)
     return _built(SubspacePoint, space=space, rep=rep, orientation=None)
 
-
-def image_region_fraction(space: SpaceDescriptor, point: SubspacePoint) -> float:
-    """Distance of a compact point from the base point, as a fraction of the
-    cut radius along its own direction (0 at the base point)."""
-    return region_fraction(point_flat_coords(space, point, Side.COMPACT))

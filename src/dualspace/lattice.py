@@ -16,7 +16,7 @@ directions, one per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,22 +31,19 @@ class LatticeBasis:
     """Generators of a full-rank lattice in an inner-product space.
 
     ``generators`` holds one generator per column, expressed in orthonormal
-    coordinates of the flat; ``gram`` is the matrix of pairwise inner
-    products and is derived from the generators when not supplied.
+    coordinates of the flat; ``gram``, the matrix of pairwise inner
+    products, is computed from them.
     """
 
     generators: np.ndarray
-    gram: np.ndarray = None
+    gram: np.ndarray = field(init=False)
 
     def __post_init__(self):
         gens = np.array(self.generators, dtype=np.float64)
         if gens.ndim != 2 or gens.shape[0] != gens.shape[1]:
             raise DomainError("generators must form a square coordinate matrix")
         object.__setattr__(self, "generators", gens)
-        gram = self.gram
-        if gram is None:
-            gram = gens.T @ gens
-        gram = np.array(gram, dtype=np.float64)
+        gram = gens.T @ gens
         gram = 0.5 * (gram + gram.T)
         eigs = np.linalg.eigvalsh(gram)
         if eigs[0] <= 0.0:

@@ -4,11 +4,10 @@ All data lives in plain numpy arrays.  Real matrices are float64 and
 complex ones complex128; the dtype doubles as the field tag, and binary
 operations follow numpy promotion (real operands are upcast to complex,
 never the other way around).  The kernels take a matrix or a stack of
-matrices (``block_qr``, kept for its triangular inverse, takes one):
-leading axes index samples, the last two are the matrix, and a stack is
-checked once, with every slice held to the test a single matrix meets.
-Every function here is pure: arguments are never mutated, so values are
-safe to share across threads.
+matrices: leading axes index samples, the last two are the matrix, and a
+stack is checked once, with every slice held to the test a single matrix
+meets.  Every function here is pure: arguments are never mutated, so
+values are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -100,35 +99,6 @@ def phase_fixed_qr(a: np.ndarray):
     return q * phase[..., None, :], phase.conj()[..., :, None] * r
 
 
-def block_qr(a):
-    """Factor an invertible matrix as ``q = a @ rinv`` with ``q`` in the
-    compact group and ``rinv`` inverse-to an upper triangular matrix.
-
-    :func:`phase_fixed_qr` gives Q and R, and R's inverse is one triangular
-    solve.  The triangular factor has a positive real diagonal, which pins
-    the result.  Being upper triangular, R lies in every parabolic (block
-    upper-triangular) subgroup, so no block shape is needed.
-
-    Returns
-    -------
-    (q, rinv)
-        ``q`` orthogonal/unitary, ``rinv`` upper triangular with
-        ``a @ rinv == q``.
-
-    Raises
-    ------
-    DomainError
-        If ``a`` is not a square matrix.
-    NumericalError
-        If ``a`` is numerically singular (see :func:`phase_fixed_qr`).
-    """
-    a = as_matrix(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"block_qr needs a square matrix, got {a.shape}")
-    q, r = phase_fixed_qr(a)
-    return q, scipy.linalg.solve_triangular(r, np.eye(a.shape[0], dtype=r.dtype))
-
-
 def orthonormal_basis(l: np.ndarray) -> np.ndarray:
     """Orthonormal frame of the column span of a full-column-rank matrix, or
     of each slice of a stack, from one thin SVD: the singular values give
@@ -154,9 +124,3 @@ def frame_distance(q1: np.ndarray, q2: np.ndarray):
     if q1.shape[-2] != q2.shape[-2]:
         raise DomainError(f"ambient dimensions differ: {q1.shape[-2]} vs {q2.shape[-2]}")
     return per_slice(np.linalg.norm(q1 @ herm(q1) - q2 @ herm(q2), axis=(-2, -1)))
-
-
-def projector_distance(l1, l2) -> float:
-    """:func:`frame_distance` between the spans of two full-column-rank
-    matrices; invariant under right multiplication by invertible matrices."""
-    return frame_distance(orthonormal_basis(as_matrix(l1)), orthonormal_basis(as_matrix(l2)))

@@ -141,10 +141,6 @@ class TangentVector:
         if not (resid <= 1e-12 * scale).all():
             raise DomainError("matrix does not lie in the tangent block structure")
 
-    def block(self) -> np.ndarray:
-        """The free n x m block determining the vector."""
-        return self.x[..., : self.space.n, self.space.n :]
-
 
 @dataclass(frozen=True, eq=False)
 class FlatCoordinates:
@@ -170,13 +166,6 @@ class FlatCoordinates:
         """The flat tangent matrix sum_i c_i R_i on the given side."""
         cart = np.moveaxis(self.cartan_coords(), -1, 0)
         return sum(c[..., None, None] * b for c, b in zip(cart, self.space.cartan_basis(side)))
-
-    def tangent(self, side: Side) -> TangentVector:
-        return TangentVector(self.space, side, self.matrix(side))
-
-    def metric_norm(self) -> float:
-        g = self.space.lattice.gram
-        return float(np.sqrt(max(self.coords @ g @ self.coords, 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,20 +448,3 @@ def slope_svd(space: SpaceDescriptor, y: np.ndarray):
     u, s, vh = special_svd(nk.herm(y), space.oriented)
     return nk.herm(vh), s, u
 
-
-def flat_decompose(space: SpaceDescriptor, xv: TangentVector):
-    """Rotate a tangent vector into the flat: X = k (sum_i h_i A_i) k^-1.
-
-    The canonical representative keeps |h_i| descending (the singular
-    values of the free block), with k in the isotropy group.  The returned
-    coordinates are in lattice units.
-
-    Returns
-    -------
-    (k, h) : (ndarray, FlatCoordinates)
-    """
-    if xv.space is not space and xv.space.label() != space.label():
-        raise DomainError("tangent vector belongs to a different space")
-    u, s, vh = special_svd(xv.block(), space.oriented)
-    k = _block_diag(u, nk.herm(vh))
-    return k, FlatCoordinates(space, np.linalg.solve(space.lattice_coeff, s[..., None])[..., 0])

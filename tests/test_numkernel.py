@@ -81,53 +81,56 @@ def test_expm_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# block_qr
+# phase_fixed_qr
 
 
-def test_block_qr_identity():
-    q, rinv = nk.block_qr(np.eye(3))
+def assert_pinned_factors(a, q, r, tol=1e-10):
+    """q unitary, r upper triangular with a positive real diagonal, a = q r."""
+    k = a.shape[-1]
+    assert np.max(np.abs(q.conj().T @ q - np.eye(k))) <= tol
+    # upper triangular, hence in every parabolic (block upper-triangular) subgroup
+    assert np.max(np.abs(np.tril(r, -1))) <= tol
+    assert np.max(np.abs(q @ r - a)) <= tol * max(1.0, np.max(np.abs(a)))
+    # positive real diagonal pins the representative
+    assert np.max(np.abs(np.diag(r).imag)) <= 1e-12
+    assert np.all(np.diag(r).real > 0)
+
+
+def test_phase_fixed_qr_identity():
+    q, r = nk.phase_fixed_qr(np.eye(3))
     np.testing.assert_allclose(q, np.eye(3), atol=1e-14)
-    np.testing.assert_allclose(rinv, np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(r, np.eye(3), atol=1e-14)
 
 
-def test_block_qr_boost_gives_pinned_rotation():
-    q, rinv = nk.block_qr(boost(1.0))
+def test_phase_fixed_qr_boost_gives_pinned_rotation():
+    q, r = nk.phase_fixed_qr(boost(1.0))
     expected = rotation(THETA_BOOST)
     np.testing.assert_allclose(q, expected, atol=1e-12)
     assert THETA_BOOST == pytest.approx(-0.6508801680230075, abs=1e-12)
-    np.testing.assert_allclose(boost(1.0) @ rinv, q, atol=1e-12)
+    np.testing.assert_allclose(q @ r, boost(1.0), atol=1e-12)
 
 
-def test_block_qr_random_invertible():
+def test_phase_fixed_qr_random_invertible():
     rng = np.random.default_rng(21)
     for _ in range(20):
         a = rng.standard_normal((4, 4)) + np.eye(4)
         if abs(np.linalg.det(a)) < 1e-3:
             continue
-        q, rinv = nk.block_qr(a)
-        assert np.max(np.abs(q.T @ q - np.eye(4))) <= 1e-10
-        r = np.linalg.inv(rinv)
-        # upper triangular, hence in every parabolic (block upper-triangular) subgroup
-        assert np.max(np.abs(np.tril(r, -1))) <= 1e-10
-        assert np.max(np.abs(a @ rinv - q)) <= 1e-10
-        # positive diagonal pins the representative
-        assert np.all(np.diag(r) > 0)
+        q, r = nk.phase_fixed_qr(a)
+        assert_pinned_factors(a, q, r)
 
 
-def test_block_qr_complex_unitary_factor():
+def test_phase_fixed_qr_complex_unitary_factor():
     rng = np.random.default_rng(22)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    q, rinv = nk.block_qr(a)
-    assert np.max(np.abs(q.conj().T @ q - np.eye(3))) <= 1e-10
-    r = np.linalg.inv(rinv)
-    assert np.max(np.abs(np.tril(r, -1))) <= 1e-10
-    assert np.max(np.abs(np.diag(r).imag)) <= 1e-10
+    q, r = nk.phase_fixed_qr(a)
+    assert_pinned_factors(a, q, r)
 
 
-def test_block_qr_singular_raises():
+def test_phase_fixed_qr_singular_raises():
     a = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(NumericalError):
-        nk.block_qr(a)
+        nk.phase_fixed_qr(a)
 
 
 def mgs_reference(a):
@@ -143,38 +146,53 @@ def mgs_reference(a):
                 q[:, j] = q[:, j] - c * q[:, i]
         r[j, j] = np.linalg.norm(q[:, j])
         q[:, j] = q[:, j] / r[j, j]
-    return q, np.linalg.inv(r)
+    return q, r
 
 
 @pytest.mark.parametrize("family,n,m", [
     (Family.REAL_GRASSMANNIAN, 16, 48),
     (Family.COMPLEX_GRASSMANNIAN, 16, 16),
 ])
-def test_block_qr_matches_gram_schmidt_reference(family, n, m):
+def test_phase_fixed_qr_matches_gram_schmidt_reference(family, n, m):
     space = make_space(family, n, m)
     rng = np.random.default_rng(31)
     for _ in range(3):
         a = random_coset(space, rng).a
-        q, rinv = nk.block_qr(a)
-        q_ref, rinv_ref = mgs_reference(a)
+        q, r = nk.phase_fixed_qr(a)
+        q_ref, r_ref = mgs_reference(a)
         assert np.max(np.abs(q - q_ref)) <= 1e-10
-        assert np.max(np.abs(rinv - rinv_ref)) <= 1e-10 * max(1.0, np.max(np.abs(rinv_ref)))
-        r = np.linalg.inv(rinv)
-        assert np.max(np.abs(np.diag(r).imag)) <= 1e-12
-        assert np.all(np.diag(r).real > 0)
+        assert np.max(np.abs(r - r_ref)) <= 1e-10 * max(1.0, np.max(np.abs(r_ref)))
+        assert_pinned_factors(a, q, r)
 
 
-def test_block_qr_nearly_repeated_column_raises():
+def test_phase_fixed_qr_nearly_repeated_column_raises():
     rng = np.random.default_rng(32)
     a = rng.standard_normal((6, 6))
     a[:, -1] = a[:, -2] + 1e-14 * rng.standard_normal(6)
     with pytest.raises(NumericalError):
-        nk.block_qr(a)
+        nk.phase_fixed_qr(a)
 
 
-def test_block_qr_shape_mismatch():
-    with pytest.raises(DomainError):
-        nk.block_qr(np.ones((3, 2)))
+@pytest.mark.parametrize("complex_", [False, True])
+def test_phase_fixed_qr_stack_with_a_singular_slice(complex_):
+    rng = np.random.default_rng(33)
+    a = rng.standard_normal((4, 5, 5)) + 2 * np.eye(5)
+    if complex_:
+        a = a + 1j * rng.standard_normal((4, 5, 5))
+    a[2, :, -1] = a[2, :, 0]
+    # one singular slice refuses the whole stack
+    with pytest.raises(NumericalError):
+        nk.phase_fixed_qr(a)
+    with pytest.raises(NumericalError):
+        nk.phase_fixed_qr(a[2])
+    # the other slices, as a stack, match their single-matrix factors
+    rest = a[[0, 1, 3]]
+    q, r = nk.phase_fixed_qr(rest)
+    for i in range(3):
+        qi, ri = nk.phase_fixed_qr(rest[i])
+        assert np.max(np.abs(q[i] - qi)) <= 1e-14
+        assert np.max(np.abs(r[i] - ri)) <= 1e-14
+        assert_pinned_factors(rest[i], q[i], r[i])
 
 
 # ---------------------------------------------------------------------------
@@ -195,20 +213,24 @@ def test_orthonormal_basis_is_an_orthonormal_frame_of_the_span(complex_):
 
 
 # ---------------------------------------------------------------------------
-# projector_distance
+# projector distance: frame_distance over orthonormal_basis
+
+
+def projector_distance(l1, l2):
+    return nk.frame_distance(nk.orthonormal_basis(l1), nk.orthonormal_basis(l2))
 
 
 def test_projector_distance_right_action_invariance():
     rng = np.random.default_rng(41)
     l = rng.standard_normal((5, 2))
     g = rng.standard_normal((2, 2)) + 2 * np.eye(2)
-    assert nk.projector_distance(l, l @ g) <= 1e-12
+    assert projector_distance(l, l @ g) <= 1e-12
 
 
 def test_projector_distance_orthogonal_lines():
     e1 = np.array([[1.0], [0.0]])
     e2 = np.array([[0.0], [1.0]])
-    assert nk.projector_distance(e1, e2) == pytest.approx(np.sqrt(2.0), abs=1e-14)
+    assert projector_distance(e1, e2) == pytest.approx(np.sqrt(2.0), abs=1e-14)
 
 
 def test_projector_distance_boost_vs_rotation_line():
@@ -216,7 +238,7 @@ def test_projector_distance_boost_vs_rotation_line():
     # coincide exactly when tan(theta) = -tanh(1)
     l1 = np.array([[1.0], [np.tanh(1.0)]])
     l2 = np.array([[1.0], [-np.tan(THETA_BOOST)]])
-    assert nk.projector_distance(l1, l2) <= 1e-14
+    assert projector_distance(l1, l2) <= 1e-14
 
 
 @settings(max_examples=30, deadline=None)
@@ -224,15 +246,15 @@ def test_projector_distance_boost_vs_rotation_line():
 def test_projector_distance_pseudometric(key):
     rng = np.random.default_rng(key)
     mats = [rng.standard_normal((4, 2)) for _ in range(3)]
-    d01 = nk.projector_distance(mats[0], mats[1])
-    d10 = nk.projector_distance(mats[1], mats[0])
-    d02 = nk.projector_distance(mats[0], mats[2])
-    d12 = nk.projector_distance(mats[1], mats[2])
+    d01 = projector_distance(mats[0], mats[1])
+    d10 = projector_distance(mats[1], mats[0])
+    d02 = projector_distance(mats[0], mats[2])
+    d12 = projector_distance(mats[1], mats[2])
     assert d01 == pytest.approx(d10, abs=1e-12)
     assert d01 <= d02 + d12 + 1e-12
-    assert nk.projector_distance(mats[0], mats[0]) <= 1e-13
+    assert projector_distance(mats[0], mats[0]) <= 1e-13
 
 
 def test_projector_distance_rank_deficient_raises():
     with pytest.raises(DomainError):
-        nk.projector_distance(np.zeros((3, 2)), np.eye(3)[:, :2])
+        projector_distance(np.zeros((3, 2)), np.eye(3)[:, :2])

@@ -6,7 +6,7 @@ import pytest
 from dualspace import numkernel as nk
 from dualspace import verify
 from dualspace.errors import DomainError
-from dualspace.spaces import Family, SubspacePoint, make_space
+from dualspace.spaces import Family, SubspacePoint, TangentVector, make_space
 
 GR23 = make_space(Family.REAL_GRASSMANNIAN, 2, 3)
 
@@ -69,8 +69,8 @@ def test_cut_loci_double_degeneracy_hits_corank_two():
 
     x = np.array([1.0, 1.0])
     t0 = cut_radius_closed(x, GR23.lattice)
-    xu = x / FlatCoordinates(GR23, x).metric_norm()
-    flat = FlatCoordinates(GR23, t0 * xu).tangent(Side.COMPACT)
+    xu = x / np.sqrt(x @ GR23.lattice.gram @ x)
+    flat = TangentVector(GR23, Side.COMPACT, FlatCoordinates(GR23, t0 * xu).matrix(Side.COMPACT))
     top = nk.expm(flat.x)[:2, :2]
     svals = np.linalg.svd(top, compute_uv=False)
     assert np.all(svals <= 1e-10)
@@ -92,16 +92,47 @@ def test_round_trip_report():
 # triangles
 
 
+POLE = np.array([0.0, 0.0, 1.0])
+
+
+def sphere_triangle(sides, rng):
+    """Measured (sides, angles) of the spherical triangle with the given
+    sides: the pole, a point at distance c along x and one at distance b,
+    at the angle the law of cosines gives, moved by a random rotation."""
+    a, b, c = sides
+    angle = np.arccos((np.cos(a) - np.cos(b) * np.cos(c)) / (np.sin(b) * np.sin(c)))
+    verts = (POLE, np.array([np.sin(c), 0.0, np.cos(c)]),
+             np.array([np.sin(b) * np.cos(angle), np.sin(b) * np.sin(angle), np.cos(b)]))
+    rot = verify.random_orthogonal(rng, 3, special=True)
+    return verify._measure_sphere(*(rot @ p for p in verts))
+
+
+def hyperbolic_triangle(sides, rng):
+    """As :func:`sphere_triangle` on the hyperboloid, with boosts instead of
+    rotations and the minus-sign law of cosines, moved by a random isometry."""
+    a, b, c = sides
+    angle = np.arccos((np.cosh(b) * np.cosh(c) - np.cosh(a)) / (np.sinh(b) * np.sinh(c)))
+    verts = (POLE, np.array([np.sinh(c), 0.0, np.cosh(c)]),
+             np.array([np.sinh(b) * np.cos(angle), np.sinh(b) * np.sin(angle), np.cosh(b)]))
+    iso = verify._rot_z(rng.uniform(0, 2 * np.pi)) @ verify._boost_x(rng.uniform(0, 1.0)) \
+        @ verify._rot_z(rng.uniform(0, 2 * np.pi))
+    return verify._measure_hyperbolic(*(iso @ p for p in verts))
+
+
 def test_trig_octant_triangle():
-    r = verify.check_trig_duality((np.pi / 2, np.pi / 2, np.pi / 2), seed=1)
-    assert r.failures == 0
-    assert r.details["spherical"]["sine"] <= 1e-12
-    assert r.details["spherical"]["cosine"] <= 1e-12
+    rng = np.random.default_rng(1)
+    sides = (np.pi / 2, np.pi / 2, np.pi / 2)
+    sm, am = sphere_triangle(sides, rng)
+    np.testing.assert_allclose(am, [np.pi / 2] * 3, atol=1e-12)
+    sine, cosine = verify._law_residuals(sm, am, hyperbolic=False)
+    assert sine <= 1e-12
+    assert cosine <= 1e-12
+    sm, am = hyperbolic_triangle(sides, rng)
+    assert max(verify._law_residuals(sm, am, hyperbolic=True)) <= 1e-8
 
 
 def test_trig_equilateral_hyperbolic_angle():
-    verts = verify._hyperbolic_vertices((1.0, 1.0, 1.0), np.random.default_rng(2))
-    sides, angles = verify._measure_hyperbolic(*verts)
+    sides, angles = hyperbolic_triangle((1.0, 1.0, 1.0), np.random.default_rng(2))
     np.testing.assert_allclose(sides, [1.0, 1.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(angles, [A_EQUILATERAL] * 3, atol=1e-12)
     assert np.cos(angles[0]) == pytest.approx(COS_A_EQUILATERAL, abs=1e-12)
@@ -111,27 +142,45 @@ def test_trig_equilateral_hyperbolic_angle():
 
 def test_trig_right_spherical_triangle_pythagoras():
     # choose sides with cos a = cos b cos c; the measured angle A is then pi/2
+    rng = np.random.default_rng(3)
     b, c = 0.8, 1.1
     a = np.arccos(np.cos(b) * np.cos(c))
-    verts = verify._sphere_vertices((a, b, c), np.random.default_rng(3))
-    _, angles = verify._measure_sphere(*verts)
-    assert angles[0] == pytest.approx(np.pi / 2, abs=1e-12)
-    r = verify.check_trig_duality((a, b, c), seed=3)
-    assert r.failures == 0
+    sm, am = sphere_triangle((a, b, c), rng)
+    assert am[0] == pytest.approx(np.pi / 2, abs=1e-12)
+    assert max(verify._law_residuals(sm, am, hyperbolic=False)) <= 1e-8
+    sm, am = hyperbolic_triangle((a, b, c), rng)
+    assert max(verify._law_residuals(sm, am, hyperbolic=True)) <= 1e-8
 
 
 def test_trig_plus_sign_variant_is_recorded_not_asserted():
-    r = verify.check_trig_duality((1.0, 1.0, 1.0), seed=5)
-    assert r.failures == 0  # the minus-sign law holds
-    plus = r.details["hyperbolic_plus_sign_residual"]
+    rng = np.random.default_rng(5)
+    sm, am = sphere_triangle((1.0, 1.0, 1.0), rng)
+    assert max(verify._law_residuals(sm, am, hyperbolic=False)) <= 1e-8
+    sm, am = hyperbolic_triangle((1.0, 1.0, 1.0), rng)
+    assert max(verify._law_residuals(sm, am, hyperbolic=True)) <= 1e-8  # the minus-sign law holds
+    plus = verify._plus_sign_residual(sm, am)
     # the two variants differ by 2 sinh(b) sinh(c) cos(A)
     expected = 2.0 * np.sinh(1.0) ** 2 * COS_A_EQUILATERAL
     assert plus == pytest.approx(expected, abs=1e-10)
+    r = verify.check_trig_duality_random(samples=5, seed=5)
+    assert r.passed
+    assert r.details["hyperbolic_plus_sign_worst"] > r.tolerance
 
 
-def test_trig_degenerate_triangle_rejected():
-    with pytest.raises(DomainError):
-        verify.check_trig_duality((2.5, 1.0, 1.0), seed=7)  # violates a < b + c
+def test_trig_random_draws_each_spherical_triangle_at_once(monkeypatch):
+    draws = []
+    random_orthogonal = verify.random_orthogonal
+
+    def counted(rng, k, *args, **kwargs):
+        draws.append((k, kwargs.get("size")))
+        return random_orthogonal(rng, k, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "random_orthogonal", counted)
+    r = verify.check_trig_duality_random(samples=20, seed=31)
+    assert r.passed
+    # at least one draw per accepted triangle, and every draw is a stack of three rotations
+    assert len(draws) >= 20
+    assert set(draws) == {(3, 3)}
 
 
 def test_trig_random_batch():
@@ -203,11 +252,7 @@ def test_round_trip_compares_points(monkeypatch):
         calls.append(len(l))
         return orthonormal_basis(l)
 
-    def refuse(*_):
-        raise AssertionError("raw matrices compared")
-
     monkeypatch.setattr(nk, "orthonormal_basis", counted)
-    monkeypatch.setattr(nk, "projector_distance", refuse)
     r = verify.check_round_trip(GR23, samples=5, seed=3)
     assert r.passed
     assert calls == [5, 5]  # one frame per point, two points per sample, one stack per side
