@@ -96,17 +96,18 @@ def h_flat(coords: FlatCoordinates) -> FlatCoordinates:
     return FlatCoordinates(coords.space, -_contract(coords.coords))
 
 
-def b_embed_rank1(t: float) -> float:
+def b_embed_rank1(t):
     """Stereographic embedding of the rank-1 flat, in arc-length units.
 
     Maps the boost parameter t to the angle 2*arctan(tanh(t/2)), with range
     (-pi/2, pi/2): a quarter of the closed geodesic of length 4*pi used by
-    the circle/sphere family.
+    the circle/sphere family.  A float for a scalar t, an array over an
+    array of them.
     """
-    t = float(t)
-    if not np.isfinite(t):
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all(np.isfinite(t)):
         raise DomainError("need a finite flat parameter")
-    return 2.0 * np.arctan(np.tanh(t / 2.0))
+    return nk.per_slice(2.0 * np.arctan(np.tanh(t / 2.0)))
 
 
 def f_flat_rank1(t: float) -> float:

@@ -8,12 +8,17 @@ matrices: leading axes index samples, the last two are the matrix, and a
 stack is checked once, with every slice held to the test a single matrix
 meets.  Every function here is pure: arguments are never mutated, so
 values are safe to share across threads.
+
+The library's own exponentials are of tangent vectors, which are
+Hermitian (noncompact side) or skew-Hermitian (compact side), and
+:func:`exp_tangent` takes them from one ``eigh``.  Only the general
+:func:`expm`, for non-normal input, needs scipy; it loads scipy on its
+first call, so a process that never calls it never imports scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, NumericalError
 
@@ -59,18 +64,46 @@ def per_slice(x):
     return x.item() if x.ndim == 0 else x
 
 
+def _square(x) -> np.ndarray:
+    x = as_matrix(x)
+    if x.shape[-2] != x.shape[-1]:
+        raise DomainError(f"exponential needs a square matrix, got {x.shape}")
+    return x
+
+
 def expm(x) -> np.ndarray:
     """Matrix exponential of a square matrix, or of each slice of a stack.
 
     Backed by scipy's scaling-and-squaring Pade implementation, which meets
     the accuracy budget (relative error well below 1e-12 in spectral norm)
-    for the moderate-norm, mostly normal matrices used throughout this
-    library.
+    for moderate-norm matrices.  scipy is imported on the first call and
+    kept only for general, non-normal input: Hermitian and skew-Hermitian
+    matrices go through :func:`exp_tangent` instead.
     """
-    x = as_matrix(x)
-    if x.shape[-2] != x.shape[-1]:
-        raise DomainError(f"expm needs a square matrix, got {x.shape}")
+    x = _square(x)
+    import scipy.linalg
+
     return scipy.linalg.expm(x)
+
+
+def exp_tangent(x, *, hermitian: bool) -> np.ndarray:
+    """Exponential of a Hermitian (``hermitian=True``) or skew-Hermitian
+    (``hermitian=False``) matrix, or of each slice of a stack, from one
+    ``eigh``.
+
+    The caller names the side; the kernel does not test symmetry, since a
+    computed ``k h k^H`` is Hermitian only to rounding.  ``eigh`` reads the
+    lower triangle.  A skew ``x`` is ``-i`` times the Hermitian ``i x =
+    V diag(lam) V^H``, so ``exp(x) = V diag(exp(-i lam)) V^H``, taken real
+    for real ``x``.
+    """
+    x = _square(x)
+    if hermitian:
+        lam, v = np.linalg.eigh(x)
+        return (v * np.exp(lam)[..., None, :]) @ herm(v)
+    lam, v = np.linalg.eigh(1j * x)
+    out = (v * np.exp(-1j * lam)[..., None, :]) @ herm(v)
+    return out.real if is_real(x) else out
 
 
 def phase_fixed_qr(a: np.ndarray):

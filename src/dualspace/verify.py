@@ -228,10 +228,9 @@ def check_image_region(space, embedding_id: str, samples: int = 500,
         if space.family is not Family.CIRCLE_SPHERE:
             raise DomainError("the stereographic check runs on the circle/sphere family")
         quarter = np.pi / 2.0  # quarter of the cut radius 2*pi in arc length
-        margins = np.empty(samples)
-        for i in range(samples):
-            t = rng.choice([-14.0, 14.0]) if near_boundary[i] else rng.uniform(-20.0, 20.0)
-            margins[i] = quarter - abs(b_embed_rank1(t))
+        t = np.where(near_boundary, rng.choice([-14.0, 14.0], samples),
+                     rng.uniform(-20.0, 20.0, samples))
+        margins = quarter - np.abs(b_embed_rank1(t))
         worst = _worst_index(margins, largest=False)
         return PropertyReport("image-region-b/" + space.label(), samples,
                               int(np.count_nonzero(~(margins > 0.0))), float(margins[worst]),
@@ -271,7 +270,7 @@ def check_cut_loci_grassmannian(space, samples: int = 100,
     t0 = cut_radius_closed(xl, space.lattice)
     flat = FlatCoordinates(space, xl).matrix(Side.COMPACT)
     times = np.stack([t0, t0 - 0.01])[..., None, None]
-    frames = nk.expm(times * flat)[..., : space.n]
+    frames = nk.exp_tangent(times * flat, hermitian=False)[..., : space.n]
     deficient, full = np.linalg.svd(frames[..., : space.n, :], compute_uv=False)[..., -1]
     failures = np.count_nonzero(~(deficient <= 1e-10)) + np.count_nonzero(~(full >= 1e-3))
     worst = _worst_index(deficient)
@@ -299,7 +298,7 @@ def check_round_trip(space, samples: int = 500, seed: int = DEFAULT_SEED,
         rep[:, : space.n] = np.eye(space.n)
         rep[:, space.n :] = random_slope(space, rng, size=size)
         pt = _built(SubspacePoint, space=space, rep=rep, orientation=None)
-        back = nk.expm(log_noncompact(space, pt).x)[..., : space.n]
+        back = nk.exp_tangent(log_noncompact(space, pt).x, hermitian=True)[..., : space.n]
         return _built(SubspacePoint, space=space, rep=back, orientation=None).distance(pt)
     return _sampled("round-trip/" + space.label(), samples, seed, tol, residuals)
 

@@ -1,10 +1,9 @@
 """A stack of inputs through the stacked kernels equals its slices one by one,
 the checks of a single input hold for every slice of a stack, and a sampled
-check makes as many SVD, QR and exp calls for 64 samples as for 2."""
+check makes as many SVD, QR and eigh calls for 64 samples as for 2."""
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from dualspace import numkernel as nk
 from dualspace import verify
@@ -118,11 +117,12 @@ def test_one_slice_at_the_boundary_fails_the_logs_and_f(space):
 
 
 class CallCounter:
-    """Counts calls of np.linalg.svd, np.linalg.qr and scipy.linalg.expm."""
+    """Counts calls of np.linalg.svd, np.linalg.qr and np.linalg.eigh, the
+    kernel behind the exponentials of the round trip and the cut loci."""
 
     def __init__(self, monkeypatch):
         self.calls = {}
-        for owner, name in ((np.linalg, "svd"), (np.linalg, "qr"), (scipy.linalg, "expm")):
+        for owner, name in ((np.linalg, "svd"), (np.linalg, "qr"), (np.linalg, "eigh")):
             monkeypatch.setattr(owner, name, self._counted(name, getattr(owner, name)))
 
     def _counted(self, name, fn):
@@ -153,6 +153,14 @@ def test_sampled_checks_make_as_many_kernel_calls_for_any_batch(monkeypatch, spa
     few = counter.run(check, space, *extra, samples=2, seed=5)
     many = counter.run(check, space, *extra, samples=64, seed=5)
     assert few and few == many
+
+
+def test_cut_loci_makes_as_many_kernel_calls_for_any_batch(monkeypatch):
+    counter = CallCounter(monkeypatch)
+    space = make_space(Family.REAL_GRASSMANNIAN, 2, 3)
+    few = counter.run(verify.check_cut_loci_grassmannian, space, samples=2, seed=5)
+    many = counter.run(verify.check_cut_loci_grassmannian, space, samples=64, seed=5)
+    assert few.get("eigh") and few == many
 
 
 def test_every_sampled_report_names_its_worst_sample():

@@ -491,3 +491,31 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
                                capture_output=True, text=True, timeout=120)
         assert fresh.returncode == 0, fresh.stderr
         assert out == fresh.stdout
+
+
+def test_cold_calls_never_import_scipy(tmp_path):
+    # a fresh process: the test session itself has scipy loaded through nk.expm
+    slope = tmp_path / "y.json"
+    slope.write_text(json.dumps([[0.3], [-0.2]]))
+    calls = [
+        ["embed", "gr-real", "1", "2", "--method", "all", "--input", str(slope)],
+        ["cut-radius", "su3", "--direction", "1,0.3"],
+        ["lattice-info", "su3"],
+        ["cutlocus-grid", "gr-real", "2", "2"],
+        ["verify", "--samples", "2"],
+    ]
+    script = f"""
+import sys
+import numpy as np
+from dualspace import cli, numkernel as nk
+for argv in {calls!r}:
+    assert cli.main(argv) == 0, argv
+assert "scipy" not in sys.modules, "a command imported scipy"
+assert (nk.expm(np.array([[0.0, 1.0], [0.0, 0.0]])) == [[1.0, 1.0], [0.0, 1.0]]).all()
+"""
+    env = dict(os.environ)
+    src = str(Path(dualspace.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -135,6 +135,14 @@ def test_b_embed_rejects_nonfinite():
         b_embed_rank1(np.inf)
 
 
+def test_b_embed_takes_an_array():
+    ts = np.array([-20.0, -1.0, 0.0, 1.0, 14.0])
+    assert type(b_embed_rank1(1.0)) is float
+    np.testing.assert_array_equal(b_embed_rank1(ts), [b_embed_rank1(t) for t in ts])
+    with pytest.raises(DomainError):
+        b_embed_rank1(np.array([0.0, np.nan]))
+
+
 def test_sphere_matrix_pipeline_matches_flat_profile():
     # metric scale 2 on the sphere: rapidity t/2 sits at metric distance t;
     # the circle case (trivial isotropy) exercises the signed-coefficient path

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualspace import numkernel as nk
+from dualspace.embeddings import log_noncompact
 from dualspace.errors import DomainError, NumericalError
-from dualspace.spaces import Family, make_space
-from dualspace.verify import random_coset
+from dualspace.spaces import Family, FlatCoordinates, Side, SubspacePoint, make_space
+from dualspace.verify import catalog_spaces, random_coset, random_slope, random_unit_flat
 
 # angle of the rotation produced by orthonormalizing the unit boost:
 # tan(theta) = -tanh(1), evaluated independently of the kernel under test
@@ -78,6 +79,56 @@ def test_expm_rejects_bad_input():
         nk.expm(np.ones((2, 3)))
     with pytest.raises(DomainError):
         nk.expm(np.array([[0.0, np.nan], [0.0, 0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# exp_tangent
+
+TANGENT_SPACES = catalog_spaces() + [make_space(Family.REAL_GRASSMANNIAN, 16, 48)]
+
+
+@pytest.mark.parametrize("space", TANGENT_SPACES, ids=lambda sp: sp.label())
+def test_exp_tangent_matches_expm_on_both_sides(space):
+    rng = np.random.default_rng(83)
+    n, size = space.n, 200
+    top = np.broadcast_to(np.eye(n, dtype=space.dtype), (size, n, n))
+    point = SubspacePoint(space, np.concatenate([top, random_slope(space, rng, size=size)], -2))
+    # noncompact tangents: Hermitian only to rounding, as the round trip makes them
+    x = log_noncompact(space, point).x
+    got, ref = nk.exp_tangent(x, hermitian=True), nk.expm(x)
+    rel = np.linalg.norm(got - ref, 2, axis=(-2, -1)) / np.linalg.norm(ref, 2, axis=(-2, -1))
+    assert got.dtype == space.dtype
+    assert np.max(rel) <= 1e-13
+    # compact flats, skew-Hermitian, at |t| <= 2 along unit directions
+    t = rng.uniform(-2.0, 2.0, size)[:, None, None]
+    flat = t * FlatCoordinates(space, random_unit_flat(space, rng, size)).matrix(Side.COMPACT)
+    got = nk.exp_tangent(flat, hermitian=False)
+    assert got.dtype == space.dtype
+    assert np.max(np.abs(got - nk.expm(flat))) <= 1e-13
+    for i in (0, 101, 199):
+        np.testing.assert_allclose(got[i], nk.exp_tangent(flat[i], hermitian=False),
+                                   rtol=0.0, atol=1e-14)
+
+
+def test_exp_tangent_closed_forms():
+    t = np.pi / 3
+    x = t * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    got = nk.exp_tangent(x, hermitian=False)
+    assert got.dtype == np.float64
+    np.testing.assert_allclose(got, rotation(t), atol=1e-14)
+    np.testing.assert_allclose(nk.exp_tangent(x @ x.T / t**2, hermitian=True),
+                               np.e * np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(nk.exp_tangent([[0.0, 1.0], [1.0, 0.0]], hermitian=True),
+                               boost(1.0), atol=1e-14)
+    np.testing.assert_allclose(nk.exp_tangent(1j * t * np.eye(2), hermitian=False),
+                               np.exp(1j * t) * np.eye(2), atol=1e-14)
+
+
+def test_exp_tangent_rejects_bad_input():
+    with pytest.raises(DomainError):
+        nk.exp_tangent(np.ones((2, 3)), hermitian=True)
+    with pytest.raises(DomainError):
+        nk.exp_tangent(np.array([[0.0, np.inf], [-np.inf, 0.0]]), hermitian=False)
 
 
 # ---------------------------------------------------------------------------
