@@ -135,7 +135,21 @@ def envelope(space_label: str, method: str, result, residuals=None, seed=None) -
 
 
 def _from_json_entries(data):
-    """Array-of-arrays with scalars or [re, im] pairs as entries."""
+    """Array-of-arrays with scalars or [re, im] pairs as entries.
+
+    Numeric input, a matrix of numbers or of [re, im] pairs only, converts
+    with one ``np.array`` call; anything else (null, strings, booleans
+    alone, mixed or ragged rows) is read entry by entry as before.
+    """
+    try:
+        arr = np.array(data)
+    except (ValueError, TypeError, OverflowError):  # ragged, or not numbers
+        arr = None
+    if arr is not None and arr.dtype.kind in "fi":
+        if arr.ndim == 2:
+            return arr.astype(np.float64)
+        if arr.ndim == 3 and arr.shape[-1] == 2:
+            return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
     rows = []
     complex_seen = False
     for row in data:
@@ -157,14 +171,18 @@ def _from_json_entries(data):
 
 def read_matrix(path: str) -> np.ndarray:
     """Matrix from a JSON or CSV file ('-' reads stdin)."""
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path) as fh:
+            text = fh.read()
     text = text.strip()
     if not text:
         raise UsageError("empty matrix input")
     if text[0] in "[{":
         try:
             return _from_json_entries(json.loads(text))
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"cannot parse JSON matrix: {exc}") from exc
     try:
         rows = [[float(v) for v in line.replace(",", " ").split()]

@@ -21,6 +21,12 @@ map then embeds the whole stack at once and returns a stack of points,
 with each check (form, rank, boundary) run once over the stack.  One
 coset is a stack with no leading axes, so it runs the same code.
 
+Each frame and slope of a coset is computed once and kept on the
+immutable object that owns it: a coset keeps its point, shared by p and
+f, and a point keeps the slope block read off its frame and that slope's
+SVD, shared by the logs, f and ``space_like``.  The g and f images keep
+the frames they are built with, orthonormal by construction.
+
 The sign convention of the flat contraction is chosen so that p, g and f
 produce literally the same subspaces: a boost of rapidity t along a flat
 direction lands at the rotation angle theta with tan(theta) = -tanh(t).
@@ -68,8 +74,24 @@ class GroupElement:
             raise DomainError("matrix does not preserve the defining form of this side")
 
     def point(self) -> SubspacePoint:
-        return _built(SubspacePoint, space=self.space, rep=self.a[..., : self.space.n],
-                      orientation=None)
+        """The image of the base point, built once and shared by every reader."""
+        return _kept(self, "_point", lambda: _built(
+            SubspacePoint, space=self.space, rep=self.a[..., : self.space.n], orientation=None))
+
+
+def _kept(obj, name: str, compute):
+    """``compute()``, stored on the immutable ``obj`` under ``name`` on first
+    use and read back after, read-only: a frame or slope of a coset is
+    computed once for every map and check that reads it.  An exception is
+    not stored, so a refused point raises again on the next read."""
+    kept = obj.__dict__
+    if name not in kept:
+        value = compute()
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        kept[name] = value
+    return kept[name]
 
 
 def _contract(x):
@@ -125,12 +147,12 @@ def f_flat_rank1(t: float) -> float:
 
 def space_like(space: SpaceDescriptor, point: SubspacePoint):
     """Whether the form is positive definite on the subspace: every slope
-    singular value below 1, no tolerance, from the slope SVD the logs and f
-    read, so their verdicts agree on every point.  Per slice of a stack;
+    singular value below 1, no tolerance, from the very slope SVD the logs
+    and f read, so their verdicts agree on every point.  Per slice of a stack;
     a stack holding a point that is not a graph over the base point is
     space-like nowhere."""
     try:
-        _, sig, _ = slope_svd(space, _slope_block(space, point))
+        _, sig, _ = _slope_factors(space, point)
     except DomainError:
         return nk.per_slice(np.zeros(point.rep.shape[:-2], dtype=bool))
     return nk.per_slice(np.abs(sig).max(axis=-1) < 1.0)
@@ -159,11 +181,14 @@ def g_embed(space: SpaceDescriptor, g: GroupElement) -> GroupElement:
 
 
 def embed(space: SpaceDescriptor, which: str, g: GroupElement) -> SubspacePoint:
-    """Image subspace of a noncompact coset under embedding ``which``: "p", "g" or "f"."""
+    """Image subspace of a noncompact coset under embedding ``which``: "p",
+    "g" or "f".  The g image keeps the first n columns of the unitary
+    factor as its frame, orthonormal by construction."""
     if which == "p":
         return p_embed(space, g)
     if which == "g":
-        return g_embed(space, g).point()
+        frame = g_embed(space, g).a[..., : space.n]
+        return _built(SubspacePoint, space=space, rep=frame, orientation=None, basis=frame)
     if which == "f":
         return f_embed(space, g)
     raise DomainError(f"unknown embedding id {which!r}")
@@ -172,12 +197,21 @@ def embed(space: SpaceDescriptor, which: str, g: GroupElement) -> SubspacePoint:
 def _slope_block(space: SpaceDescriptor, point: SubspacePoint) -> np.ndarray:
     """Slope Y with span([I; Y]) = span(point), read off the stored frame,
     whose top block has singular values >= 1/sqrt(2) if space-like; per
-    slice of a stack, DomainError if any slice is not a graph."""
-    n = space.n
-    top = point.basis[..., :n, :]
-    if (np.linalg.svd(top, compute_uv=False)[..., -1] <= 1e-13).any():
-        raise DomainError("subspace is not a graph over the base point")
-    return point.basis[..., n:, :] @ np.linalg.inv(top)
+    slice of a stack, DomainError if any slice is not a graph.  Read once
+    per point."""
+    def read():
+        n = space.n
+        top = point.basis[..., :n, :]
+        if (np.linalg.svd(top, compute_uv=False)[..., -1] <= 1e-13).any():
+            raise DomainError("subspace is not a graph over the base point")
+        return point.basis[..., n:, :] @ np.linalg.inv(top)
+    return _kept(point, "_slope", read)
+
+
+def _slope_factors(space: SpaceDescriptor, point: SubspacePoint):
+    """:func:`slope_svd` of the point's slope, taken once per point and read
+    by the noncompact log, f and :func:`space_like` alike."""
+    return _kept(point, "_slope_svd", lambda: slope_svd(space, _slope_block(space, point)))
 
 
 def _checked_slope_svd(space: SpaceDescriptor, point: SubspacePoint):
@@ -188,7 +222,7 @@ def _checked_slope_svd(space: SpaceDescriptor, point: SubspacePoint):
     rejected rather than clamped, since artanh would amplify roundoff past
     any useful accuracy there.  A stack is refused if any slice is.
     """
-    w, sig, z = slope_svd(space, _slope_block(space, point))
+    w, sig, z = _slope_factors(space, point)
     top = float(np.max(np.abs(sig)))
     if top >= 1.0:
         raise DomainError("point is not space-like")
@@ -271,10 +305,11 @@ def f_embed(space: SpaceDescriptor, x) -> SubspacePoint:
     so with the slope SVD ``Y = w S z^H`` and the contracted angles Theta
     the image is spanned by ``[z cos(Theta) z^H ; -w[:, :n] sin(Theta) z^H]``,
     the first n columns of the compact exponential, with no exponential
-    taken.  The image always lies strictly inside half of the cut radius.
-    A slope singular value >= 1 - 1e-13 raises NumericalError; >= 1 raises
-    DomainError on a SubspacePoint, but is roundoff on a GroupElement,
-    whose point is space-like, so NumericalError there too.
+    taken; that frame is orthonormal by construction and is kept as the
+    image's frame.  The image always lies strictly inside half of the cut
+    radius.  A slope singular value >= 1 - 1e-13 raises NumericalError;
+    >= 1 raises DomainError on a SubspacePoint, but is roundoff on a
+    GroupElement, whose point is space-like, so NumericalError there too.
     """
     if isinstance(x, GroupElement):
         if x.side is not Side.NONCOMPACT:
@@ -292,5 +327,5 @@ def f_embed(space: SpaceDescriptor, x) -> SubspacePoint:
     zh = nk.herm(z)
     rep = np.concatenate(((z * np.cos(theta)) @ zh, -(w[..., :, : space.n] * np.sin(theta)) @ zh),
                          axis=-2)
-    return _built(SubspacePoint, space=space, rep=rep, orientation=None)
+    return _built(SubspacePoint, space=space, rep=rep, orientation=None, basis=rep)
 

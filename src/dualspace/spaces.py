@@ -174,9 +174,11 @@ class SubspacePoint:
     or a stack of points as a stack of frames.
 
     The orthonormal frame ``basis`` of the span is computed once, at
-    construction, and every comparison reads it.  Two points are equal
-    when their column spans coincide, and, for the oriented families, when
-    the orientation signs agree as well.  A stack shares one orientation.
+    construction, and every comparison reads it; a frame the library built
+    orthonormal by construction is passed in as ``basis`` and kept without
+    an SVD.  Two points are equal when their column spans coincide, and,
+    for the oriented families, when the orientation signs agree as well.  A
+    stack shares one orientation.
     """
 
     space: SpaceDescriptor
@@ -191,7 +193,8 @@ class SubspacePoint:
     def _check(self):
         if self.rep.shape[-2:] != (self.space.dim, self.space.n):
             raise DomainError(f"representative must be {self.space.dim} x {self.space.n}")
-        object.__setattr__(self, "basis", nk.orthonormal_basis(self.rep))
+        if "basis" not in vars(self):
+            object.__setattr__(self, "basis", nk.orthonormal_basis(self.rep))
         if self.space.oriented and self.orientation is None:
             object.__setattr__(self, "orientation", 1)
 

@@ -1,10 +1,12 @@
 """A stack of inputs through the stacked kernels equals its slices one by one,
-the checks of a single input hold for every slice of a stack, and a sampled
-check makes as many SVD, QR and eigh calls for 64 samples as for 2."""
+the checks of a single input hold for every slice of a stack, a sampled
+check makes as many SVD, QR and eigh calls for 64 samples as for 2, and one
+`embed --method all` call reads each frame and slope once."""
 
 import numpy as np
 import pytest
 
+from dualspace import cli
 from dualspace import numkernel as nk
 from dualspace import verify
 from dualspace.embeddings import GroupElement, embed, f_embed, log_compact, log_noncompact
@@ -117,13 +119,14 @@ def test_one_slice_at_the_boundary_fails_the_logs_and_f(space):
 
 
 class CallCounter:
-    """Counts calls of np.linalg.svd, np.linalg.qr and np.linalg.eigh, the
-    kernel behind the exponentials of the round trip and the cut loci."""
+    """Counts calls of np.linalg.svd, np.linalg.qr, np.linalg.inv and
+    np.linalg.eigh, the kernel behind the exponentials of the round trip and
+    the cut loci."""
 
     def __init__(self, monkeypatch):
         self.calls = {}
-        for owner, name in ((np.linalg, "svd"), (np.linalg, "qr"), (np.linalg, "eigh")):
-            monkeypatch.setattr(owner, name, self._counted(name, getattr(owner, name)))
+        for name in ("svd", "qr", "inv", "eigh"):
+            monkeypatch.setattr(np.linalg, name, self._counted(name, getattr(np.linalg, name)))
 
     def _counted(self, name, fn):
         def counted(*args, **kwargs):
@@ -166,3 +169,31 @@ def test_cut_loci_makes_as_many_kernel_calls_for_any_batch(monkeypatch):
 def test_every_sampled_report_names_its_worst_sample():
     for r in verify.run_suite(samples=6, seed=79):
         assert 0 <= r.details["worst_index"] < r.samples, r.property_name
+
+
+def test_embed_all_reads_each_frame_and_slope_once(monkeypatch, tmp_path, capsys):
+    # the slope's boost, p's frame, the graph check of the slope read and
+    # the noncompact and compact slope SVDs; g and f keep their frames as built
+    slope = tmp_path / "y.json"
+    slope.write_text("[[0.3, -0.1], [0.2, 0.4], [-0.5, 0.1]]")
+    counter = CallCounter(monkeypatch)
+    argv = ["embed", "gr-real", "2", "3", "--method", "all", "--input", str(slope)]
+    assert counter.run(cli.main, argv) == {"svd": 5, "qr": 1, "inv": 1}
+    assert capsys.readouterr().out
+
+
+FRAME_SPACES = verify.catalog_spaces() + [make_space(Family.REAL_GRASSMANNIAN, 16, 48),
+                                          make_space(Family.REAL_GRASSMANNIAN, 32, 32),
+                                          make_space(Family.COMPLEX_GRASSMANNIAN, 16, 16)]
+
+
+@pytest.mark.parametrize("space", FRAME_SPACES, ids=lambda sp: sp.label())
+def test_frames_kept_without_an_svd_are_orthonormal(monkeypatch, space):
+    g = verify.random_coset(space, np.random.default_rng(83), size=64)
+    g.point()  # p's frame, which f reads its slope off
+    counter = CallCounter(monkeypatch)
+    for which, svds in (("g", 0), ("f", 2)):  # f: the slope's graph check and its SVD
+        counter.calls = {}
+        frame = embed(space, which, g).basis
+        assert counter.calls.get("svd", 0) == svds, which
+        assert np.abs(nk.herm(frame) @ frame - np.eye(space.n)).max() <= 1e-14, which

@@ -209,6 +209,28 @@ def test_embed_bad_shape_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text,code", [
+    ("[[1" + "0" * 400 + "]]", 2),               # too large for a float
+    ("[[[1" + "0" * 400 + ", 0]]]", 2),          # the same as a [re, im] pair
+    ("[[null]]", 2),
+    ("[[0.5, null]]", 2),
+    ('[["0.5"]]', 0),                             # read entry by entry, as ever
+    ("[[true]]", 3),                              # 1.0: a slope of norm 1
+    ("[[0.5], [[0.1, 0.2]]]", 2),                # ragged: a 2 x 1 slope, wrong shape
+    ("[[[0.5, 1, 2]]]", 2),
+    ("[[NaN]]", 3),
+], ids=["huge-int", "huge-int-pair", "null", "mixed-null", "string", "bool", "ragged",
+        "triple", "nan"])
+def test_embed_json_entries_exit_codes(tmp_path, capsys, text, code):
+    f = tmp_path / "y.json"
+    f.write_text(text)
+    got, _, err = run_cli(capsys, "embed", "gr-complex", "1", "1",
+                          "--method", "p", "--input", str(f))
+    assert got == code, err
+    if "0" * 400 in text:
+        assert "cannot parse JSON matrix" in err
+
+
 def test_embed_non_spacelike_is_domain_error(tmp_path, capsys):
     f = tmp_path / "y.json"
     f.write_text(json.dumps([[1.5]]))
@@ -473,14 +495,21 @@ def test_seed_env_override(capsys, monkeypatch):
     assert payload["seed"] == 42
 
 
-def test_repeated_main_calls_match_fresh_processes(capsys):
-    # the parser is built once per process: defaults must not leak between calls
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process and a coset keeps the frames and
+    # slopes read off it: neither may leak between calls
+    slope, other = tmp_path / "y.json", tmp_path / "y2.json"
+    slope.write_text(json.dumps([[0.3, -0.1], [0.2, 0.4], [-0.5, 0.1]]))
+    other.write_text(json.dumps([[-0.2, 0.1], [0.4, 0.3], [0.1, -0.6]]))
     calls = [
         ("cut-radius", "gr-real", "2", "2", "--direction", "1,1", "--method", "brute"),
         ("cut-radius", "gr-real", "2", "2", "--direction", "1,1"),
         ("lattice-info", "su3"),
         ("cutlocus-grid", "gr-real", "2", "2", "--samples", "4", "--format", "json"),
         ("cutlocus-grid", "gr-real", "2", "2", "--samples", "3"),
+        ("embed", "gr-real", "2", "3", "--method", "all", "--input", str(slope)),
+        ("embed", "gr-real", "2", "3", "--method", "p", "--input", str(slope)),
+        ("embed", "gr-real", "2", "3", "--method", "all", "--input", str(other)),
     ]
     env = dict(os.environ)
     src = str(Path(dualspace.__file__).resolve().parents[1])

@@ -176,6 +176,32 @@ def test_space_like_boundary_along_flat():
         assert space_like(GR22, SubspacePoint(GR22, rep)) is expected
 
 
+@pytest.mark.parametrize("space", catalog_spaces(), ids=lambda sp: sp.label())
+def test_space_like_of_a_point_equals_that_of_a_fresh_copy(space):
+    # f keeps its slope SVD on the coset's point; the verdicts read off the
+    # kept slopes equal those of points that read their slopes anew
+    sigma = np.array([0.0, 0.5, 0.95, 1.0 - 1e-6])
+    g = random_coset(space, np.random.default_rng(89), sigma_max=sigma, size=len(sigma))
+    for which in ("f", "p", "g"):
+        pt = embed(space, which, g)
+        first = space_like(space, pt)
+        point_flat_coords(space, pt, Side.COMPACT)
+        fresh = SubspacePoint(space, pt.rep)
+        assert np.array_equal(space_like(space, pt), space_like(space, fresh)), which
+        assert np.array_equal(space_like(space, pt), first), which
+
+
+def test_a_refused_slope_read_is_kept_for_space_like():
+    # the boundary boost: f refuses the slope 1 it reads, p reports it
+    g = boost_coset(GR11, 20.0)
+    with pytest.raises(NumericalError):
+        f_embed(GR11, g)
+    fresh = SubspacePoint(GR11, g.point().rep)
+    assert space_like(GR11, g.point()) is space_like(GR11, fresh) is False
+    timelike = SubspacePoint(GR11, np.array([[0.0], [1.0]]))
+    assert space_like(GR11, timelike) is space_like(GR11, timelike) is False
+
+
 def test_space_like_flips_at_unit_slope():
     # the top singular value of the slope crosses 1 between the two cases
     rng = np.random.default_rng(31)
