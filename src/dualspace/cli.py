@@ -138,8 +138,9 @@ def _from_json_entries(data):
     """Array-of-arrays with scalars or [re, im] pairs as entries.
 
     Numeric input, a matrix of numbers or of [re, im] pairs only, converts
-    with one ``np.array`` call; anything else (null, strings, booleans
-    alone, mixed or ragged rows) is read entry by entry as before.
+    with one ``np.array`` call; anything else (null, mixed or ragged rows)
+    is read entry by entry.  :func:`read_matrix` refuses strings and
+    booleans before the JSON is parsed.
     """
     try:
         arr = np.array(data)
@@ -180,6 +181,11 @@ def read_matrix(path: str) -> np.ndarray:
     if not text:
         raise UsageError("empty matrix input")
     if text[0] in "[{":
+        # numbers, null, NaN and Infinity spell no 'r' or 's': those come
+        # from true and false, as '"' comes from a string
+        if '"' in text or "r" in text or "s" in text:
+            raise UsageError("cannot parse JSON matrix: entries must be numbers or "
+                             "[re, im] pairs, not strings or booleans")
         try:
             return _from_json_entries(json.loads(text))
         except (json.JSONDecodeError, TypeError, ValueError, OverflowError) as exc:

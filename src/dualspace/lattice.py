@@ -31,12 +31,16 @@ class LatticeBasis:
     """Generators of a full-rank lattice in an inner-product space.
 
     ``generators`` holds one generator per column, expressed in orthonormal
-    coordinates of the flat; ``gram``, the matrix of pairwise inner
-    products, is computed from them.
+    coordinates of the flat.  Computed from them once: ``gram``, the matrix
+    of pairwise inner products, its smallest eigenvalue ``eigmin``, and
+    ``orthonormal``, whether the generators are orthogonal and of equal
+    length (to 1e-10 relative; see :func:`is_orthonormal`).
     """
 
     generators: np.ndarray
     gram: np.ndarray = field(init=False)
+    eigmin: float = field(init=False)
+    orthonormal: bool = field(init=False)
 
     def __post_init__(self):
         gens = np.array(self.generators, dtype=np.float64)
@@ -48,7 +52,11 @@ class LatticeBasis:
         eigs = np.linalg.eigvalsh(gram)
         if eigs[0] <= 0.0:
             raise DomainError("lattice Gram matrix must be positive definite")
+        alpha2 = float(np.mean(np.diag(gram)))
         object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "eigmin", float(eigs[0]))
+        object.__setattr__(self, "orthonormal", bool(
+            np.max(np.abs(gram - alpha2 * np.eye(len(gram)))) <= 1e-10 * alpha2))
 
     @property
     def rank(self) -> int:
@@ -87,16 +95,15 @@ def _coords_array(coords, basis, stack: bool = False):
     return x, basis
 
 
-def is_orthonormal(basis: LatticeBasis, tol: float = 1e-10) -> bool:
-    """Whether the given generators are orthogonal and of equal length.
+def is_orthonormal(basis: LatticeBasis) -> bool:
+    """Whether the given generators are orthogonal and of equal length: the
+    verdict ``basis.orthonormal`` computed with the basis.
 
     The test applies to the generators as given; recognizing a lattice that
     only becomes orthonormal after a change of Z-basis would need a
     reduction step and is out of scope.
     """
-    gram = basis.gram
-    alpha2 = float(np.mean(np.diag(gram)))
-    return bool(np.max(np.abs(gram - alpha2 * np.eye(basis.rank))) <= tol * alpha2)
+    return basis.orthonormal
 
 
 def _norm2(x, gram):
@@ -172,7 +179,7 @@ def cut_radius_brute(coords, basis: LatticeBasis = None) -> CutRadiusResult:
     if float(np.max(np.abs(c))) < 1e-14:
         raise DomainError("direction is orthogonal to the whole lattice (infinite cut radius)")
 
-    eigmin = float(np.linalg.eigvalsh(gram)[0])
+    eigmin = basis.eigmin
     best = np.inf
     best_m = None
     s = 1
@@ -196,19 +203,22 @@ def cut_radius_brute(coords, basis: LatticeBasis = None) -> CutRadiusResult:
 def cut_radius(coords, basis: LatticeBasis = None) -> CutRadiusResult:
     """Cut radius by the closed form when available, brute force otherwise."""
     x, basis = _coords_array(coords, basis)
-    return _cut_radii(x[None], basis)[0]
+    radius, minimizer = _cut_radii(x[None], basis)
+    return CutRadiusResult(radius=float(radius[0]), minimizer=tuple(minimizer[0].tolist()),
+                           used_closed_form=basis.orthonormal)
 
 
-def _cut_radii(x, basis: LatticeBasis) -> list:
-    """One result per row of a stack of directions: every row from one
-    vectorised closed form on an orthonormal lattice, each row by the
-    brute-force search otherwise.  The one place that chooses."""
-    if not is_orthonormal(basis):
-        return [cut_radius_brute(row, basis) for row in x]
+def _cut_radii(x, basis: LatticeBasis):
+    """Radii of a stack of directions, one per row, and the integer
+    coefficients of the lattice vectors attaining them, one row each: every
+    row from one vectorised closed form on an orthonormal lattice, each row
+    by the brute-force search otherwise.  The one place that chooses."""
+    if not basis.orthonormal:
+        found = [cut_radius_brute(row, basis) for row in x]
+        return (np.array([res.radius for res in found]),
+                np.array([res.minimizer for res in found], dtype=np.int64))
     radius, i0 = _closed_form(x, basis)
-    return [CutRadiusResult(radius=float(r), used_closed_form=True,
-                            minimizer=tuple(-1 if i == k else 0 for i in range(basis.rank)))
-            for r, k in zip(radius, i0)]
+    return radius, -np.equal.outer(i0, np.arange(basis.rank)).astype(np.int64)
 
 
 def region_fraction(coords, basis: LatticeBasis = None):
@@ -220,7 +230,7 @@ def region_fraction(coords, basis: LatticeBasis = None):
     hit = nrm > 0.0
     frac = np.zeros(nrm.shape)
     if hit.any():
-        frac[hit] = nrm[hit] / [res.radius for res in _cut_radii(x[hit], basis)]
+        frac[hit] = nrm[hit] / _cut_radii(x[hit], basis)[0]
     return nk.per_slice(frac)
 
 

@@ -383,22 +383,28 @@ def transitivity_element(space: SpaceDescriptor, y) -> np.ndarray:
 
 def _boost(space: SpaceDescriptor, y: np.ndarray) -> np.ndarray:
     """:func:`transitivity_element` of a slope, or a stack of slopes, of the
-    family dtype, from one stacked :func:`slope_svd`.
-
-    From ``Y = w diag(s) z^H`` and ``ch = 1/sqrt((1 - s)(1 + s))``, A is
-    ``k exp(sum_i artanh(s_i) B_i) k^-1`` in closed form; A^H J A = J,
-    det A = 1, and A[:, :n] spans [I; Y].  DomainError if any slope has a
-    singular value >= 1.
-    """
+    family dtype: one stacked :func:`slope_svd`, then :func:`_boost_factors`."""
     w, s, z = slope_svd(space, y)
+    return _boost_factors(space, w[..., :, : space.n], s, z)
+
+
+def _boost_factors(space: SpaceDescriptor, wn: np.ndarray, s: np.ndarray,
+                   z: np.ndarray) -> np.ndarray:
+    """The boost of the slope ``Y = wn diag(s) z^H``, or of a stack, from its
+    factors: ``diag(z, w)`` an isotropy element and ``wn`` the first n
+    columns of ``w``.
+
+    With ``ch = 1/sqrt((1 - s)(1 + s))``, A is ``k exp(sum_i artanh(s_i)
+    B_i) k^-1`` in closed form; A^H J A = J, det A = 1, and A[:, :n] spans
+    [I; Y].  DomainError if any |s_i| >= 1.
+    """
     if not np.abs(s).max() < 1.0:
         raise DomainError("slope has a singular value >= 1: input is not space-like")
     n = space.n
-    wn = w[..., :, :n]
     ch = 1.0 / np.sqrt((1.0 - s) * (1.0 + s))
     sch = (s * ch)[..., None, :]
     zh, wnh = nk.herm(z), nk.herm(wn)
-    a = np.empty(y.shape[:-2] + (space.dim, space.dim), dtype=space.dtype)
+    a = np.empty(s.shape[:-1] + (space.dim, space.dim), dtype=space.dtype)
     a[..., :n, :n] = (z * ch[..., None, :]) @ zh
     a[..., :n, n:] = (z * sch) @ wnh
     a[..., n:, :n] = (wn * sch) @ zh

@@ -31,7 +31,7 @@ from .embeddings import (
     point_flat_coords,
     space_like,
 )
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .lattice import cut_radius_brute, cut_radius_closed, in_half_region
 from .spaces import (
     CATALOG,
@@ -40,7 +40,7 @@ from .spaces import (
     Side,
     SpaceDescriptor,
     SubspacePoint,
-    _boost,
+    _boost_factors,
     _built,
     act,
     make_space,
@@ -89,10 +89,19 @@ def random_orthogonal(rng, k, complex_: bool = False, special: bool = False,
     stack of ``size`` of them.  With ``special`` the last column of each
     block is divided by the block's determinant.
 
-    One phase-fixed QR of a Gaussian matrix draws the whole stack.  For
-    block-diagonal Gaussian input each Householder reflection stays inside
-    its column's block, so the factor is the block diagonal of the blocks'
-    own factors.
+    The draw is the polar factor ``U V^H`` of a Gaussian matrix ``G = U S
+    V^H``, from one SVD of the whole stack.  It is Haar because ``polar(QG)
+    = Q polar(G)`` and ``QG`` has the law of ``G`` for every fixed
+    orthogonal/unitary ``Q``, over the reals and the complex numbers alike.
+    The polar factor of a block-diagonal ``G`` is the block diagonal of
+    the blocks' own factors; the blocks off the diagonal, zero up to
+    rounding, are set to exactly zero.
+
+    Raises
+    ------
+    NumericalError
+        If a Gaussian draw is numerically singular (smallest singular value
+        at most 1e-12 of the largest), where the polar factor is not unique.
     """
     blocks = k if isinstance(k, tuple) else (k,)
     shape = () if size is None else (size,)
@@ -102,7 +111,13 @@ def random_orthogonal(rng, k, complex_: bool = False, special: bool = False,
         g[..., span, span] = rng.standard_normal(shape + (b, b))
         if complex_:
             g[..., span, span] += 1j * rng.standard_normal(shape + (b, b))
-    q, _ = nk.phase_fixed_qr(g)
+    u, sv, vh = np.linalg.svd(g)
+    if (sv[..., -1] <= 1e-12 * sv[..., 0]).any():
+        raise NumericalError("singular Gaussian draw: its polar factor is not unique")
+    q = u @ vh
+    for span in spans:
+        q[..., span, : span.start] = 0.0
+        q[..., span, span.stop :] = 0.0
     if special:
         for span in spans:
             q[..., :, span.stop - 1] /= np.linalg.det(q[..., span, span])[..., None]
@@ -116,26 +131,35 @@ def random_isotropy(space: SpaceDescriptor, rng, size: int | None = None) -> np.
                              special=space.oriented, size=size)
 
 
-def random_slope(space: SpaceDescriptor, rng, sigma_max=None,
-                 size: int | None = None) -> np.ndarray:
-    """Random space-like slope block ``w[:, :n] diag(sig) z^H``, or a stack of
-    ``size`` of them: largest singular value ``sigma_max`` (a value, or one
-    per slope) or uniform in [0, 0.95], the others uniform below it, and
-    ``diag(z, w)`` a random isotropy element."""
+def _slope_factors(space: SpaceDescriptor, rng, sigma_max, size):
+    """The factors ``(w[:, :n], sig, z)`` of :func:`random_slope`, drawn in
+    its order: the singular values, then the isotropy element diag(z, w)."""
     shape = () if size is None else (size,)
     n = space.n
     sig = np.empty(shape + (n,))
     sig[..., 0] = rng.uniform(0.0, 0.95, size=shape) if sigma_max is None else sigma_max
     sig[..., 1:] = rng.uniform(0.0, 1.0, size=shape + (n - 1,)) * sig[..., :1]
     k = random_isotropy(space, rng, size)
-    return (k[..., n:, n:2 * n] * sig[..., None, :]) @ nk.herm(k[..., :n, :n])
+    return k[..., n:, n:2 * n], sig, k[..., :n, :n]
+
+
+def random_slope(space: SpaceDescriptor, rng, sigma_max=None,
+                 size: int | None = None) -> np.ndarray:
+    """Random space-like slope block ``w[:, :n] diag(sig) z^H``, or a stack of
+    ``size`` of them: largest singular value ``sigma_max`` (a value, or one
+    per slope) or uniform in [0, 0.95], the others uniform below it, and
+    ``diag(z, w)`` a random isotropy element."""
+    wn, sig, z = _slope_factors(space, rng, sigma_max, size)
+    return (wn * sig[..., None, :]) @ nk.herm(z)
 
 
 def random_coset(space: SpaceDescriptor, rng, sigma_max=None,
                  size: int | None = None) -> GroupElement:
-    """Random noncompact coset through a random slope, or a stack of ``size``;
-    the form check runs once on the whole stack."""
-    a = _boost(space, random_slope(space, rng, sigma_max, size))
+    """Random noncompact coset, or a stack of ``size``: the boost of the slope
+    :func:`random_slope` would draw from the same generator, built from the
+    factors it is drawn from, so no slope is formed and no SVD taken.  The
+    form check runs once on the whole stack."""
+    a = _boost_factors(space, *_slope_factors(space, rng, sigma_max, size))
     return _built(GroupElement, space=space, side=Side.NONCOMPACT, a=a)
 
 
@@ -308,69 +332,70 @@ def check_round_trip(space, samples: int = 500, seed: int = DEFAULT_SEED,
 
 
 def _rot_z(t):
+    """Rotation by ``t`` about the z axis; a stack of them for an array ``t``."""
     c, s = np.cos(t), np.sin(t)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    out = np.zeros(np.shape(t) + (3, 3))
+    out[..., 0, 0] = out[..., 1, 1] = c
+    out[..., 0, 1], out[..., 1, 0] = -s, s
+    out[..., 2, 2] = 1.0
+    return out
 
 
 def _boost_x(t):
+    """Boost of rapidity ``t`` along x; a stack of them for an array ``t``."""
     c, s = np.cosh(t), np.sinh(t)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+    out = np.zeros(np.shape(t) + (3, 3))
+    out[..., 0, 0] = out[..., 2, 2] = c
+    out[..., 0, 2] = out[..., 2, 0] = s
+    out[..., 1, 1] = 1.0
+    return out
 
 
-_HYP_J = np.diag([1.0, 1.0, -1.0])
+_SPHERE_J = np.ones(3)  # diagonals of the Euclidean and the Minkowski form
+_HYP_J = np.array([1.0, 1.0, -1.0])
+_NEXT = [1, 2, 0]  # the vertices, sides or angles after each one, cyclically
+_LAST = [2, 0, 1]
+
+
+def _measure(p1, p2, p3, form, sign):
+    """Sides (a, b, c) opposite and angles (A, B, C) at the vertices
+    p1, p2, p3 (3-vectors, or stacks of them with the coordinates last),
+    as arrays with the three values first.  The angle at u is measured
+    between the tangents ``v - sign <u, v> u`` and ``w - sign <u, w> u``
+    towards the other two vertices, under the diagonal ``form``."""
+    u = np.stack([p1, p2, p3])
+    v, w = u[_NEXT], u[_LAST]
+
+    def inner(x, y):
+        return (x * form * y).sum(axis=-1)
+
+    tv = v - sign * inner(u, v)[..., None] * u
+    tw = w - sign * inner(u, w)[..., None] * u
+    cos = inner(tv, tw) / np.sqrt(inner(tv, tv) * inner(tw, tw))
+    return inner(v, w), np.arccos(np.clip(cos, -1.0, 1.0))
 
 
 def _measure_sphere(p1, p2, p3):
-    def dist(u, v):
-        return float(np.arccos(np.clip(u @ v, -1.0, 1.0)))
-
-    def angle(u, v, w):
-        tv = v - (u @ v) * u
-        tw = w - (u @ w) * u
-        return float(np.arccos(np.clip(
-            (tv @ tw) / (np.linalg.norm(tv) * np.linalg.norm(tw)), -1.0, 1.0)))
-
-    a, b, c = dist(p2, p3), dist(p1, p3), dist(p1, p2)
-    A, B, C = angle(p1, p2, p3), angle(p2, p3, p1), angle(p3, p1, p2)
-    return (a, b, c), (A, B, C)
+    dots, angles = _measure(p1, p2, p3, _SPHERE_J, 1.0)
+    return np.arccos(np.clip(dots, -1.0, 1.0)), angles
 
 
 def _measure_hyperbolic(p1, p2, p3):
-    def mink(u, v):
-        return float(u @ _HYP_J @ v)
-
-    def dist(u, v):
-        return float(np.arccosh(max(-mink(u, v), 1.0)))
-
-    def angle(u, v, w):
-        tv = v + mink(u, v) * u
-        tw = w + mink(u, w) * u
-        nv = np.sqrt(mink(tv, tv))
-        nw = np.sqrt(mink(tw, tw))
-        return float(np.arccos(np.clip(mink(tv, tw) / (nv * nw), -1.0, 1.0)))
-
-    a, b, c = dist(p2, p3), dist(p1, p3), dist(p1, p2)
-    A, B, C = angle(p1, p2, p3), angle(p2, p3, p1), angle(p3, p1, p2)
-    return (a, b, c), (A, B, C)
+    minks, angles = _measure(p1, p2, p3, _HYP_J, -1.0)
+    return np.arccosh(np.maximum(-minks, 1.0)), angles
 
 
 def _law_residuals(sides, angles, hyperbolic: bool):
-    a, b, c = sides
-    A, B, C = angles
-    sf = np.sinh if hyperbolic else np.sin
-    cf = np.cosh if hyperbolic else np.cos
-    sine = max(
-        abs(sf(a) * np.sin(B) - sf(b) * np.sin(A)),
-        abs(sf(b) * np.sin(C) - sf(c) * np.sin(B)),
-        abs(sf(a) * np.sin(C) - sf(c) * np.sin(A)),
-    )
+    """Worst residual of the laws of sines and of cosines of a triangle, or
+    per triangle of a stack, with the three sides and angles first."""
+    sides, angles = np.asarray(sides), np.asarray(angles)
+    sf = np.sinh(sides) if hyperbolic else np.sin(sides)
+    cf = np.cosh(sides) if hyperbolic else np.cos(sides)
+    sine = np.abs(sf * np.sin(angles[_NEXT]) - sf[_NEXT] * np.sin(angles)).max(axis=0)
     sign = -1.0 if hyperbolic else 1.0
-    cosine = max(
-        abs(cf(a) - (cf(b) * cf(c) + sign * sf(b) * sf(c) * np.cos(A))),
-        abs(cf(b) - (cf(a) * cf(c) + sign * sf(a) * sf(c) * np.cos(B))),
-        abs(cf(c) - (cf(a) * cf(b) + sign * sf(a) * sf(b) * np.cos(C))),
-    )
-    return float(sine), float(cosine)
+    cosine = np.abs(cf - (cf[_NEXT] * cf[_LAST]
+                          + sign * sf[_NEXT] * sf[_LAST] * np.cos(angles))).max(axis=0)
+    return sine, cosine
 
 
 def _plus_sign_residual(sides, angles):
@@ -379,52 +404,65 @@ def _plus_sign_residual(sides, angles):
     # actually holds; check_trig_duality_random reports its worst value)
     a, b, c = sides
     A = angles[0]
-    return float(abs(np.cosh(a) - (np.cosh(b) * np.cosh(c) + np.sinh(b) * np.sinh(c) * np.cos(A))))
+    return np.abs(np.cosh(a) - (np.cosh(b) * np.cosh(c) + np.sinh(b) * np.sinh(c) * np.cos(A)))
+
+
+def _sphere_triangles(rng, count):
+    """Vertices of ``count`` random spherical triangles, three rotated copies
+    of the pole each: the last columns of one stack of 3 * count rotations."""
+    pts = random_orthogonal(rng, 3, special=True, size=3 * count)[..., 2]
+    return pts.reshape(count, 3, 3).swapaxes(0, 1)
+
+
+def _hyperbolic_triangles(rng, count):
+    """Vertices of ``count`` random hyperbolic triangles, three boosted and
+    rotated copies of the apex each."""
+    turn = rng.uniform(0, 2 * np.pi, size=(3, count))
+    rapidity = rng.uniform(0.2, 1.6, size=(3, count))
+    return (_rot_z(turn) @ _boost_x(rapidity))[..., 2]
+
+
+def _accepted_triangles(rng, samples, draw, measure, rejected):
+    """Sides and angles, each of shape (3, samples), of ``samples`` accepted
+    random triangles.  Every pending triangle is drawn and measured at once,
+    and only the rejected ones are drawn again; accepted triangles keep the
+    order they were drawn in."""
+    sides, angles = np.empty((3, samples)), np.empty((3, samples))
+    done = 0
+    while done < samples:
+        sm, am = measure(*draw(rng, samples - done))
+        keep = ~rejected(sm, am)
+        new = done + int(np.count_nonzero(keep))
+        sides[:, done:new], angles[:, done:new] = sm[:, keep], am[:, keep]
+        done = new
+    return sides, angles
 
 
 def check_trig_duality_random(samples: int = 100, seed: int = DEFAULT_SEED,
                               tol: float = 1e-8) -> PropertyReport:
     """Both laws on random triangles, measured from random group orbits.
-    ``details["worst_index"]`` counts the accepted triangle pairs before
-    the one in progress when the worst residual was seen (a spherical
-    triangle whose hyperbolic partner is redrawn still counts)."""
+
+    ``samples`` spherical and ``samples`` hyperbolic triangles are drawn
+    and measured in batches, and the i-th of each form pair i.
+    ``details["worst_index"]`` is the pair with the worst residual, i.e.
+    the number of accepted pairs before it.
+    """
     rng = _generator(samples, seed)
-    worst = 0.0
-    worst_index = 0
-    failures = 0
-    plus_worst = 0.0
-    done = 0
-
-    def record(residuals):
-        nonlocal worst, worst_index, failures
-        failures += sum(r > tol for r in residuals)
-        for r in residuals:
-            if r > worst:
-                worst, worst_index = r, done
-
-    while done < samples:
-        # random spherical triangle from three rotated copies of the pole: the
-        # last columns of one stack of three rotations
-        pts = random_orthogonal(rng, 3, special=True, size=3)[..., 2]
-        sm, am = _measure_sphere(*pts)
-        if min(sm) < 0.2 or max(sm) > 2.5 or min(am) < 0.2 or max(am) > 2.9:
-            continue
-        record(_law_residuals(sm, am, hyperbolic=False))
-
-        # random hyperbolic triangle from three boosted copies of the apex
-        pts = []
-        for _ in range(3):
-            iso = _rot_z(rng.uniform(0, 2 * np.pi)) @ _boost_x(rng.uniform(0.2, 1.6))
-            pts.append(iso @ np.array([0.0, 0.0, 1.0]))
-        sm, am = _measure_hyperbolic(*pts)
-        if min(sm) < 0.2 or max(sm) > 4.0 or min(am) < 0.05:
-            continue
-        record(_law_residuals(sm, am, hyperbolic=True))
-        plus_worst = max(plus_worst, _plus_sign_residual(sm, am))
-        done += 1
-    return PropertyReport("trig-duality-random", samples, failures, worst, seed, tol,
-                          details={"hyperbolic_plus_sign_worst": plus_worst,
-                                   "worst_index": worst_index})
+    sphere = _accepted_triangles(
+        rng, samples, _sphere_triangles, _measure_sphere,
+        lambda s, a: (s.min(0) < 0.2) | (s.max(0) > 2.5) | (a.min(0) < 0.2) | (a.max(0) > 2.9))
+    hyper = _accepted_triangles(
+        rng, samples, _hyperbolic_triangles, _measure_hyperbolic,
+        lambda s, a: (s.min(0) < 0.2) | (s.max(0) > 4.0) | (a.min(0) < 0.05))
+    resid = np.stack(_law_residuals(*sphere, hyperbolic=False)
+                     + _law_residuals(*hyper, hyperbolic=True))
+    per_pair = resid.max(axis=0)
+    worst = _worst_index(per_pair)
+    return PropertyReport("trig-duality-random", samples, int(np.count_nonzero(~(resid <= tol))),
+                          float(per_pair[worst]), seed, tol,
+                          details={"hyperbolic_plus_sign_worst":
+                                   float(np.max(_plus_sign_residual(*hyper))),
+                                   "worst_index": worst})
 
 
 # ---------------------------------------------------------------------------

@@ -197,3 +197,13 @@ def test_frames_kept_without_an_svd_are_orthonormal(monkeypatch, space):
         frame = embed(space, which, g).basis
         assert counter.calls.get("svd", 0) == svds, which
         assert np.abs(nk.herm(frame) @ frame - np.eye(space.n)).max() <= 1e-14, which
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda sp: sp.label())
+def test_random_coset_takes_one_svd_and_no_qr(monkeypatch, space):
+    # the Haar draw of the isotropy element is the only factorisation: the
+    # boost is built from the drawn factors, with no slope SVD
+    counter = CallCounter(monkeypatch)
+    for size in (2, 64):
+        assert counter.run(verify.random_coset, space, np.random.default_rng(89),
+                           size=size) == {"svd": 1}, size

@@ -214,20 +214,22 @@ def test_embed_bad_shape_is_usage_error(tmp_path, capsys):
     ("[[[1" + "0" * 400 + ", 0]]]", 2),          # the same as a [re, im] pair
     ("[[null]]", 2),
     ("[[0.5, null]]", 2),
-    ('[["0.5"]]', 0),                             # read entry by entry, as ever
-    ("[[true]]", 3),                              # 1.0: a slope of norm 1
+    ('[["0.5"]]', 2),                             # a string is not a number
+    ("[[true]]", 2),                              # nor is a boolean
+    ("[[true, 0], [0, 1]]", 2),                   # a boolean among numbers
+    ("[[[0.5, false]]]", 2),                      # a boolean in a [re, im] pair
     ("[[0.5], [[0.1, 0.2]]]", 2),                # ragged: a 2 x 1 slope, wrong shape
     ("[[[0.5, 1, 2]]]", 2),
     ("[[NaN]]", 3),
-], ids=["huge-int", "huge-int-pair", "null", "mixed-null", "string", "bool", "ragged",
-        "triple", "nan"])
+], ids=["huge-int", "huge-int-pair", "null", "mixed-null", "string", "bool", "mixed-bool",
+        "bool-pair", "ragged", "triple", "nan"])
 def test_embed_json_entries_exit_codes(tmp_path, capsys, text, code):
     f = tmp_path / "y.json"
     f.write_text(text)
     got, _, err = run_cli(capsys, "embed", "gr-complex", "1", "1",
                           "--method", "p", "--input", str(f))
     assert got == code, err
-    if "0" * 400 in text:
+    if "0" * 400 in text or '"' in text or "true" in text or "false" in text:
         assert "cannot parse JSON matrix" in err
 
 

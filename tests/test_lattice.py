@@ -66,6 +66,19 @@ def test_single_generator_is_orthonormal():
     assert is_orthonormal(LatticeBasis(generators=np.array([[2.7]])))
 
 
+def test_basis_keeps_its_eigmin_and_verdict(monkeypatch):
+    basis = su3_lattice()
+    assert basis.eigmin == np.linalg.eigvalsh(basis.gram)[0]
+    assert basis.orthonormal is False and GR23.lattice.orthonormal is True
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Gram spectrum is computed once, with the basis")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert cut_radius_brute(np.array([1.0, 0.3]), basis).radius > 0.0
+    assert not is_orthonormal(basis)
+
+
 def test_lattice_basis_rejects_degenerate_gram():
     with pytest.raises(DomainError):
         LatticeBasis(generators=np.array([[1.0, 1.0], [1.0, 1.0]]))

@@ -5,8 +5,14 @@ import pytest
 
 from dualspace import numkernel as nk
 from dualspace import verify
-from dualspace.errors import DomainError
-from dualspace.spaces import Family, SubspacePoint, TangentVector, make_space
+from dualspace.errors import DomainError, NumericalError
+from dualspace.spaces import (
+    Family,
+    SubspacePoint,
+    TangentVector,
+    make_space,
+    transitivity_element,
+)
 
 GR23 = make_space(Family.REAL_GRASSMANNIAN, 2, 3)
 
@@ -14,6 +20,78 @@ GR23 = make_space(Family.REAL_GRASSMANNIAN, 2, 3)
 # minus-sign law of cosines, cos A = cosh(1) / (cosh(1) + 1)
 COS_A_EQUILATERAL = 0.6067761335170363
 A_EQUILATERAL = 0.9187978721780273
+
+
+# ---------------------------------------------------------------------------
+# sampling
+
+
+HAAR_DRAWS = 20_000
+
+
+def haar_moments_hold(q) -> bool:
+    """Whether the sample moments of a stack of draws match those of Haar
+    measure on O(k) or U(k) within 5 standard errors of the sample mean:
+    E[Q_ij] = 0, E|Q_ij|^2 = 1/k and E|tr Q|^2 = 1."""
+    k = q.shape[-1]
+    tr2 = np.abs(np.trace(q, axis1=-2, axis2=-1)) ** 2
+    for values, expected in ((q.real, 0.0), (q.imag, 0.0), (np.abs(q) ** 2, 1.0 / k),
+                             (tr2, 1.0)):
+        err = np.std(values, axis=0) / np.sqrt(len(values))
+        if not (np.abs(np.mean(values, axis=0) - expected) <= 5.0 * err + 1e-12).all():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("k, complex_, special", [(3, False, False), (3, False, True),
+                                                  (2, True, False)],
+                         ids=["O(3)", "SO(3)", "U(2)"])
+def test_random_orthogonal_has_haar_moments(k, complex_, special):
+    q = verify.random_orthogonal(np.random.default_rng(97), k, complex_, special,
+                                 size=HAAR_DRAWS)
+    assert np.abs(nk.herm(q) @ q - np.eye(k)).max() <= 1e-14
+    if special:
+        assert np.abs(np.linalg.det(q) - 1.0).max() <= 1e-14
+    assert haar_moments_hold(q)
+
+
+@pytest.mark.parametrize("space", [make_space(Family.REAL_GRASSMANNIAN, 2, 3),
+                                   make_space(Family.COMPLEX_GRASSMANNIAN, 1, 2)],
+                         ids=lambda sp: sp.label())
+def test_isotropy_blocks_have_haar_moments(space):
+    n = space.n
+    k = verify.random_isotropy(space, np.random.default_rng(101), size=HAAR_DRAWS)
+    assert not k[:, :n, n:].any() and not k[:, n:, :n].any()  # exactly zero off the blocks
+    for block in (k[:, :n, :n], k[:, n:, n:]):
+        assert haar_moments_hold(block)
+
+
+@pytest.mark.parametrize("k, complex_", [(3, False), (2, True)], ids=["O(3)", "U(2)"])
+def test_haar_moments_reject_qr_without_the_phase_fix(k, complex_):
+    rng = np.random.default_rng(103)
+    g = rng.standard_normal((HAAR_DRAWS, k, k))
+    if complex_:
+        g = g + 1j * rng.standard_normal((HAAR_DRAWS, k, k))
+    assert not haar_moments_hold(np.linalg.qr(g)[0])
+
+
+def test_random_orthogonal_refuses_a_singular_draw():
+    class Zeros:
+        def standard_normal(self, shape):
+            return np.zeros(shape)
+
+    with pytest.raises(NumericalError):
+        verify.random_orthogonal(Zeros(), 3)
+
+
+@pytest.mark.parametrize("space", verify.catalog_spaces(), ids=lambda sp: sp.label())
+def test_random_coset_is_the_boost_of_random_slope(space):
+    for seed in (107, 109):
+        got = verify.random_coset(space, np.random.default_rng(seed), size=200).a
+        y = verify.random_slope(space, np.random.default_rng(seed), size=200)
+        want = transitivity_element(space, y)
+        scale = np.abs(want).max(axis=(-2, -1))
+        assert (np.abs(got - want).max(axis=(-2, -1)) <= 1e-13 * scale).all()
 
 
 def test_reports_are_reproducible():
@@ -167,20 +245,35 @@ def test_trig_plus_sign_variant_is_recorded_not_asserted():
     assert r.details["hyperbolic_plus_sign_worst"] > r.tolerance
 
 
-def test_trig_random_draws_each_spherical_triangle_at_once(monkeypatch):
-    draws = []
+def test_trig_random_draws_pending_triangles_in_batches(monkeypatch):
+    calls = {"sphere": [], "hyperbolic": [], "rotations": []}
+
+    def counted(key, fn):
+        def wrapper(rng, count, *args, **kwargs):
+            calls[key].append(count)
+            return fn(rng, count, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(verify, "_sphere_triangles",
+                        counted("sphere", verify._sphere_triangles))
+    monkeypatch.setattr(verify, "_hyperbolic_triangles",
+                        counted("hyperbolic", verify._hyperbolic_triangles))
     random_orthogonal = verify.random_orthogonal
 
-    def counted(rng, k, *args, **kwargs):
-        draws.append((k, kwargs.get("size")))
-        return random_orthogonal(rng, k, *args, **kwargs)
+    def rotations(rng, k, *args, size=None, **kwargs):
+        calls["rotations"].append((k, size))
+        return random_orthogonal(rng, k, *args, size=size, **kwargs)
 
-    monkeypatch.setattr(verify, "random_orthogonal", counted)
-    r = verify.check_trig_duality_random(samples=20, seed=31)
+    monkeypatch.setattr(verify, "random_orthogonal", rotations)
+    r = verify.check_trig_duality_random(samples=200, seed=31)
     assert r.passed
-    # at least one draw per accepted triangle, and every draw is a stack of three rotations
-    assert len(draws) >= 20
-    assert set(draws) == {(3, 3)}
+    for key in ("sphere", "hyperbolic"):
+        counts = calls[key]
+        # all triangles at once, then only the rejected ones: a few draw calls, not one per triangle
+        assert counts[0] == 200 and len(counts) <= 12, key
+        assert all(later <= earlier for earlier, later in zip(counts, counts[1:])), key
+    # one stack of three rotations per spherical triangle, one stack per draw call
+    assert calls["rotations"] == [(3, 3 * count) for count in calls["sphere"]]
 
 
 def test_trig_random_batch():
