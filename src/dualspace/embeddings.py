@@ -24,8 +24,10 @@ coset is a stack with no leading axes, so it runs the same code.
 Each frame and slope of a coset is computed once and kept on the
 immutable object that owns it: a coset keeps its point, shared by p and
 f, and a point keeps the slope block read off its frame and that slope's
-SVD, shared by the logs, f and ``space_like``.  The g and f images keep
-the frames they are built with, orthonormal by construction.
+SVD, shared by the noncompact log, f and ``space_like``.  The compact
+side reads the same SVD: the factors of the negated slope differ from it
+only by signs, so one slope SVD serves both sides.  The g and f images
+keep the frames they are built with, orthonormal by construction.
 
 The sign convention of the flat contraction is chosen so that p, g and f
 produce literally the same subspaces: a boost of rapidity t along a flat
@@ -210,7 +212,7 @@ def _slope_block(space: SpaceDescriptor, point: SubspacePoint) -> np.ndarray:
 
 def _slope_factors(space: SpaceDescriptor, point: SubspacePoint):
     """:func:`slope_svd` of the point's slope, taken once per point and read
-    by the noncompact log, f and :func:`space_like` alike."""
+    by the logs of both sides, f and :func:`space_like` alike."""
     return _kept(point, "_slope_svd", lambda: slope_svd(space, _slope_block(space, point)))
 
 
@@ -231,21 +233,38 @@ def _checked_slope_svd(space: SpaceDescriptor, point: SubspacePoint):
     return w, sig, z
 
 
+def _negated_factors(space: SpaceDescriptor, w: np.ndarray, sig: np.ndarray):
+    """The factors ``(w', sig')`` of :func:`slope_svd` of ``-Y`` from those
+    ``(w, sig, z)`` of ``Y``, with the same ``z``: ``-Y = (-w) diag(sig)
+    z^H``.  On the oriented families with m odd, ``det(-w) = -1``, so
+    :func:`special_svd`'s rule flips the last column of ``w'`` back, and
+    when m = n, where that column is in the singular block, also negates
+    the last value of ``sig'``."""
+    w = -w
+    if space.oriented and space.m % 2:
+        w[..., :, -1] *= -1.0
+        if space.m == space.n:
+            sig = sig.copy()
+            sig[..., -1] *= -1.0
+    return w, sig
+
+
 def _log_flat(space: SpaceDescriptor, point: SubspacePoint, side: Side):
     """Isotropy blocks (z, w) and lattice-unit flat coordinates h of the log
     of a point (or stack) on either side, log = k h.matrix(side) k^-1 with
-    k = diag(z, w), read off the slope SVD.
+    k = diag(z, w), read off the point's one slope SVD.
 
     Noncompact side: the slope's singular values are hyperbolic tangents of
     the flat coefficients.  Compact side: they are tangents, and since the
-    slope of a flat point is minus the tangent of its angle, the negated
-    slope is decomposed.
+    slope of a flat point is minus the tangent of its angle, the factors
+    of the negated slope are read off the same SVD by a sign change.
     """
     if side is Side.NONCOMPACT:
         w, sig, z = _checked_slope_svd(space, point)
         cart = np.arctanh(sig)
     else:
-        w, sig, z = slope_svd(space, -_slope_block(space, point))
+        w, sig, z = _slope_factors(space, point)
+        w, sig = _negated_factors(space, w, sig)
         cart = np.arctan(sig)
     coords = np.linalg.solve(space.lattice_coeff, cart[..., None])[..., 0]
     return z, w, FlatCoordinates(space, coords)
@@ -283,7 +302,8 @@ def log_compact(space: SpaceDescriptor, point: SubspacePoint) -> TangentVector:
     particular everywhere the embeddings of this module take values.  Flat
     coefficients are arctangents of the slope's singular values; the sign
     convention (slope of a flat point is minus the tangent of its angle)
-    is handled by decomposing the negated slope.
+    is handled by the factors of the negated slope, read off the point's
+    slope SVD.
     """
     return _log(space, point, Side.COMPACT)
 

@@ -219,13 +219,6 @@ def same_point(a: SubspacePoint, b: SubspacePoint, tol: float = 1e-9):
     return nk.per_slice(np.logical_and(a.distance(b) <= tol, same_orientation(a, b)))
 
 
-def act(g: np.ndarray, point: SubspacePoint) -> SubspacePoint:
-    """Left action of a group matrix (or a stack, slice by slice) that the
-    caller built on a subspace point; the image gets its own frame."""
-    return _built(SubspacePoint, space=point.space, rep=g @ point.rep,
-                  orientation=point.orientation)
-
-
 # ---------------------------------------------------------------------------
 # catalog construction
 

@@ -42,7 +42,6 @@ from .spaces import (
     SubspacePoint,
     _boost_factors,
     _built,
-    act,
     make_space,
     same_orientation,
 )
@@ -211,24 +210,38 @@ def _sampled(name: str, samples: int, seed: int, tol: float, residuals) -> Prope
 
 def check_triple_equality(space, samples: int = 200, seed: int = DEFAULT_SEED,
                           tol: float = 1e-9) -> PropertyReport:
-    """Pairwise agreement of the three embeddings on random cosets."""
+    """Pairwise agreement of the three embeddings on random cosets, the
+    three distances of the batch taken in one stacked call."""
     def residuals(rng, size):
         g = random_coset(space, rng, size=size)
-        p, q, f = (embed(space, which, g) for which in ("p", "g", "f"))
-        return np.maximum.reduce([p.distance(q), p.distance(f), q.distance(f)])
+        p, q, f = (embed(space, which, g).basis for which in ("p", "g", "f"))
+        return nk.frame_distance(np.stack([p, p, q]), np.stack([q, f, f])).max(axis=0)
     return _sampled("triple-equality/" + space.label(), samples, seed, tol, residuals)
 
 
 def check_equivariance(space, embedding_id: str, samples: int = 200,
                        seed: int = DEFAULT_SEED, tol: float = 1e-9) -> PropertyReport:
     """embed(k . x) == k . embed(x) for random isotropy elements k; images of
-    opposite orientation (oriented families) have residual inf."""
+    opposite orientation (oriented families) have residual inf.
+
+    The cosets ``a`` and then ``k`` are drawn as :func:`random_coset` and
+    :func:`random_isotropy` would draw them.  The moved cosets ``k a`` and
+    the cosets ``a`` form one stack, with one form check, and are embedded
+    in one pass; the right-hand side moves the frames of the second half
+    by ``k``, with no SVD.
+    """
     def residuals(rng, size):
-        g = random_coset(space, rng, size=size)
+        a = _boost_factors(space, *_slope_factors(space, rng, None, size))
         k = random_isotropy(space, rng, size=size)
-        moved = _built(GroupElement, space=space, side=Side.NONCOMPACT, a=k @ g.a)
-        lhs = embed(space, embedding_id, moved)
-        rhs = act(k, embed(space, embedding_id, g))
+        both = _built(GroupElement, space=space, side=Side.NONCOMPACT,
+                      a=np.concatenate([k @ a, a]))
+        images = embed(space, embedding_id, both)
+        rep, basis, sign = images.rep, images.basis, images.orientation
+        lhs = _built(SubspacePoint, space=space, rep=rep[:size], orientation=sign,
+                     basis=basis[:size])
+        # k is unitary, so the moved frames stay orthonormal and are kept
+        rhs = _built(SubspacePoint, space=space, rep=k @ rep[size:], orientation=sign,
+                     basis=k @ basis[size:])
         return np.where(same_orientation(lhs, rhs), lhs.distance(rhs), np.inf)
     return _sampled(f"equivariance-{embedding_id}/" + space.label(), samples, seed, tol,
                     residuals)

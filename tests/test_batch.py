@@ -1,7 +1,8 @@
 """A stack of inputs through the stacked kernels equals its slices one by one,
 the checks of a single input hold for every slice of a stack, a sampled
-check makes as many SVD, QR and eigh calls for 64 samples as for 2, and one
-`embed --method all` call reads each frame and slope once."""
+check makes the same pinned SVD, QR, inverse and eigh calls for 64 samples
+as for 2 (an equivariance check embeds its moved and unmoved cosets in one
+pass), and one `embed --method all` call reads each frame and slope once."""
 
 import numpy as np
 import pytest
@@ -143,19 +144,28 @@ class CallCounter:
 @pytest.mark.parametrize("space", [make_space(Family.REAL_GRASSMANNIAN, 2, 3),
                                    make_space(Family.ORIENTED_TWO_PLANE, 2, 2)],
                          ids=lambda sp: sp.label())
-@pytest.mark.parametrize("check, extra", [
-    (verify.check_triple_equality, ()),
-    (verify.check_equivariance, ("p",)),
-    (verify.check_equivariance, ("g",)),
-    (verify.check_equivariance, ("f",)),
-    (verify.check_image_region, ("f",)),
-    (verify.check_round_trip, ()),
+@pytest.mark.parametrize("check, extra, calls", [
+    # the coset draw; p's frame, g's QR, f's graph check (with its inverse)
+    # and slope SVD
+    (verify.check_triple_equality, (), {"svd": 4, "qr": 1, "inv": 1}),
+    # the coset draw, the isotropy draw, then one pass over the stack of
+    # moved and unmoved cosets: p's frame; g's QR; f's frame, graph check
+    # and slope SVD.  The moved frames take no SVD.
+    (verify.check_equivariance, ("p",), {"svd": 3}),
+    (verify.check_equivariance, ("g",), {"svd": 2, "qr": 1}),
+    (verify.check_equivariance, ("f",), {"svd": 5, "inv": 1}),
+    # as in the triple, then the graph check and the one slope SVD of f's
+    # image, which its compact coordinates and space_like both read
+    (verify.check_image_region, ("f",), {"svd": 6, "inv": 2}),
+    # the slope draw; the point's frame, graph check and slope SVD; the
+    # exponential; the frame of the point it maps back to
+    (verify.check_round_trip, (), {"svd": 5, "inv": 1, "eigh": 1}),
 ], ids=["triple", "equivariance-p", "equivariance-g", "equivariance-f", "image-f", "round-trip"])
-def test_sampled_checks_make_as_many_kernel_calls_for_any_batch(monkeypatch, space, check, extra):
+def test_sampled_checks_make_as_many_kernel_calls_for_any_batch(monkeypatch, space, check, extra,
+                                                                calls):
     counter = CallCounter(monkeypatch)
-    few = counter.run(check, space, *extra, samples=2, seed=5)
-    many = counter.run(check, space, *extra, samples=64, seed=5)
-    assert few and few == many
+    for samples in (2, 64):
+        assert counter.run(check, space, *extra, samples=samples, seed=5) == calls, samples
 
 
 def test_cut_loci_makes_as_many_kernel_calls_for_any_batch(monkeypatch):
@@ -173,12 +183,13 @@ def test_every_sampled_report_names_its_worst_sample():
 
 def test_embed_all_reads_each_frame_and_slope_once(monkeypatch, tmp_path, capsys):
     # the slope's boost, p's frame, the graph check of the slope read and
-    # the noncompact and compact slope SVDs; g and f keep their frames as built
+    # the one slope SVD, which both sides read; g and f keep their frames
+    # as built
     slope = tmp_path / "y.json"
     slope.write_text("[[0.3, -0.1], [0.2, 0.4], [-0.5, 0.1]]")
     counter = CallCounter(monkeypatch)
     argv = ["embed", "gr-real", "2", "3", "--method", "all", "--input", str(slope)]
-    assert counter.run(cli.main, argv) == {"svd": 5, "qr": 1, "inv": 1}
+    assert counter.run(cli.main, argv) == {"svd": 4, "qr": 1, "inv": 1}
     assert capsys.readouterr().out
 
 

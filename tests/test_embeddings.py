@@ -20,7 +20,7 @@ from dualspace.embeddings import (
     point_flat_coords,
     space_like,
 )
-from dualspace.embeddings import _checked_slope_svd
+from dualspace.embeddings import _checked_slope_svd, _negated_factors, _slope_block, _slope_factors
 from dualspace.errors import DomainError, NumericalError
 from dualspace.spaces import (
     Family,
@@ -32,6 +32,7 @@ from dualspace.spaces import (
     in_isotropy,
     _block_diag,
     make_space,
+    slope_svd,
     transitivity_element,
 )
 from dualspace.lattice import region_fraction
@@ -388,6 +389,32 @@ def test_point_flat_coords_match_flat_decompose_of_log(space):
             _, expected = flat_decompose(space, log(space, pt).x)
             got = point_flat_coords(space, pt, side)
             assert np.max(np.abs(got.coords - expected.coords)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "space",
+    catalog_spaces() + [make_space(Family.REAL_GRASSMANNIAN, 16, 48),
+                        make_space(Family.CIRCLE_SPHERE, 1, 3)],
+    ids=lambda sp: sp.label(),
+)
+def test_compact_factors_are_a_special_svd_of_the_negated_slope(space):
+    # the compact side reads the factors of -Y off the kept SVD of Y; they
+    # must be the SVD slope_svd would take of -Y, sign rules included
+    g = random_coset(space, np.random.default_rng(53), size=40)
+    for pt in (g.point(), f_embed(space, g)):
+        y = _slope_block(space, pt)
+        w, sig, z = _slope_factors(space, pt)
+        w, sig = _negated_factors(space, w, sig)
+        n = space.n
+        assert np.abs((w[..., :n] * sig[..., None, :]) @ nk.herm(z) + y).max() <= 1e-13
+        if space.oriented:
+            assert np.abs(np.linalg.det(z) - 1.0).max() <= 1e-13
+            assert np.abs(np.linalg.det(w) - 1.0).max() <= 1e-13
+        fw, fsig, fz = slope_svd(space, -y)
+        coords = np.linalg.solve(space.lattice_coeff, np.arctan(fsig)[..., None])[..., 0]
+        k = _block_diag(fz, fw)
+        fresh = k @ FlatCoordinates(space, coords).matrix(Side.COMPACT) @ nk.herm(k)
+        assert np.abs(log_compact(space, pt).x - fresh).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from dualspace import verify
 from dualspace.errors import DomainError, NumericalError
 from dualspace.spaces import (
     Family,
+    Side,
     SubspacePoint,
     TangentVector,
     make_space,
@@ -371,3 +372,25 @@ def test_equivariance_counts_orientation(monkeypatch):
     flipped = verify.check_equivariance(GR23, "f", samples=20, seed=13)
     assert flipped.passed
     assert flipped.worst_residual == pytest.approx(grassmannian.worst_residual, abs=1e-15)
+
+
+def test_equivariance_fails_a_map_that_is_not_equivariant(monkeypatch):
+    embed = verify.embed
+    spaces = (GR23, make_space(Family.COMPLEX_GRASSMANNIAN, 1, 2),
+              make_space(Family.ORIENTED_TWO_PLANE, 2, 2), make_space(Family.CIRCLE_SPHERE, 1, 2))
+
+    def turned_embed(space, which, g):
+        # every frame of the stack turned by one fixed rotation of the (0, n)
+        # plane, which moves the base point, so it is not an isotropy element
+        turn = nk.exp_tangent(0.3 * space.cartan_basis(Side.COMPACT)[0], hermitian=False)
+        return SubspacePoint(space, turn @ embed(space, which, g).rep)
+
+    for sp in spaces:
+        for which in ("p", "g", "f"):
+            assert verify.check_equivariance(sp, which, samples=20, seed=17).passed
+    monkeypatch.setattr(verify, "embed", turned_embed)
+    for sp in spaces:
+        for which in ("p", "g", "f"):
+            r = verify.check_equivariance(sp, which, samples=20, seed=17)
+            assert r.failures > 0, (sp.label(), which)
+            assert r.worst_residual > 1e-3, (sp.label(), which)
