@@ -26,10 +26,11 @@ import sys
 
 import numpy as np
 
-from . import __version__, verify
+from . import __version__, numkernel as nk, verify
 from .embeddings import (
     GroupElement,
     b_embed_rank1,
+    coset_from_factors,
     embed,
     f_flat_rank1,
     point_flat_coords,
@@ -44,7 +45,7 @@ from .lattice import (
     region_fraction,
     su3_lattice,
 )
-from .spaces import Family, Side, SpaceDescriptor, make_space, transitivity_element
+from .spaces import Family, Side, SpaceDescriptor, make_space, slope_svd
 
 USAGE_EXIT, DOMAIN_EXIT, NUMERICAL_EXIT = 2, 3, 4
 
@@ -203,7 +204,8 @@ def coset_from_matrix(space: SpaceDescriptor, arr: np.ndarray) -> GroupElement:
     if arr.shape == (space.dim, space.dim):
         return GroupElement(space, Side.NONCOMPACT, arr)
     if arr.shape == (space.m, space.n):
-        return GroupElement(space, Side.NONCOMPACT, transitivity_element(space, arr))
+        # transitivity_element's boost, from the slope SVD its point keeps
+        return coset_from_factors(space, *slope_svd(space, nk.as_matrix(arr, dtype=space.dtype)))
     if arr.shape == (space.n, space.m) and space.n != space.m:
         raise UsageError(f"slope block must be m x n = {space.m} x {space.n} "
                          f"(got its transpose)")

@@ -23,11 +23,14 @@ coset is a stack with no leading axes, so it runs the same code.
 
 Each frame and slope of a coset is computed once and kept on the
 immutable object that owns it: a coset keeps its point, shared by p and
-f, and a point keeps the slope block read off its frame and that slope's
-SVD, shared by the noncompact log, f and ``space_like``.  The compact
-side reads the same SVD: the factors of the negated slope differ from it
-only by signs, so one slope SVD serves both sides.  The g and f images
-keep the frames they are built with, orthonormal by construction.
+f, and a point keeps its frame, its slope block and that slope's SVD,
+shared by the noncompact log, f and ``space_like``.  The compact side
+reads the same SVD: the factors of the negated slope differ from it only
+by signs.  A coset built from a slope SVD (``coset_from_factors``: slope
+input and random draws) keeps on its point the frame in closed form
+and that SVD, so its slope is never formed; any other point
+reads its frame by an SVD and its slope off that frame.  The g and f
+images keep the frames they are built with, orthonormal by construction.
 
 The sign convention of the flat contraction is chosen so that p, g and f
 produce literally the same subspaces: a boost of rapidity t along a flat
@@ -49,6 +52,7 @@ from .spaces import (
     SubspacePoint,
     TangentVector,
     _block_diag,
+    _boost_factors,
     _built,
     in_group,
     slope_svd,
@@ -79,6 +83,21 @@ class GroupElement:
         """The image of the base point, built once and shared by every reader."""
         return _kept(self, "_point", lambda: _built(
             SubspacePoint, space=self.space, rep=self.a[..., : self.space.n], orientation=None))
+
+
+def coset_from_factors(space: SpaceDescriptor, w: np.ndarray, s: np.ndarray,
+                       z: np.ndarray) -> GroupElement:
+    """The coset of the slope ``w[:, :n] diag(s) z^H`` (or a stack) from
+    factors in :func:`slope_svd`'s conventions, by :func:`_boost_factors`.
+    Its point keeps the frame ``[z C z^H; w[:, :n] S z^H]``, ``C = 1/sqrt(1 +
+    s^2)``, ``S = s C``, and the factors as its slope SVD, read-only."""
+    g = _built(GroupElement, space=space, side=Side.NONCOMPACT, a=_boost_factors(space, w, s, z))
+    wn, zh, c = w[..., :, : space.n], nk.herm(z), 1.0 / np.sqrt(1.0 + s * s)
+    frame = np.concatenate(((z * c[..., None, :]) @ zh, (wn * (s * c)[..., None, :]) @ zh), axis=-2)
+    point = _kept(g, "_point", lambda: _built(SubspacePoint, space=space, rep=g.a[..., : space.n],
+                                              orientation=None, basis=frame))
+    _kept(point, "_slope_svd", lambda: (w, s, z))
+    return g
 
 
 def _kept(obj, name: str, compute):

@@ -112,10 +112,13 @@ def _norm2(x, gram):
 
 
 def _unit_direction(x, gram):
-    nrm2 = _norm2(x, gram)
-    if not np.all((nrm2 > 0.0) & np.isfinite(nrm2)):
+    # scaled to max |x_i| = 1 first, so the Gram norm of a finite nonzero x
+    # neither overflows nor underflows
+    scale = np.abs(x).max(axis=-1, keepdims=True)
+    if not np.all(scale > 0.0):
         raise DomainError("zero flat direction")
-    return x / np.sqrt(nrm2)[..., None]
+    x = x / scale
+    return x / np.sqrt(_norm2(x, gram))[..., None]
 
 
 def cut_radius_closed(coords, basis: LatticeBasis = None):

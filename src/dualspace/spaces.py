@@ -223,6 +223,9 @@ def same_point(a: SubspacePoint, b: SubspacePoint, tol: float = 1e-9):
 # catalog construction
 
 
+MAX_DIM = 256  # the bound on n + m, four times the targeted 64
+
+
 def make_space(family: Family, n: int, m: int) -> SpaceDescriptor:
     """Build the descriptor for one catalog space.
 
@@ -235,13 +238,13 @@ def make_space(family: Family, n: int, m: int) -> SpaceDescriptor:
         oriented lines, i.e. the circle/sphere family (rank 1), whose
         descriptor is returned.
     n, m : int
-        Subspace dimension and codimension, n <= m.
+        Subspace dimension and codimension, n <= m, with n + m <= MAX_DIM.
 
     Raises
     ------
     DomainError
         For families outside the catalog (quaternionic and exceptional
-        spaces are unsupported) or invalid (n, m).
+        spaces are unsupported) or invalid (n, m), before any allocation.
     """
     family = Family(family)
     n = int(n)
@@ -250,6 +253,8 @@ def make_space(family: Family, n: int, m: int) -> SpaceDescriptor:
         raise DomainError(f"need n >= 1, got n={n}")
     if m < n:
         raise DomainError(f"catalog convention requires m >= n, got (n, m) = ({n}, {m})")
+    if n + m > MAX_DIM:
+        raise DomainError(f"need n + m <= {MAX_DIM}, got n + m = {n + m}")
 
     if family is Family.REAL_GRASSMANNIAN or family is Family.COMPLEX_GRASSMANNIAN:
         rank = n
@@ -365,27 +370,20 @@ def transitivity_element(space: SpaceDescriptor, y) -> np.ndarray:
     """The standard form-preserving matrix mapping the base point to span([I; Y]).
 
     ``y`` is the m x n slope block (or a stack of them), space-like iff its
-    singular values are below one (else DomainError).  Validates ``y`` and
-    runs :func:`_boost`.
+    singular values are below one (else DomainError): one stacked
+    :func:`slope_svd` of the validated slope, then :func:`_boost_factors`.
     """
     y = nk.as_matrix(y, dtype=space.dtype)
     if y.shape[-2:] != (space.m, space.n):
         raise DomainError(f"slope block must be {space.m} x {space.n}, got {y.shape}")
-    return _boost(space, y)
+    return _boost_factors(space, *slope_svd(space, y))
 
 
-def _boost(space: SpaceDescriptor, y: np.ndarray) -> np.ndarray:
-    """:func:`transitivity_element` of a slope, or a stack of slopes, of the
-    family dtype: one stacked :func:`slope_svd`, then :func:`_boost_factors`."""
-    w, s, z = slope_svd(space, y)
-    return _boost_factors(space, w[..., :, : space.n], s, z)
-
-
-def _boost_factors(space: SpaceDescriptor, wn: np.ndarray, s: np.ndarray,
+def _boost_factors(space: SpaceDescriptor, w: np.ndarray, s: np.ndarray,
                    z: np.ndarray) -> np.ndarray:
-    """The boost of the slope ``Y = wn diag(s) z^H``, or of a stack, from its
-    factors: ``diag(z, w)`` an isotropy element and ``wn`` the first n
-    columns of ``w``.
+    """The boost of the slope ``Y = w[:, :n] diag(s) z^H``, or of a stack,
+    from its factors: ``diag(z, w)`` an isotropy element, of which only the
+    first n columns of ``w`` are read.
 
     With ``ch = 1/sqrt((1 - s)(1 + s))``, A is ``k exp(sum_i artanh(s_i)
     B_i) k^-1`` in closed form; A^H J A = J, det A = 1, and A[:, :n] spans
@@ -396,6 +394,7 @@ def _boost_factors(space: SpaceDescriptor, wn: np.ndarray, s: np.ndarray,
     n = space.n
     ch = 1.0 / np.sqrt((1.0 - s) * (1.0 + s))
     sch = (s * ch)[..., None, :]
+    wn = w[..., :, :n]
     zh, wnh = nk.herm(z), nk.herm(wn)
     a = np.empty(s.shape[:-1] + (space.dim, space.dim), dtype=space.dtype)
     a[..., :n, :n] = (z * ch[..., None, :]) @ zh

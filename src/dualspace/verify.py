@@ -26,6 +26,7 @@ from . import numkernel as nk
 from .embeddings import (
     GroupElement,
     b_embed_rank1,
+    coset_from_factors,
     embed,
     log_noncompact,
     point_flat_coords,
@@ -131,35 +132,39 @@ def random_isotropy(space: SpaceDescriptor, rng, size: int | None = None) -> np.
 
 
 def _slope_factors(space: SpaceDescriptor, rng, sigma_max, size):
-    """The factors ``(w[:, :n], sig, z)`` of :func:`random_slope`, drawn in
-    its order: the singular values, then the isotropy element diag(z, w)."""
+    """The factors ``(w, sig, z)`` of :func:`random_slope`, drawn in its
+    order: the singular values, descending as :func:`slope_svd` gives
+    them, then the isotropy element diag(z, w).  The n - 1 values below
+    ``sig[0]`` are the order statistics of as many uniform draws, built
+    from them by Renyi's representation: ``D_j = D_(j-1) u_j^(1/(n-j))``."""
     shape = () if size is None else (size,)
     n = space.n
     sig = np.empty(shape + (n,))
     sig[..., 0] = rng.uniform(0.0, 0.95, size=shape) if sigma_max is None else sigma_max
-    sig[..., 1:] = rng.uniform(0.0, 1.0, size=shape + (n - 1,)) * sig[..., :1]
+    u = rng.uniform(0.0, 1.0, size=shape + (n - 1,))
+    sig[..., 1:] = np.cumprod(u ** (1.0 / np.arange(n - 1, 0, -1)), axis=-1) * sig[..., :1]
     k = random_isotropy(space, rng, size)
-    return k[..., n:, n:2 * n], sig, k[..., :n, :n]
+    return k[..., n:, n:], sig, k[..., :n, :n]
 
 
 def random_slope(space: SpaceDescriptor, rng, sigma_max=None,
                  size: int | None = None) -> np.ndarray:
     """Random space-like slope block ``w[:, :n] diag(sig) z^H``, or a stack of
     ``size`` of them: largest singular value ``sigma_max`` (a value, or one
-    per slope) or uniform in [0, 0.95], the others uniform below it, and
-    ``diag(z, w)`` a random isotropy element."""
-    wn, sig, z = _slope_factors(space, rng, sigma_max, size)
-    return (wn * sig[..., None, :]) @ nk.herm(z)
+    per slope) or uniform in [0, 0.95], the others uniform below it in
+    descending order, and ``diag(z, w)`` a random isotropy element."""
+    w, sig, z = _slope_factors(space, rng, sigma_max, size)
+    return (w[..., :, : space.n] * sig[..., None, :]) @ nk.herm(z)
 
 
 def random_coset(space: SpaceDescriptor, rng, sigma_max=None,
                  size: int | None = None) -> GroupElement:
     """Random noncompact coset, or a stack of ``size``: the boost of the slope
-    :func:`random_slope` would draw from the same generator, built from the
-    factors it is drawn from, so no slope is formed and no SVD taken.  The
-    form check runs once on the whole stack."""
-    a = _boost_factors(space, *_slope_factors(space, rng, sigma_max, size))
-    return _built(GroupElement, space=space, side=Side.NONCOMPACT, a=a)
+    :func:`random_slope` would draw from the same generator, built by
+    :func:`coset_from_factors` from the factors it is drawn from, so no SVD
+    is taken and its point keeps its frame and slope SVD.  The form
+    check runs once on the whole stack."""
+    return coset_from_factors(space, *_slope_factors(space, rng, sigma_max, size))
 
 
 def random_unit_flat(space: SpaceDescriptor, rng, size: int | None = None) -> np.ndarray:

@@ -10,7 +10,16 @@ import pytest
 from dualspace import cli
 from dualspace import numkernel as nk
 from dualspace import verify
-from dualspace.embeddings import GroupElement, embed, f_embed, log_compact, log_noncompact
+from dualspace.embeddings import (
+    GroupElement,
+    _slope_block,
+    _slope_factors,
+    embed,
+    f_embed,
+    log_compact,
+    log_noncompact,
+    point_flat_coords,
+)
 from dualspace.errors import DomainError, NumericalError
 from dualspace.spaces import (
     Family,
@@ -145,18 +154,18 @@ class CallCounter:
                                    make_space(Family.ORIENTED_TWO_PLANE, 2, 2)],
                          ids=lambda sp: sp.label())
 @pytest.mark.parametrize("check, extra, calls", [
-    # the coset draw; p's frame, g's QR, f's graph check (with its inverse)
-    # and slope SVD
-    (verify.check_triple_equality, (), {"svd": 4, "qr": 1, "inv": 1}),
+    # the coset draw, whose point keeps its frame and slope SVD for p and f;
+    # g's QR
+    (verify.check_triple_equality, (), {"svd": 1, "qr": 1}),
     # the coset draw, the isotropy draw, then one pass over the stack of
     # moved and unmoved cosets: p's frame; g's QR; f's frame, graph check
     # and slope SVD.  The moved frames take no SVD.
     (verify.check_equivariance, ("p",), {"svd": 3}),
     (verify.check_equivariance, ("g",), {"svd": 2, "qr": 1}),
     (verify.check_equivariance, ("f",), {"svd": 5, "inv": 1}),
-    # as in the triple, then the graph check and the one slope SVD of f's
-    # image, which its compact coordinates and space_like both read
-    (verify.check_image_region, ("f",), {"svd": 6, "inv": 2}),
+    # the coset draw, then the frame, the graph check and the one slope SVD
+    # of f's image, which its compact coordinates and space_like both read
+    (verify.check_image_region, ("f",), {"svd": 3, "inv": 1}),
     # the slope draw; the point's frame, graph check and slope SVD; the
     # exponential; the frame of the point it maps back to
     (verify.check_round_trip, (), {"svd": 5, "inv": 1, "eigh": 1}),
@@ -182,14 +191,13 @@ def test_every_sampled_report_names_its_worst_sample():
 
 
 def test_embed_all_reads_each_frame_and_slope_once(monkeypatch, tmp_path, capsys):
-    # the slope's boost, p's frame, the graph check of the slope read and
-    # the one slope SVD, which both sides read; g and f keep their frames
-    # as built
+    # the slope SVD behind the boost, which the coset's point keeps with
+    # its frame for p, f, space_like and the compact coordinates; g's QR
     slope = tmp_path / "y.json"
     slope.write_text("[[0.3, -0.1], [0.2, 0.4], [-0.5, 0.1]]")
     counter = CallCounter(monkeypatch)
     argv = ["embed", "gr-real", "2", "3", "--method", "all", "--input", str(slope)]
-    assert counter.run(cli.main, argv) == {"svd": 4, "qr": 1, "inv": 1}
+    assert counter.run(cli.main, argv) == {"svd": 1, "qr": 1}
     assert capsys.readouterr().out
 
 
@@ -201,13 +209,37 @@ FRAME_SPACES = verify.catalog_spaces() + [make_space(Family.REAL_GRASSMANNIAN, 1
 @pytest.mark.parametrize("space", FRAME_SPACES, ids=lambda sp: sp.label())
 def test_frames_kept_without_an_svd_are_orthonormal(monkeypatch, space):
     g = verify.random_coset(space, np.random.default_rng(83), size=64)
-    g.point()  # p's frame, which f reads its slope off
     counter = CallCounter(monkeypatch)
-    for which, svds in (("g", 0), ("f", 2)):  # f: the slope's graph check and its SVD
+    for which, svds in (("p", 0), ("g", 0), ("f", 0)):  # p and f read what the coset keeps
         counter.calls = {}
         frame = embed(space, which, g).basis
         assert counter.calls.get("svd", 0) == svds, which
         assert np.abs(nk.herm(frame) @ frame - np.eye(space.n)).max() <= 1e-14, which
+
+
+@pytest.mark.parametrize("space", FRAME_SPACES, ids=lambda sp: sp.label())
+def test_kept_factors_equal_the_factors_read_off_the_coset(space):
+    # a coset built from its slope SVD keeps the frame, slope and SVD of its
+    # point; a point made from the coset's matrix reads them off its frame
+    rng = np.random.default_rng(97)
+    y = verify.random_slope(space, rng, size=4)
+    y[1::2, :, 0] *= -1.0  # for m = n this flips the sign of det(y) on every other slice
+    cosets = [verify.random_coset(space, rng, size=16)]
+    cosets += [cli.coset_from_matrix(space, y[i]) for i in range(len(y))]
+    # the read frame's SVD rounds by a few dim * eps: 2.8e-14 at dimension 64
+    tol = max(1e-14, 4 * space.dim * np.finfo(float).eps)
+    for g in cosets:
+        kept = g.point()
+        read = SubspacePoint(space, g.a[..., : space.n])
+        assert np.all(nk.frame_distance(kept.basis, read.basis) <= tol)
+        w, s, z = _slope_factors(space, kept)
+        assert np.abs(s - _slope_factors(space, read)[1]).max() <= 1e-12
+        assert np.abs((w[..., :, : space.n] * s[..., None, :]) @ nk.herm(z)
+                      - _slope_block(space, kept)).max() <= 1e-14
+        for side in Side:
+            got = point_flat_coords(space, kept, side).coords
+            assert np.abs(got - point_flat_coords(space, read, side).coords).max() <= 1e-12
+        assert np.all(same_point(kept, read))  # orientation included
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda sp: sp.label())

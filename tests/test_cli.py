@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dualspace
-from dualspace.cli import _jsonify, emit, main
+from dualspace.cli import _jsonify, emit, main, parse_space
+from dualspace.verify import random_slope
 
 ENVELOPE_KEYS = {"space", "method", "result", "residuals", "seed", "version"}
 
@@ -99,6 +100,31 @@ def test_cut_radius_bad_direction_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "--direction" in err
+
+
+@pytest.mark.parametrize("method", ["closed", "brute"])
+@pytest.mark.parametrize("direction", ["1e308,1e308", "1e-300,1e-300"])
+def test_cut_radius_of_huge_and_tiny_directions(capsys, method, direction):
+    # the Gram norm of either direction overflows or underflows unless the
+    # direction is scaled first; a RuntimeWarning fails the suite
+    payload = run_json(capsys, "cut-radius", "gr-real", "2", "2",
+                       "--direction", direction, "--method", method)
+    assert payload["result"]["radius"] == pytest.approx(np.pi / np.sqrt(2), abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ("lattice-info", "gr-real", "99999", "99999"),
+    ("cut-radius", "gr-complex", "99999", "99999", "--direction", "1"),
+    ("embed", "gr-real", "99999", "99999", "--input", "-"),
+    ("verify", "--space", "sphere:1:99999", "--samples", "1"),
+])
+def test_spaces_above_the_size_bound_are_domain_errors(capsys, argv):
+    # refused by make_space before anything is allocated: an allocation of
+    # this size would fail with a MemoryError traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "n + m <= 256" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -284,6 +310,40 @@ def test_embed_scalar_slope_just_below_one_is_space_like(tmp_path, capsys):
     f.write_text("[[0.999999999999]]")
     payload = run_json(capsys, "embed", "gr-real", "1", "1", "--method", "p", "--input", str(f))
     assert payload["result"]["space_like"] is True
+
+
+def matrix_json(y: np.ndarray) -> str:
+    if np.iscomplexobj(y):
+        return json.dumps([[[v.real, v.imag] for v in row] for row in y.tolist()])
+    return json.dumps(y.tolist())
+
+
+@pytest.mark.parametrize("space", [("gr-real", 1, 1), ("gr-real", 2, 3), ("gr-complex", 2, 2),
+                                   ("oriented2", 2, 2)],
+                         ids=lambda sp: "-".join(map(str, sp)))
+def test_slopes_accepted_at_the_boundary_are_space_like(tmp_path, capsys, space):
+    # at sigma = 1 - 1e-15 the boost refuses some slopes (exit 3 for p and
+    # f alike); on every slope it accepts, p reads the slope SVD the coset
+    # was built from, so it prints space_like true, and f refuses the
+    # boundary (exit 4)
+    family, n, m = space
+    sp = parse_space(family, n, m)
+    f = tmp_path / "y.json"
+    accepted = 0
+    for seed in range(50):
+        y = random_slope(sp, np.random.default_rng(seed), sigma_max=1.0 - 1e-15)
+        f.write_text(matrix_json(y))
+        argv = ("embed", family, str(n), str(m), "--input", str(f), "--method")
+        code, out, err = run_cli(capsys, *argv, "p")
+        code_f, _, err_f = run_cli(capsys, *argv, "f")
+        if code == 3:
+            assert code_f == 3, err_f
+            continue
+        accepted += 1
+        assert code == 0, err
+        assert json.loads(out)["result"]["space_like"] is True, seed
+        assert code_f == 4 and "boundary" in err_f, seed
+    assert accepted >= 10
 
 
 def test_cutlocus_grid_su3_uses_brute_force(capsys):

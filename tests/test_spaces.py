@@ -1,5 +1,7 @@
 """Tests for the space catalog: descriptors, membership, flat decomposition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from dualspace.errors import DomainError
 from dualspace.lattice import is_orthonormal
 from dualspace.spaces import (
     CATALOG,
+    MAX_DIM,
     Family,
     FlatCoordinates,
     Side,
@@ -97,6 +100,20 @@ def test_make_space_rejects_bad_dimensions():
         make_space(Family.ORIENTED_TWO_PLANE, 3, 4)
     with pytest.raises(ValueError):
         make_space("quaternionic", 1, 2)
+
+
+def test_make_space_refuses_sizes_above_the_bound_before_allocating():
+    assert MAX_DIM == 256
+    assert make_space(Family.REAL_GRASSMANNIAN, 128, 128).dim == MAX_DIM
+    tracemalloc.start()
+    try:
+        for n, m in [(128, 129), (1, MAX_DIM), (10 ** 6, 10 ** 6)]:
+            with pytest.raises(DomainError, match="n \\+ m <= 256"):
+                make_space(Family.REAL_GRASSMANNIAN if n > 1 else Family.CIRCLE_SPHERE, n, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("family,n,m", CATALOG)
