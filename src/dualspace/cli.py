@@ -45,18 +45,12 @@ from .lattice import (
     region_fraction,
     su3_lattice,
 )
-from .spaces import Family, Side, SpaceDescriptor, make_space, slope_svd
+from .spaces import FAMILIES, Family, Side, SpaceDescriptor, make_space, slope_svd
 
 USAGE_EXIT, DOMAIN_EXIT, NUMERICAL_EXIT = 2, 3, 4
 
-_FAMILY_IDS = {
-    "gr-real": Family.REAL_GRASSMANNIAN,
-    "gr-complex": Family.COMPLEX_GRASSMANNIAN,
-    "oriented2": Family.ORIENTED_TWO_PLANE,
-    "oriented-2plane": Family.ORIENTED_TWO_PLANE,
-    "sphere": Family.CIRCLE_SPHERE,
-    "circle": Family.CIRCLE_SPHERE,
-}
+_FAMILY_IDS = {name: family for family, row in FAMILIES.items()
+               for name in (family.value, *row.aliases)}
 
 
 def default_seed() -> int:
@@ -381,7 +375,7 @@ def cmd_verify(args) -> int:
 
 
 def _add_space_args(p):
-    p.add_argument("space", help="space id: gr-real, gr-complex, oriented2, sphere, or su3")
+    p.add_argument("space", help=f"space id: {', '.join(_FAMILY_IDS)}, or su3")
     p.add_argument("n", nargs="?", type=int, default=None)
     p.add_argument("m", nargs="?", type=int, default=None)
 

@@ -9,11 +9,10 @@ stack is checked once, with every slice held to the test a single matrix
 meets.  Every function here is pure: arguments are never mutated, so
 values are safe to share across threads.
 
-The library's own exponentials are of tangent vectors, which are
+The library's exponentials are all of tangent vectors, which are
 Hermitian (noncompact side) or skew-Hermitian (compact side), and
-:func:`exp_tangent` takes them from one ``eigh``.  Only the general
-:func:`expm`, for non-normal input, needs scipy; it loads scipy on its
-first call, so a process that never calls it never imports scipy.
+:func:`exp_tangent` takes them from one ``eigh``; no general matrix
+exponential is needed, and numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -64,28 +63,6 @@ def per_slice(x):
     return x.item() if x.ndim == 0 else x
 
 
-def _square(x) -> np.ndarray:
-    x = as_matrix(x)
-    if x.shape[-2] != x.shape[-1]:
-        raise DomainError(f"exponential needs a square matrix, got {x.shape}")
-    return x
-
-
-def expm(x) -> np.ndarray:
-    """Matrix exponential of a square matrix, or of each slice of a stack.
-
-    Backed by scipy's scaling-and-squaring Pade implementation, which meets
-    the accuracy budget (relative error well below 1e-12 in spectral norm)
-    for moderate-norm matrices.  scipy is imported on the first call and
-    kept only for general, non-normal input: Hermitian and skew-Hermitian
-    matrices go through :func:`exp_tangent` instead.
-    """
-    x = _square(x)
-    import scipy.linalg
-
-    return scipy.linalg.expm(x)
-
-
 def exp_tangent(x, *, hermitian: bool) -> np.ndarray:
     """Exponential of a Hermitian (``hermitian=True``) or skew-Hermitian
     (``hermitian=False``) matrix, or of each slice of a stack, from one
@@ -97,7 +74,9 @@ def exp_tangent(x, *, hermitian: bool) -> np.ndarray:
     V diag(lam) V^H``, so ``exp(x) = V diag(exp(-i lam)) V^H``, taken real
     for real ``x``.
     """
-    x = _square(x)
+    x = as_matrix(x)
+    if x.shape[-2] != x.shape[-1]:
+        raise DomainError(f"exponential needs a square matrix, got {x.shape}")
     if hermitian:
         lam, v = np.linalg.eigh(x)
         return (v * np.exp(lam)[..., None, :]) @ herm(v)

@@ -1,8 +1,12 @@
 """Catalog of the classical symmetric-space families in scope.
 
-Each space is described by a :class:`SpaceDescriptor` holding the base
-point, the indefinite form, the commuting flat generators and the unit
-lattice.  Conventions:
+Each family is one row of the table :data:`FAMILIES`: its field, metric
+scale and orientation, its extra CLI ids, and, for a family of one fixed
+n, that n and its lattice coefficients.  :func:`make_space`, the CLI's
+space ids and the family sets of ``verify`` all read that table, so a new
+family is a new row.  Each space is described by a :class:`SpaceDescriptor`
+holding the base point, the indefinite form, the commuting flat generators
+and the unit lattice.  Conventions:
 
 * the ambient space is R^(n+m) or C^(n+m) with n <= m, the quadratic form
   has signature (n, m), and the base point is the span of the first n
@@ -24,7 +28,9 @@ and check a stack once.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -226,13 +232,40 @@ def same_point(a: SubspacePoint, b: SubspacePoint, tol: float = 1e-9):
 MAX_DIM = 256  # the bound on n + m, four times the targeted 64
 
 
+class FamilyRow(NamedTuple):
+    """What sets one family apart; :func:`make_space` reads nothing else.
+
+    The rank is n in every family.  A family of one fixed n gives its
+    lattice coefficients (columns: generators in R_i coordinates); the
+    others have pi * I_n.
+    """
+
+    field: str                      # "real" or "complex"
+    metric_scale: float
+    oriented: bool
+    aliases: tuple = ()             # CLI ids besides ``Family.value``
+    fixed_n: int | None = None
+    lattice_coeff: np.ndarray | None = None
+
+
+FAMILIES = {
+    Family.REAL_GRASSMANNIAN: FamilyRow("real", 0.5, False),
+    Family.COMPLEX_GRASSMANNIAN: FamilyRow("complex", 0.5, False),
+    # generators pi*(R_1 + R_2) and pi*(R_1 - R_2): orthogonal, equal length
+    Family.ORIENTED_TWO_PLANE: FamilyRow("real", 0.5, True, ("oriented2",), 2,
+                                         np.pi * np.array([[1.0, 1.0], [1.0, -1.0]])),
+    Family.CIRCLE_SPHERE: FamilyRow("real", 2.0, True, ("circle",), 1, 2.0 * np.pi * np.eye(1)),
+}
+
+
 def make_space(family: Family, n: int, m: int) -> SpaceDescriptor:
-    """Build the descriptor for one catalog space.
+    """Build the descriptor for one catalog space from its row of
+    :data:`FAMILIES`.
 
     Parameters
     ----------
     family : Family
-        One of the four in-scope families.  Real and complex Grassmannians
+        A :class:`Family` or its value.  Real and complex Grassmannians
         accept any 1 <= n <= m.  The oriented families are the rank <= 2
         ones: oriented 2-planes need n = 2 (rank 2), and n = 1 gives the
         oriented lines, i.e. the circle/sphere family (rank 1), whose
@@ -246,57 +279,39 @@ def make_space(family: Family, n: int, m: int) -> SpaceDescriptor:
         For families outside the catalog (quaternionic and exceptional
         spaces are unsupported) or invalid (n, m), before any allocation.
     """
-    family = Family(family)
-    n = int(n)
-    m = int(m)
+    try:
+        family = Family(family)
+    except ValueError:
+        raise DomainError(f"unsupported family {family!r}") from None
+    try:
+        n, m = operator.index(n), operator.index(m)
+    except TypeError:
+        raise DomainError(f"n and m must be integers, got (n, m) = ({n!r}, {m!r})") from None
     if n < 1:
         raise DomainError(f"need n >= 1, got n={n}")
     if m < n:
         raise DomainError(f"catalog convention requires m >= n, got (n, m) = ({n}, {m})")
     if n + m > MAX_DIM:
         raise DomainError(f"need n + m <= {MAX_DIM}, got n + m = {n + m}")
-
-    if family is Family.REAL_GRASSMANNIAN or family is Family.COMPLEX_GRASSMANNIAN:
-        rank = n
-        scale = 0.5
-        oriented = False
-        coeff = np.pi * np.eye(rank)
-        fld = "complex" if family is Family.COMPLEX_GRASSMANNIAN else "real"
-    elif family is Family.CIRCLE_SPHERE or (family is Family.ORIENTED_TWO_PLANE and n == 1):
+    if family is Family.ORIENTED_TWO_PLANE and n == 1:
         family = Family.CIRCLE_SPHERE
-        if n != 1:
-            raise DomainError("the circle/sphere family needs n = 1")
-        rank = 1
-        scale = 2.0
-        oriented = True
-        coeff = 2.0 * np.pi * np.eye(1)
-        fld = "real"
-    elif family is Family.ORIENTED_TWO_PLANE:
-        if n != 2:
-            raise DomainError("oriented planes are supported for n in {1, 2} only")
-        rank = 2
-        scale = 0.5
-        oriented = True
-        # generators pi*(R_1 + R_2) and pi*(R_1 - R_2): orthogonal, equal length
-        coeff = np.pi * np.array([[1.0, 1.0], [1.0, -1.0]])
-        fld = "real"
-    else:  # pragma: no cover - Family() above already rejects other values
-        raise DomainError(f"unsupported family {family}")
+    row = FAMILIES[family]
+    if row.fixed_n not in (None, n):
+        raise DomainError(f"the {family.value} family needs n = {row.fixed_n}, got n={n}")
 
-    gen_norm = np.sqrt(2.0 * scale)  # |R_i| under the family metric
-    basis = LatticeBasis(generators=gen_norm * coeff)
-    form_j = np.diag(np.concatenate([np.ones(n), -np.ones(m)]))
+    coeff = np.pi * np.eye(n) if row.lattice_coeff is None else row.lattice_coeff.copy()
+    gen_norm = np.sqrt(2.0 * row.metric_scale)  # |R_i| under the family metric
     return SpaceDescriptor(
         family=family,
         n=n,
         m=m,
-        rank=rank,
-        field=fld,
-        metric_scale=scale,
-        oriented=oriented,
-        form_j=form_j,
+        rank=n,
+        field=row.field,
+        metric_scale=row.metric_scale,
+        oriented=row.oriented,
+        form_j=np.diag(np.concatenate([np.ones(n), -np.ones(m)])),
         lattice_coeff=coeff,
-        lattice=basis,
+        lattice=LatticeBasis(generators=gen_norm * coeff),
     )
 
 

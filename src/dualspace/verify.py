@@ -36,6 +36,7 @@ from .errors import DomainError, NumericalError
 from .lattice import cut_radius_brute, cut_radius_closed, in_half_region
 from .spaces import (
     CATALOG,
+    FAMILIES,
     Family,
     FlatCoordinates,
     Side,
@@ -491,8 +492,8 @@ def catalog_spaces():
     return [make_space(f, n, m) for f, n, m in CATALOG]
 
 
-ALL_FAMILIES = frozenset(Family)
-GRASSMANNIANS = frozenset({Family.REAL_GRASSMANNIAN, Family.COMPLEX_GRASSMANNIAN})
+ALL_FAMILIES = frozenset(FAMILIES)
+GRASSMANNIANS = frozenset(family for family, row in FAMILIES.items() if not row.oriented)
 
 # (property id, check, extra arguments after the space, families claimed
 # on; None for the space-free triangle laws).  On the oriented planes f

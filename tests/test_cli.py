@@ -585,7 +585,8 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
 
 
 def test_cold_calls_never_import_scipy(tmp_path):
-    # a fresh process: the test session itself has scipy loaded through nk.expm
+    # a fresh process: the test session itself has scipy loaded through the
+    # expm oracle
     slope = tmp_path / "y.json"
     slope.write_text(json.dumps([[0.3], [-0.2]]))
     calls = [
@@ -598,15 +599,17 @@ def test_cold_calls_never_import_scipy(tmp_path):
     script = f"""
 import sys
 import numpy as np
-from dualspace import cli, numkernel as nk
+from dualspace import cli
 for argv in {calls!r}:
     assert cli.main(argv) == 0, argv
 assert "scipy" not in sys.modules, "a command imported scipy"
-assert (nk.expm(np.array([[0.0, 1.0], [0.0, 0.0]])) == [[1.0, 1.0], [0.0, 1.0]]).all()
+from expm_oracle import expm
+assert (expm(np.array([[0.0, 1.0], [0.0, 0.0]])) == [[1.0, 1.0], [0.0, 1.0]]).all()
 """
     env = dict(os.environ)
     src = str(Path(dualspace.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    tests = str(Path(__file__).resolve().parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, tests, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -11,6 +11,8 @@ from dualspace.errors import DomainError, NumericalError
 from dualspace.spaces import Family, FlatCoordinates, Side, SubspacePoint, make_space
 from dualspace.verify import catalog_spaces, random_coset, random_slope, random_unit_flat
 
+from expm_oracle import expm
+
 # angle of the rotation produced by orthonormalizing the unit boost:
 # tan(theta) = -tanh(1), evaluated independently of the kernel under test
 THETA_BOOST = -np.arctan(np.tanh(1.0))
@@ -25,22 +27,22 @@ def boost(t):
 
 
 # ---------------------------------------------------------------------------
-# expm
+# expm, the test oracle the exp_tangent tests compare with
 
 
 def test_expm_zero_is_identity():
-    np.testing.assert_allclose(nk.expm(np.zeros((3, 3))), np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(expm(np.zeros((3, 3))), np.eye(3), atol=1e-14)
 
 
 def test_expm_rotation_generator():
     t = np.pi / 3
     x = t * np.array([[0.0, 1.0], [-1.0, 0.0]])
-    np.testing.assert_allclose(nk.expm(x), rotation(t), atol=1e-13)
+    np.testing.assert_allclose(expm(x), rotation(t), atol=1e-13)
 
 
 def test_expm_boost_generator():
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_allclose(nk.expm(x), boost(1.0), atol=1e-13)
+    np.testing.assert_allclose(expm(x), boost(1.0), atol=1e-13)
 
 
 def test_expm_accuracy_large_norm():
@@ -51,7 +53,7 @@ def test_expm_accuracy_large_norm():
     s *= 50.0 / np.linalg.norm(s, 2)
     w, v = np.linalg.eigh(s)
     oracle = (v * np.exp(w)) @ v.T
-    got = nk.expm(s)
+    got = expm(s)
     assert np.linalg.norm(got - oracle, 2) <= 1e-12 * np.linalg.norm(oracle, 2)
 
 
@@ -61,7 +63,7 @@ def test_expm_inverse_property(dim, key):
     rng = np.random.default_rng(key)
     x = rng.uniform(-1.0, 1.0, (dim, dim))
     x *= min(1.0, 10.0 / max(np.linalg.norm(x, 2), 1e-9))
-    prod = nk.expm(x) @ nk.expm(-x)
+    prod = expm(x) @ expm(-x)
     assert np.max(np.abs(prod - np.eye(dim))) <= 1e-10
 
 
@@ -69,16 +71,9 @@ def test_expm_conjugation_equivariance():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((4, 4))
     k, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-    lhs = nk.expm(k @ x @ k.T)
-    rhs = k @ nk.expm(x) @ k.T
+    lhs = expm(k @ x @ k.T)
+    rhs = k @ expm(x) @ k.T
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
-
-
-def test_expm_rejects_bad_input():
-    with pytest.raises(DomainError):
-        nk.expm(np.ones((2, 3)))
-    with pytest.raises(DomainError):
-        nk.expm(np.array([[0.0, np.nan], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +90,7 @@ def test_exp_tangent_matches_expm_on_both_sides(space):
     point = SubspacePoint(space, np.concatenate([top, random_slope(space, rng, size=size)], -2))
     # noncompact tangents: Hermitian only to rounding, as the round trip makes them
     x = log_noncompact(space, point).x
-    got, ref = nk.exp_tangent(x, hermitian=True), nk.expm(x)
+    got, ref = nk.exp_tangent(x, hermitian=True), expm(x)
     rel = np.linalg.norm(got - ref, 2, axis=(-2, -1)) / np.linalg.norm(ref, 2, axis=(-2, -1))
     assert got.dtype == space.dtype
     assert np.max(rel) <= 1e-13
@@ -104,7 +99,7 @@ def test_exp_tangent_matches_expm_on_both_sides(space):
     flat = t * FlatCoordinates(space, random_unit_flat(space, rng, size)).matrix(Side.COMPACT)
     got = nk.exp_tangent(flat, hermitian=False)
     assert got.dtype == space.dtype
-    assert np.max(np.abs(got - nk.expm(flat))) <= 1e-13
+    assert np.max(np.abs(got - expm(flat))) <= 1e-13
     for i in (0, 101, 199):
         np.testing.assert_allclose(got[i], nk.exp_tangent(flat[i], hermitian=False),
                                    rtol=0.0, atol=1e-14)

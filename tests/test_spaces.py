@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dualspace import cli
 from dualspace import numkernel as nk
 from dualspace.errors import DomainError
 from dualspace.lattice import is_orthonormal
@@ -24,6 +25,7 @@ from dualspace.spaces import (
     transitivity_element,
 )
 
+from expm_oracle import expm
 from flat_oracle import flat_decompose
 
 GRASSMANNIANS = [
@@ -91,6 +93,78 @@ def test_make_space_oriented_two_plane():
     np.testing.assert_allclose(sp1.lattice.gram, [[16 * np.pi ** 2]], rtol=1e-14)
 
 
+_ORIENTED2_COEFF = np.pi * np.array([[1.0, 1.0], [1.0, -1.0]])
+
+# (family, n, m) -> (family, rank, field, metric_scale, oriented,
+# lattice_coeff, lattice.gram), written out by hand
+PINNED_DESCRIPTORS = {
+    (Family.REAL_GRASSMANNIAN, 1, 1): (Family.REAL_GRASSMANNIAN, 1, "real", 0.5, False,
+                                       np.pi * np.eye(1), np.pi * np.pi * np.eye(1)),
+    (Family.REAL_GRASSMANNIAN, 1, 2): (Family.REAL_GRASSMANNIAN, 1, "real", 0.5, False,
+                                       np.pi * np.eye(1), np.pi * np.pi * np.eye(1)),
+    (Family.REAL_GRASSMANNIAN, 2, 2): (Family.REAL_GRASSMANNIAN, 2, "real", 0.5, False,
+                                       np.pi * np.eye(2), np.pi * np.pi * np.eye(2)),
+    (Family.REAL_GRASSMANNIAN, 2, 3): (Family.REAL_GRASSMANNIAN, 2, "real", 0.5, False,
+                                       np.pi * np.eye(2), np.pi * np.pi * np.eye(2)),
+    (Family.REAL_GRASSMANNIAN, 3, 4): (Family.REAL_GRASSMANNIAN, 3, "real", 0.5, False,
+                                       np.pi * np.eye(3), np.pi * np.pi * np.eye(3)),
+    (Family.COMPLEX_GRASSMANNIAN, 1, 1): (Family.COMPLEX_GRASSMANNIAN, 1, "complex", 0.5, False,
+                                          np.pi * np.eye(1), np.pi * np.pi * np.eye(1)),
+    (Family.COMPLEX_GRASSMANNIAN, 1, 2): (Family.COMPLEX_GRASSMANNIAN, 1, "complex", 0.5, False,
+                                          np.pi * np.eye(1), np.pi * np.pi * np.eye(1)),
+    (Family.COMPLEX_GRASSMANNIAN, 2, 2): (Family.COMPLEX_GRASSMANNIAN, 2, "complex", 0.5, False,
+                                          np.pi * np.eye(2), np.pi * np.pi * np.eye(2)),
+    (Family.ORIENTED_TWO_PLANE, 2, 2): (Family.ORIENTED_TWO_PLANE, 2, "real", 0.5, True,
+                                        _ORIENTED2_COEFF, 2 * np.pi * np.pi * np.eye(2)),
+    (Family.CIRCLE_SPHERE, 1, 1): (Family.CIRCLE_SPHERE, 1, "real", 2.0, True,
+                                   2 * np.pi * np.eye(1), 16 * np.pi * np.pi * np.eye(1)),
+    (Family.CIRCLE_SPHERE, 1, 2): (Family.CIRCLE_SPHERE, 1, "real", 2.0, True,
+                                   2 * np.pi * np.eye(1), 16 * np.pi * np.pi * np.eye(1)),
+    # the oriented lines are the sphere
+    (Family.ORIENTED_TWO_PLANE, 1, 3): (Family.CIRCLE_SPHERE, 1, "real", 2.0, True,
+                                        2 * np.pi * np.eye(1), 16 * np.pi * np.pi * np.eye(1)),
+}
+
+
+@pytest.mark.parametrize("key", CATALOG + ((Family.ORIENTED_TWO_PLANE, 1, 3),),
+                         ids=lambda k: f"{k[0].value}({k[1]},{k[2]})")
+def test_descriptor_fields_are_pinned(key):
+    family, rank, fld, scale, oriented, coeff, gram = PINNED_DESCRIPTORS[key]
+    sp = make_space(*key)
+    assert sp.family is family
+    assert (sp.n, sp.m) == key[1:]
+    assert sp.rank == rank
+    assert sp.field == fld
+    assert sp.metric_scale == scale
+    assert sp.oriented is oriented
+    np.testing.assert_array_equal(sp.lattice_coeff, coeff)
+    np.testing.assert_array_equal(np.diag(sp.lattice.gram), np.diag(gram))
+    # off the diagonal pi*pi - pi*pi may leave a rounding residue, where the
+    # BLAS fuses the multiply-add
+    np.testing.assert_allclose(sp.lattice.gram, gram, rtol=0,
+                               atol=np.finfo(float).eps * gram.max())
+
+
+@pytest.mark.parametrize("space_id, n, m, family", [
+    ("gr-real", 2, 3, Family.REAL_GRASSMANNIAN),
+    ("gr-complex", 1, 2, Family.COMPLEX_GRASSMANNIAN),
+    ("oriented2", 2, 2, Family.ORIENTED_TWO_PLANE),
+    ("oriented-2plane", 2, 2, Family.ORIENTED_TWO_PLANE),
+    ("sphere", 1, 2, Family.CIRCLE_SPHERE),
+    ("circle", 1, 1, Family.CIRCLE_SPHERE),
+])
+def test_every_cli_id_resolves_to_its_family(space_id, n, m, family):
+    sp = cli.parse_space(space_id, n, m)
+    assert sp.family is family
+    assert (sp.n, sp.m) == (n, m)
+
+
+@pytest.mark.parametrize("argv", [("oriented2", "3", "4"), ("sphere", "2", "2")])
+def test_cli_rejects_a_family_outside_its_fixed_n(capsys, argv):
+    assert cli.main(["lattice-info", *argv]) == cli.DOMAIN_EXIT == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_make_space_rejects_bad_dimensions():
     with pytest.raises(DomainError):
         make_space(Family.REAL_GRASSMANNIAN, 3, 2)
@@ -98,8 +172,12 @@ def test_make_space_rejects_bad_dimensions():
         make_space(Family.REAL_GRASSMANNIAN, 0, 2)
     with pytest.raises(DomainError):
         make_space(Family.ORIENTED_TWO_PLANE, 3, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         make_space("quaternionic", 1, 2)
+    with pytest.raises(DomainError):
+        make_space(Family.REAL_GRASSMANNIAN, 2.9, 3)
+    with pytest.raises(DomainError):
+        make_space(Family.REAL_GRASSMANNIAN, "2", 3)
 
 
 def test_make_space_refuses_sizes_above_the_bound_before_allocating():
@@ -129,7 +207,7 @@ def test_catalog_descriptor_invariants(family, n, m):
     for col in range(sp.rank):
         coeffs = sp.lattice_coeff[:, col]
         gen = sum(c * r for c, r in zip(coeffs, compact))
-        assert in_isotropy(sp, nk.expm(gen))
+        assert in_isotropy(sp, expm(gen))
     # base point is fixed by construction
     base = sp.base_point()
     assert base.rep.shape == (sp.dim, sp.n)
@@ -146,7 +224,7 @@ def test_oriented_lattices_are_not_finer(family, n, m):
     compact = sp.cartan_basis(Side.COMPACT)
     coeffs = sp.lattice_coeff[:, 0] / 2.0
     gen = sum(c * r for c, r in zip(coeffs, compact))
-    assert not in_isotropy(sp, nk.expm(gen))
+    assert not in_isotropy(sp, expm(gen))
 
 
 # ---------------------------------------------------------------------------
