@@ -45,7 +45,7 @@ from .lattice import (
     region_fraction,
     su3_lattice,
 )
-from .spaces import FAMILIES, Family, Side, SpaceDescriptor, make_space, slope_svd
+from .spaces import FAMILIES, MAX_SAMPLES, Family, Side, SpaceDescriptor, make_space, slope_svd
 
 USAGE_EXIT, DOMAIN_EXIT, NUMERICAL_EXIT = 2, 3, 4
 
@@ -73,6 +73,8 @@ class UsageError(Exception):
 def parse_space(family: str, n, m):
     """Resolve a (family, n, m) triple; 'su3' names the counterexample lattice."""
     if family == "su3":
+        if n is not None or m is not None:
+            raise UsageError("su3 takes no dimensions")
         return None
     if family not in _FAMILY_IDS:
         raise UsageError(f"unknown space id {family!r} "
@@ -83,9 +85,9 @@ def parse_space(family: str, n, m):
 
 
 def space_lattice(family: str, n, m):
-    if family == "su3":
-        return None, su3_lattice(), "su3"
     sp = parse_space(family, n, m)
+    if sp is None:
+        return None, su3_lattice(), "su3"
     return sp, sp.lattice, sp.label()
 
 
@@ -237,6 +239,8 @@ def _parse_direction(text: str) -> np.ndarray:
 def _check_samples(samples: int):
     if samples < 1:
         raise UsageError(f"--samples must be a positive count, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise UsageError(f"--samples must be at most {MAX_SAMPLES}, got {samples}")
 
 
 def cmd_cut_radius(args) -> int:

@@ -86,12 +86,15 @@ class GroupElement:
 
 
 def coset_from_factors(space: SpaceDescriptor, w: np.ndarray, s: np.ndarray,
-                       z: np.ndarray) -> GroupElement:
+                       z: np.ndarray, boost: np.ndarray | None = None) -> GroupElement:
     """The coset of the slope ``w[:, :n] diag(s) z^H`` (or a stack) from
-    factors in :func:`slope_svd`'s conventions, by :func:`_boost_factors`.
-    Its point keeps the frame ``[z C z^H; w[:, :n] S z^H]``, ``C = 1/sqrt(1 +
-    s^2)``, ``S = s C``, and the factors as its slope SVD, read-only."""
-    g = _built(GroupElement, space=space, side=Side.NONCOMPACT, a=_boost_factors(space, w, s, z))
+    factors in :func:`slope_svd`'s conventions, by :func:`_boost_factors`
+    unless the caller passes that ``boost``.  Its point keeps the frame
+    ``[z C z^H; w[:, :n] S z^H]``, ``C = 1/sqrt(1 + s^2)``, ``S = s C``, and
+    the factors as its slope SVD, read-only."""
+    if boost is None:
+        boost = _boost_factors(space, w, s, z)
+    g = _built(GroupElement, space=space, side=Side.NONCOMPACT, a=boost)
     wn, zh, c = w[..., :, : space.n], nk.herm(z), 1.0 / np.sqrt(1.0 + s * s)
     frame = np.concatenate(((z * c[..., None, :]) @ zh, (wn * (s * c)[..., None, :]) @ zh), axis=-2)
     point = _kept(g, "_point", lambda: _built(SubspacePoint, space=space, rep=g.a[..., : space.n],

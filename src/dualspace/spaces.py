@@ -230,6 +230,10 @@ def same_point(a: SubspacePoint, b: SubspacePoint, tol: float = 1e-9):
 
 
 MAX_DIM = 256  # the bound on n + m, four times the targeted 64
+# the bound on a CLI sample count, 500 times the default 200: a verify pass
+# holds about 8 KB per sample over the catalog, and a cut-locus grid takes
+# one cut radius per sample
+MAX_SAMPLES = 100_000
 
 
 class FamilyRow(NamedTuple):
@@ -334,10 +338,18 @@ CATALOG = (
 # membership tests and group constructions
 
 
-def _scaled_tol(a: np.ndarray, tol: float) -> np.ndarray:
-    # residuals of A^H J A - J grow like ||A||^2 * eps; keep the test
-    # meaningful for strong boosts without loosening it near the identity
-    return tol * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)) ** 2)
+def _form_residual(space: SpaceDescriptor, a: np.ndarray, side: Side) -> np.ndarray:
+    """``max |A^H J A - J|`` per slice, J = I (compact) or the signature form.
+
+    J is diagonal with entries +-1, so ``A^H J`` is ``A^H`` with its columns
+    scaled, exactly, and the compact side takes no product with J at all.
+    """
+    if side is Side.COMPACT:
+        j, ah = np.eye(space.dim), nk.herm(a)
+    else:
+        j = space.form_j
+        ah = nk.herm(a) * j.diagonal()
+    return np.abs(ah @ a - j).max(axis=(-2, -1))
 
 
 def in_group(space: SpaceDescriptor, a, side: Side, tol: float = 1e-10) -> bool:
@@ -356,9 +368,13 @@ def in_group(space: SpaceDescriptor, a, side: Side, tol: float = 1e-10) -> bool:
         if not np.max(np.abs(a.imag)) <= tol:
             return False
         a = a.real
-    j = np.eye(space.dim) if side is Side.COMPACT else space.form_j
-    scaled = _scaled_tol(a, tol)
-    ok = np.abs(nk.herm(a) @ j @ a - j).max(axis=(-2, -1)) <= scaled
+    # residuals of A^H J A - J grow like ||A||^2 * eps; keep the test
+    # meaningful for strong boosts without loosening it near the identity
+    big = np.abs(a).max(axis=(-2, -1))
+    if not np.isfinite(big).all():
+        return False
+    scaled = tol * np.maximum(1.0, big ** 2)
+    ok = _form_residual(space, a, side) <= scaled
     if space.oriented:
         ok &= np.abs(np.linalg.det(a) - 1.0) <= scaled
     return bool(ok.all())

@@ -7,10 +7,23 @@ per sample, and returns a :class:`PropertyReport` with the worst residual
 seen and, in ``details["worst_index"]``, the index of the sample that
 gave it.  Residual aggregation is worst-case, not mean: the identities
 under test are exact, so a single bad sample is a failure, and a NaN
-residual is a failure and the worst.  :func:`_sampled` applies this
+residual is a failure and the worst.  :func:`_report` applies this
 policy to the residual checks.  Every check draws from :func:`_generator`,
 which refuses fewer than one sample, so no report can pass over an empty
 batch.  Reports are reproducible from (property name, seed, samples).
+
+The triple, equivariance and round-trip checks of one space open with the
+same draw from ``default_rng(seed)``: the slope factors of
+:func:`random_slope`.  That draw is taken once per space and ``(seed,
+samples)`` and kept (:class:`_DrawStore`), with what is built from it on
+first use: the boost that triple and equivariance read, and, for the
+three equivariance checks, the isotropy stack drawn next and the
+form-checked stack of moved and unmoved cosets, whose point keeps the
+frame and slope SVD that p and f read.  The store holds one ``(seed,
+samples)`` at a time and shares draws, never results: each report is the
+one the check gives alone, in any order of calls.  The image, cut-radius,
+cut-loci and triangle checks draw as before.
+
 :data:`CLAIMS` is the one table of which property is claimed on which
 family; :func:`run_suite` and the CLI read it.
 """
@@ -18,6 +31,7 @@ family; :func:`run_suite` and the CLI read it.
 from __future__ import annotations
 
 import inspect
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +39,7 @@ import numpy as np
 from . import numkernel as nk
 from .embeddings import (
     GroupElement,
+    _kept,
     b_embed_rank1,
     coset_from_factors,
     embed,
@@ -154,7 +169,11 @@ def random_slope(space: SpaceDescriptor, rng, sigma_max=None,
     ``size`` of them: largest singular value ``sigma_max`` (a value, or one
     per slope) or uniform in [0, 0.95], the others uniform below it in
     descending order, and ``diag(z, w)`` a random isotropy element."""
-    w, sig, z = _slope_factors(space, rng, sigma_max, size)
+    return _slope(space, *_slope_factors(space, rng, sigma_max, size))
+
+
+def _slope(space: SpaceDescriptor, w, sig, z) -> np.ndarray:
+    """The slope ``w[:, :n] diag(sig) z^H`` of factors, or of a stack."""
     return (w[..., :, : space.n] * sig[..., None, :]) @ nk.herm(z)
 
 
@@ -199,13 +218,91 @@ def _worst_index(values: np.ndarray, largest: bool = True) -> int:
     return int(np.argmax(values) if largest else np.argmin(values))
 
 
-def _sampled(name: str, samples: int, seed: int, tol: float, residuals) -> PropertyReport:
-    """Worst case of the residual array ``residuals(rng, samples)``, one
-    entry per sample of a batch drawn from one seeded generator; a sample
-    fails when its residual is not at most ``tol``, so a NaN fails and is
-    the worst.  ``details["worst_index"]`` is that sample's index."""
-    rng = _generator(samples, seed)
-    resid = np.asarray(residuals(rng, samples), dtype=np.float64)
+class _Draw:
+    """The opening draw of the sampled checks on one space at one ``(seed,
+    samples)``: the factors ``(w, sig, z)`` that :func:`_slope_factors`
+    draws first from ``default_rng(seed)``, read-only, and the generator's
+    state right after them.  The boost of those factors, the isotropy
+    stack drawn next and the form-checked stack of both are built on first
+    use and kept read-only by :func:`_kept`, which stores no exception."""
+
+    def __init__(self, space: SpaceDescriptor, samples: int, seed: int):
+        rng = _generator(samples, seed)
+        self.space, self.key = space, (seed, samples)
+        self.factors = _slope_factors(space, rng, None, samples)
+        for arr in self.factors:
+            arr.flags.writeable = False
+        self.state = rng.bit_generator.state
+
+    def boost(self) -> np.ndarray:
+        """The cosets ``a`` of the factors, as :func:`random_coset` builds them."""
+        return _kept(self, "_boost", lambda: _boost_factors(self.space, *self.factors))
+
+    def isotropy(self) -> np.ndarray:
+        """The isotropy stack ``k`` that the generator draws after the factors."""
+        def draw():
+            seed, samples = self.key
+            rng = np.random.default_rng(seed)
+            rng.bit_generator.state = self.state
+            return random_isotropy(self.space, rng, size=samples)
+        return _kept(self, "_isotropy", draw)
+
+    def moved_and_unmoved(self) -> GroupElement:
+        """The stack ``[k a, a]``, form-checked once; its point keeps the
+        frame and slope SVD that every embedding of it reads."""
+        def build():
+            k, a = self.isotropy(), self.boost()
+            both = _built(GroupElement, space=self.space, side=Side.NONCOMPACT,
+                          a=np.concatenate([k @ a, a]))
+            both.a.flags.writeable = False
+            return both
+        return _kept(self, "_moved_and_unmoved", build)
+
+
+class _DrawStore:
+    """The opening draws of one ``(seed, samples)``, one per space object.
+
+    Each draw is kept on its space, as :func:`_kept` keeps a coset's frame,
+    so it goes when its space does.  A request at another ``(seed,
+    samples)`` first drops every kept draw: the store holds at most one
+    suite pass.  Draws are deterministic, so a cleared store changes no
+    report, only the work done; a check takes its draw once and holds it,
+    so a draw dropped under a running check only costs a second draw."""
+
+    def __init__(self):
+        self.key = None
+        self.spaces = weakref.WeakSet()
+
+    def get(self, space: SpaceDescriptor, samples: int, seed: int) -> _Draw:
+        if seed is None:  # fresh entropy on every call: nothing to share
+            return _Draw(space, samples, seed)
+        if (seed, samples) != self.key:
+            self.clear()
+        draw = vars(space).get("_opening_draw")
+        # a copy of a space carries the draw of the space it was copied from
+        if draw is None or draw.key != (seed, samples):
+            draw = _Draw(space, samples, seed)
+            vars(space)["_opening_draw"] = draw
+            self.key = draw.key
+            self.spaces.add(space)
+        return draw
+
+    def clear(self):
+        for space in self.spaces:
+            vars(space).pop("_opening_draw", None)
+        self.spaces.clear()
+        self.key = None
+
+
+_draws = _DrawStore()
+
+
+def _report(name: str, samples: int, seed: int, tol: float, resid) -> PropertyReport:
+    """Worst case of the residual array ``resid``, one entry per sample of a
+    batch drawn from one seeded generator; a sample fails when its residual
+    is not at most ``tol``, so a NaN fails and is the worst.
+    ``details["worst_index"]`` is that sample's index."""
+    resid = np.asarray(resid, dtype=np.float64)
     if resid.shape != (samples,):
         raise ValueError(f"{name}: {resid.shape} residuals for {samples} samples")
     failures = int(np.count_nonzero(~(resid <= tol)))
@@ -217,12 +314,13 @@ def _sampled(name: str, samples: int, seed: int, tol: float, residuals) -> Prope
 def check_triple_equality(space, samples: int = 200, seed: int = DEFAULT_SEED,
                           tol: float = 1e-9) -> PropertyReport:
     """Pairwise agreement of the three embeddings on random cosets, the
-    three distances of the batch taken in one stacked call."""
-    def residuals(rng, size):
-        g = random_coset(space, rng, size=size)
-        p, q, f = (embed(space, which, g).basis for which in ("p", "g", "f"))
-        return nk.frame_distance(np.stack([p, p, q]), np.stack([q, f, f])).max(axis=0)
-    return _sampled("triple-equality/" + space.label(), samples, seed, tol, residuals)
+    three distances of the batch taken in one stacked call.  The cosets are
+    those :func:`random_coset` draws, built from the space's opening draw."""
+    draw = _draws.get(space, samples, seed)
+    g = coset_from_factors(space, *draw.factors, boost=draw.boost())
+    p, q, f = (embed(space, which, g).basis for which in ("p", "g", "f"))
+    resid = nk.frame_distance(np.stack([p, p, q]), np.stack([q, f, f])).max(axis=0)
+    return _report("triple-equality/" + space.label(), samples, seed, tol, resid)
 
 
 def check_equivariance(space, embedding_id: str, samples: int = 200,
@@ -231,26 +329,24 @@ def check_equivariance(space, embedding_id: str, samples: int = 200,
     opposite orientation (oriented families) have residual inf.
 
     The cosets ``a`` and then ``k`` are drawn as :func:`random_coset` and
-    :func:`random_isotropy` would draw them.  The moved cosets ``k a`` and
-    the cosets ``a`` form one stack, with one form check, and are embedded
-    in one pass; the right-hand side moves the frames of the second half
-    by ``k``, with no SVD.
+    :func:`random_isotropy` would draw them: the space's opening draw and
+    the stack drawn after it.  The moved cosets ``k a`` and the cosets
+    ``a`` form one stack, with one form check, shared by the three maps
+    at one ``(seed, samples)``, and are embedded in one pass; the
+    right-hand side moves the frames of the second half by ``k``, with no
+    SVD.
     """
-    def residuals(rng, size):
-        a = _boost_factors(space, *_slope_factors(space, rng, None, size))
-        k = random_isotropy(space, rng, size=size)
-        both = _built(GroupElement, space=space, side=Side.NONCOMPACT,
-                      a=np.concatenate([k @ a, a]))
-        images = embed(space, embedding_id, both)
-        rep, basis, sign = images.rep, images.basis, images.orientation
-        lhs = _built(SubspacePoint, space=space, rep=rep[:size], orientation=sign,
-                     basis=basis[:size])
-        # k is unitary, so the moved frames stay orthonormal and are kept
-        rhs = _built(SubspacePoint, space=space, rep=k @ rep[size:], orientation=sign,
-                     basis=k @ basis[size:])
-        return np.where(same_orientation(lhs, rhs), lhs.distance(rhs), np.inf)
-    return _sampled(f"equivariance-{embedding_id}/" + space.label(), samples, seed, tol,
-                    residuals)
+    draw = _draws.get(space, samples, seed)
+    k = draw.isotropy()
+    images = embed(space, embedding_id, draw.moved_and_unmoved())
+    rep, basis, sign = images.rep, images.basis, images.orientation
+    lhs = _built(SubspacePoint, space=space, rep=rep[:samples], orientation=sign,
+                 basis=basis[:samples])
+    # k is unitary, so the moved frames stay orthonormal and are kept
+    rhs = _built(SubspacePoint, space=space, rep=k @ rep[samples:], orientation=sign,
+                 basis=k @ basis[samples:])
+    resid = np.where(same_orientation(lhs, rhs), lhs.distance(rhs), np.inf)
+    return _report(f"equivariance-{embedding_id}/" + space.label(), samples, seed, tol, resid)
 
 
 def check_image_region(space, embedding_id: str, samples: int = 500,
@@ -326,24 +422,24 @@ def check_cut_radius_agreement(space, samples: int = 1000,
                                seed: int = DEFAULT_SEED, tol: float = 1e-12) -> PropertyReport:
     """Brute-force lattice minimization equals the closed form (orthonormal
     case); the brute search runs once per direction."""
-    def residuals(rng, size):
-        x = random_unit_flat(space, rng, size=size)
-        brute = [cut_radius_brute(row, space.lattice).radius for row in x]
-        return np.abs(cut_radius_closed(x, space.lattice) - brute)
-    return _sampled("cut-radius-agreement/" + space.label(), samples, seed, tol, residuals)
+    x = random_unit_flat(space, _generator(samples, seed), size=samples)
+    brute = [cut_radius_brute(row, space.lattice).radius for row in x]
+    resid = np.abs(cut_radius_closed(x, space.lattice) - brute)
+    return _report("cut-radius-agreement/" + space.label(), samples, seed, tol, resid)
 
 
 def check_round_trip(space, samples: int = 500, seed: int = DEFAULT_SEED,
                      tol: float = 1e-9) -> PropertyReport:
-    """exp(log(point)) reproduces random space-like points."""
-    def residuals(rng, size):
-        rep = np.empty((size, space.dim, space.n), dtype=space.dtype)
-        rep[:, : space.n] = np.eye(space.n)
-        rep[:, space.n :] = random_slope(space, rng, size=size)
-        pt = _built(SubspacePoint, space=space, rep=rep, orientation=None)
-        back = nk.exp_tangent(log_noncompact(space, pt).x, hermitian=True)[..., : space.n]
-        return _built(SubspacePoint, space=space, rep=back, orientation=None).distance(pt)
-    return _sampled("round-trip/" + space.label(), samples, seed, tol, residuals)
+    """exp(log(point)) reproduces random space-like points: the graphs of the
+    slopes :func:`random_slope` draws, from the space's opening draw."""
+    draw = _draws.get(space, samples, seed)
+    rep = np.empty((samples, space.dim, space.n), dtype=space.dtype)
+    rep[:, : space.n] = np.eye(space.n)
+    rep[:, space.n :] = _slope(space, *draw.factors)
+    pt = _built(SubspacePoint, space=space, rep=rep, orientation=None)
+    back = nk.exp_tangent(log_noncompact(space, pt).x, hermitian=True)[..., : space.n]
+    resid = _built(SubspacePoint, space=space, rep=back, orientation=None).distance(pt)
+    return _report("round-trip/" + space.label(), samples, seed, tol, resid)
 
 
 # ---------------------------------------------------------------------------

@@ -172,9 +172,77 @@ class CallCounter:
 ], ids=["triple", "equivariance-p", "equivariance-g", "equivariance-f", "image-f", "round-trip"])
 def test_sampled_checks_make_as_many_kernel_calls_for_any_batch(monkeypatch, space, check, extra,
                                                                 calls):
+    # each count starts from an emptied store of opening draws
     counter = CallCounter(monkeypatch)
     for samples in (2, 64):
+        verify._draws.clear()
         assert counter.run(check, space, *extra, samples=samples, seed=5) == calls, samples
+
+
+@pytest.mark.parametrize("space", [make_space(Family.REAL_GRASSMANNIAN, 2, 3),
+                                   make_space(Family.ORIENTED_TWO_PLANE, 2, 2)],
+                         ids=lambda sp: sp.label())
+def test_checks_after_the_first_read_its_opening_draw(monkeypatch, space):
+    # in the order of one pass over a space at one (seed, samples): only the
+    # first check draws the slope factors and builds their boost; the three
+    # equivariance checks share one isotropy draw and one stack, whose
+    # point keeps the frame p reads and f reuses
+    counter = CallCounter(monkeypatch)
+    warm = [
+        (verify.check_triple_equality, (), {"svd": 1, "qr": 1}),
+        # the isotropy draw, p's frame
+        (verify.check_equivariance, ("p",), {"svd": 2}),
+        (verify.check_equivariance, ("g",), {"qr": 1}),
+        # the graph check and the slope SVD, read off p's frame
+        (verify.check_equivariance, ("f",), {"svd": 2, "inv": 1}),
+        # the point's frame, graph check and slope SVD; the exponential; the
+        # frame of the point it maps back to
+        (verify.check_round_trip, (), {"svd": 4, "inv": 1, "eigh": 1}),
+    ]
+    for samples in (2, 64):
+        verify._draws.clear()
+        for check, extra, calls in warm:
+            got = counter.run(check, space, *extra, samples=samples, seed=5)
+            assert got == calls, (check.__name__, extra, samples)
+        verify._draws.clear()
+        verify.check_triple_equality(space, samples=samples, seed=5)
+        # the isotropy draw is the one SVD left to g after the triple check
+        got = counter.run(verify.check_equivariance, space, "g", samples=samples, seed=5)
+        assert got == {"svd": 1, "qr": 1}, samples
+
+
+def test_catalog_pass_makes_three_haar_draws_per_grassmannian(monkeypatch):
+    # one pass of the catalog checks at 2 samples, the 61 checks of the
+    # benchmark's catalog-verify op: each Grassmannian's seven checks draw
+    # the opening factors, the isotropy stack and the image cosets, 3 Haar
+    # draws instead of 9, and the triangle laws 2 at this seed, 26 in all
+    draws = []
+    haar = verify.random_orthogonal
+
+    def counted(*args, **kwargs):
+        draws.append(1)
+        return haar(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "random_orthogonal", counted)
+    verify._draws.clear()
+    seed = 2
+    for space in verify.catalog_spaces():
+        if space.family not in verify.GRASSMANNIANS:
+            continue
+        before = len(draws)
+        verify.check_triple_equality(space, samples=2, seed=seed)
+        for which in ("p", "g", "f"):
+            verify.check_equivariance(space, which, samples=2, seed=seed)
+        verify.check_image_region(space, "f", samples=2, seed=seed)
+        verify.check_cut_radius_agreement(space, samples=2, seed=seed)
+        verify.check_round_trip(space, samples=2, seed=seed)
+        assert len(draws) - before == 3, space.label()
+    for space in verify.catalog_spaces():
+        if space.family is Family.REAL_GRASSMANNIAN and space.n > 1:
+            verify.check_cut_loci_grassmannian(space, samples=2, seed=seed)
+    verify.check_image_region(make_space(Family.CIRCLE_SPHERE, 1, 2), "b", samples=2, seed=seed)
+    verify.check_trig_duality_random(2, seed)
+    assert len(draws) == 26
 
 
 def test_cut_loci_makes_as_many_kernel_calls_for_any_batch(monkeypatch):

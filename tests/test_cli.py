@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dualspace
+from dualspace import cli
 from dualspace.cli import _jsonify, emit, main, parse_space
+from dualspace.spaces import MAX_SAMPLES
 from dualspace.verify import random_slope
 
 ENVELOPE_KEYS = {"space", "method", "result", "residuals", "seed", "version"}
@@ -137,6 +139,44 @@ def test_nonpositive_samples_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "--samples" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--space", "gr-real:1:1", "--samples", "1000000000000000"),
+    ("verify", "--samples", str(MAX_SAMPLES + 1)),
+    ("cutlocus-grid", "su3", "--samples", "1000000000000000"),
+    ("cutlocus-grid", "gr-real", "3", "4", "--samples", str(MAX_SAMPLES + 1)),
+])
+def test_samples_above_the_ceiling_are_usage_errors(capsys, argv):
+    # refused before anything is allocated: a batch of 10**15 samples used
+    # to end in a numpy allocation traceback, a grid of them in no time at all
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"--samples must be at most {MAX_SAMPLES}" in err and "Traceback" not in err
+
+
+def test_samples_at_the_ceiling_are_accepted(monkeypatch):
+    # the ceiling itself passes the check; the grid is not run
+    seen = []
+    monkeypatch.setattr(cli, "_grid_rows", lambda basis, samples: seen.append(samples) or [])
+    assert main(["cutlocus-grid", "gr-real", "2", "2", "--samples", str(MAX_SAMPLES),
+                 "--format", "json"]) == 0
+    assert seen == [MAX_SAMPLES]
+
+
+@pytest.mark.parametrize("argv", [
+    ("lattice-info", "su3", "1", "2"),
+    ("lattice-info", "su3", "1"),
+    ("cut-radius", "su3", "1", "2", "--direction", "1,0"),
+    ("cutlocus-grid", "su3", "4", "5"),
+    ("embed", "su3", "1", "2", "--input", "-"),
+])
+def test_su3_with_dimensions_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "su3 takes no dimensions" in err
 
 
 def test_emit_matches_json_dump():
@@ -572,6 +612,10 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
         ("embed", "gr-real", "2", "3", "--method", "all", "--input", str(slope)),
         ("embed", "gr-real", "2", "3", "--method", "p", "--input", str(slope)),
         ("embed", "gr-real", "2", "3", "--method", "all", "--input", str(other)),
+        # the opening draws of verify's checks are kept per (seed, samples)
+        ("verify", "--space", "gr-real:2:3", "--samples", "4", "--seed", "1"),
+        ("verify", "--space", "gr-real:2:3", "--samples", "4", "--seed", "2"),
+        ("verify", "--space", "gr-real:2:3", "--samples", "4", "--seed", "1"),
     ]
     env = dict(os.environ)
     src = str(Path(dualspace.__file__).resolve().parents[1])

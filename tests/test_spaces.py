@@ -9,6 +9,7 @@ from dualspace import cli
 from dualspace import numkernel as nk
 from dualspace.errors import DomainError
 from dualspace.lattice import is_orthonormal
+from dualspace.verify import random_coset
 from dualspace.spaces import (
     CATALOG,
     MAX_DIM,
@@ -17,6 +18,7 @@ from dualspace.spaces import (
     Side,
     SubspacePoint,
     TangentVector,
+    _form_residual,
     in_group,
     in_isotropy,
     make_space,
@@ -250,6 +252,51 @@ def test_in_group_transitivity_elements():
     for sp in GRASSMANNIANS:
         a = transitivity_element(sp, random_slope(sp, rng))
         assert in_group(sp, a, Side.NONCOMPACT)
+
+
+def dense_form_verdicts(space, a, side, tol=1e-10):
+    """Per-slice verdicts and residuals of the form test with J as a dense
+    matrix, ``A^H J A - J`` with J = I on the compact side."""
+    j = np.eye(space.dim) if side is Side.COMPACT else space.form_j
+    with np.errstate(invalid="ignore"):  # inf * 0 in the product by J
+        resid = np.abs(nk.herm(a) @ j @ a - j).max(axis=(-2, -1))
+        scaled = tol * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)) ** 2)
+        ok = resid <= scaled
+        if space.oriented:
+            ok &= np.abs(np.linalg.det(a) - 1.0) <= scaled
+    return ok, resid
+
+
+FORM_SPACES = [make_space(*key) for key in CATALOG] + [
+    make_space(Family.REAL_GRASSMANNIAN, 32, 32), make_space(Family.COMPLEX_GRASSMANNIAN, 16, 16)]
+
+
+@pytest.mark.parametrize("space", FORM_SPACES, ids=lambda sp: sp.label())
+def test_diagonal_form_test_matches_the_dense_one(space):
+    # J is a +-1 diagonal, so scaling the columns of A^H by it, or skipping
+    # the product by I, is exact: the residuals agree bit for bit and so do
+    # the verdicts, on members, on slices pushed across the tolerance and
+    # on slices holding an inf or a NaN
+    rng = np.random.default_rng(103)
+    boosts = random_coset(space, rng, size=8).a
+    compact = nk.phase_fixed_qr(boosts)[0]
+    for side, members in ((Side.NONCOMPACT, boosts), (Side.COMPACT, compact)):
+        noise = rng.standard_normal(members.shape)
+        if space.field == "complex":
+            noise = noise + 1j * rng.standard_normal(members.shape)
+        steps = np.array([0.0, 1e-12, 1e-11, 2e-11, 5e-11, 1e-10, 1e-9, 1e-6])[:, None, None]
+        near = members + steps * noise
+        _, resid = dense_form_verdicts(space, near, side)
+        assert np.array_equal(_form_residual(space, near, side), resid)
+        bad = np.concatenate([near, near[:3]])
+        bad[8, 0, 0], bad[9, -1, 1], bad[10, 1, -1] = np.inf, np.nan, -np.inf
+        dense, _ = dense_form_verdicts(space, bad, side)
+        # the steps cross the tolerance, and no non-finite slice passes
+        assert dense[:8].any() and not dense[:8].all() and not dense[8:].any()
+        for i, verdict in enumerate(dense):
+            assert in_group(space, bad[i], side) == verdict, (side, i)
+        assert in_group(space, bad[:8], side) == dense[:8].all()
+        assert not in_group(space, bad, side)
 
 
 def test_in_isotropy_cases():

@@ -5,6 +5,7 @@ import pytest
 
 from dualspace import numkernel as nk
 from dualspace import verify
+from dualspace.embeddings import _slope_factors
 from dualspace.errors import DomainError, NumericalError
 from dualspace.spaces import (
     Family,
@@ -103,6 +104,133 @@ def test_reports_are_reproducible():
     assert r1.to_dict() == r2.to_dict()
     r3 = verify.check_triple_equality(GR23, samples=20, seed=43)
     assert r3.worst_residual != r1.worst_residual
+
+
+# ---------------------------------------------------------------------------
+# the store of opening draws
+
+
+def fresh_draws(monkeypatch):
+    """Make every check start from an emptied store of opening draws."""
+    get = verify._draws.get
+
+    def fresh(space, samples, seed):
+        verify._draws.clear()
+        return get(space, samples, seed)
+
+    monkeypatch.setattr(verify._draws, "get", fresh)
+
+
+def claimed_rows(space):
+    return [(check, extra) for _, check, extra, families in verify.CLAIMS
+            if families is not None and space.family in families]
+
+
+def space_outer_pass(samples, seed, reverse=False):
+    """Every claimed check, space by space as the benchmark's op runs them,
+    or within each space in reverse order."""
+    reports = []
+    for space in verify.catalog_spaces():
+        rows = claimed_rows(space)
+        for check, extra in rows[::-1] if reverse else rows:
+            reports.append(check(space, *extra, samples=samples, seed=seed).to_dict())
+    return reports
+
+
+def test_shared_draws_give_the_reports_of_fresh_ones(monkeypatch):
+    # property by property (run_suite) and space by space, in either order
+    # within a space: sharing the opening draws changes no report
+    verify._draws.clear()
+    shared = ([r.to_dict() for r in verify.run_suite(6, 79)], space_outer_pass(6, 79),
+              space_outer_pass(5, 83, reverse=True))
+    fresh_draws(monkeypatch)
+    fresh = ([r.to_dict() for r in verify.run_suite(6, 79)], space_outer_pass(6, 79),
+             space_outer_pass(5, 83, reverse=True))
+    assert shared == fresh
+    # the two orders run the same checks: every report but the space-free one
+    by_space = [r for r in shared[0] if r["property"] != "trig-duality-random"]
+    assert sorted(by_space, key=str) == sorted(shared[1], key=str)
+
+
+def test_opening_draw_is_what_a_lone_generator_draws():
+    # the factors and the isotropy stack in the generator's order, and the
+    # boost of random_coset, bit for bit
+    verify._draws.clear()
+    draw = verify._draws.get(GR23, 4, 3)
+    rng = np.random.default_rng(3)
+    factors = verify._slope_factors(GR23, rng, None, 4)
+    k = verify.random_isotropy(GR23, rng, size=4)
+    assert all(np.array_equal(a, b) for a, b in zip(draw.factors, factors))
+    assert np.array_equal(draw.isotropy(), k)
+    coset = verify.random_coset(GR23, np.random.default_rng(3), size=4)
+    assert np.array_equal(draw.boost(), coset.a)
+    assert np.array_equal(draw.moved_and_unmoved().a, np.concatenate([k @ coset.a, coset.a]))
+    verify._draws.clear()
+
+
+def test_stored_draws_are_read_only():
+    verify._draws.clear()
+    for which in ("p", "g", "f"):
+        verify.check_equivariance(GR23, which, samples=4, seed=3)
+    draw = verify._draws.get(GR23, 4, 3)
+    both = draw.moved_and_unmoved()
+    # the stack's point keeps its slope and slope SVD read-only as every
+    # kept point does (embeddings._kept)
+    arrays = [*draw.factors, draw.boost(), draw.isotropy(), both.a, both.point().rep,
+              *_slope_factors(GR23, both.point())]
+    assert not any(arr.flags.writeable for arr in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        draw.factors[1][0, 0] = 0.5
+    verify._draws.clear()
+
+
+def test_a_new_seed_or_sample_count_drops_the_store():
+    verify._draws.clear()
+    gr11 = make_space(Family.REAL_GRASSMANNIAN, 1, 1)
+    first = verify._draws.get(GR23, 4, 3)
+    assert verify._draws.get(GR23, 4, 3) is first
+    verify._draws.get(gr11, 4, 3)
+    assert set(verify._draws.spaces) == {GR23, gr11}
+    for samples, seed in ((5, 3), (4, 4)):
+        other = verify._draws.get(GR23, samples, seed)
+        assert other.key == (seed, samples)
+        assert set(verify._draws.spaces) == {GR23}
+        assert "_opening_draw" not in vars(gr11)
+    again = verify._draws.get(GR23, 4, 3)
+    assert again is not first
+    assert all(np.array_equal(a, b) for a, b in zip(again.factors, first.factors))
+    verify._draws.clear()
+    assert not list(verify._draws.spaces) and "_opening_draw" not in vars(GR23)
+
+
+def test_an_unseeded_check_draws_afresh():
+    # seed None asks numpy for fresh entropy, so no two calls share a draw
+    verify._draws.clear()
+    first, second = (verify._draws.get(GR23, 4, None) for _ in range(2))
+    assert not np.array_equal(first.factors[1], second.factors[1])
+    assert not list(verify._draws.spaces)
+    assert verify.check_triple_equality(GR23, samples=4, seed=None).passed
+
+
+def test_a_refused_stack_is_not_kept(monkeypatch):
+    # an isotropy stack outside the group makes the stack fail its form
+    # check: the failure is raised again on the next read, never stored
+    def scaled(space, rng, size=None):
+        return np.broadcast_to(2.0 * np.eye(space.dim), (size, space.dim, space.dim))
+
+    verify._draws.clear()
+    draw = verify._draws.get(GR23, 4, 3)  # the factors, drawn before the patch
+    monkeypatch.setattr(verify, "random_isotropy", scaled)
+    try:
+        for which in ("p", "g"):
+            with pytest.raises(DomainError, match="defining form"):
+                verify.check_equivariance(GR23, which, samples=4, seed=3)
+            assert verify._draws.get(GR23, 4, 3) is draw
+            assert "_moved_and_unmoved" not in vars(draw)
+    finally:
+        verify._draws.clear()
+    monkeypatch.undo()
+    assert verify.check_equivariance(GR23, "p", samples=4, seed=3).passed
 
 
 def test_triple_equality_report():
@@ -319,7 +447,7 @@ def test_run_suite_unclaimed_property_names_family():
 
 def test_sampled_counts_nan_as_failure():
     values = np.array([1e-12, float("nan"), 1e-13])
-    r = verify._sampled("probe", 3, 0, 1e-9, lambda rng, size: values[:size])
+    r = verify._report("probe", 3, 0, 1e-9, values)
     assert r.failures == 1
     assert np.isnan(r.worst_residual)
     assert r.details["worst_index"] == 1
