@@ -279,7 +279,10 @@ def _log_flat(space: SpaceDescriptor, point: SubspacePoint, side: Side):
     Noncompact side: the slope's singular values are hyperbolic tangents of
     the flat coefficients.  Compact side: they are tangents, and since the
     slope of a flat point is minus the tangent of its angle, the factors
-    of the negated slope are read off the same SVD by a sign change.
+    of the negated slope are read off the same SVD by a sign change.  The
+    coefficients, in R_i coordinates, go to lattice units through the
+    space's ``lattice_inv``, taken once when the space is built, so no
+    linear system is solved per point.
     """
     if side is Side.NONCOMPACT:
         w, sig, z = _checked_slope_svd(space, point)
@@ -288,8 +291,7 @@ def _log_flat(space: SpaceDescriptor, point: SubspacePoint, side: Side):
         w, sig, z = _slope_factors(space, point)
         w, sig = _negated_factors(space, w, sig)
         cart = np.arctan(sig)
-    coords = np.linalg.solve(space.lattice_coeff, cart[..., None])[..., 0]
-    return z, w, FlatCoordinates(space, coords)
+    return z, w, FlatCoordinates(space, cart @ space.lattice_inv.T)
 
 
 def _log(space: SpaceDescriptor, point: SubspacePoint, side: Side) -> TangentVector:

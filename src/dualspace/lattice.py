@@ -32,14 +32,17 @@ class LatticeBasis:
 
     ``generators`` holds one generator per column, expressed in orthonormal
     coordinates of the flat.  Computed from them once: ``gram``, the matrix
-    of pairwise inner products, its smallest eigenvalue ``eigmin``, and
-    ``orthonormal``, whether the generators are orthogonal and of equal
-    length (to 1e-10 relative; see :func:`is_orthonormal`).
+    of pairwise inner products, its smallest eigenvalue ``eigmin``,
+    ``alpha2``, the mean squared generator length ``mean(diag(gram))``,
+    which is the common squared length alpha^2 of the closed-form cut
+    radius, and ``orthonormal``, whether the generators are orthogonal and
+    of equal length (to 1e-10 relative; see :func:`is_orthonormal`).
     """
 
     generators: np.ndarray
     gram: np.ndarray = field(init=False)
     eigmin: float = field(init=False)
+    alpha2: float = field(init=False)
     orthonormal: bool = field(init=False)
 
     def __post_init__(self):
@@ -55,6 +58,7 @@ class LatticeBasis:
         alpha2 = float(np.mean(np.diag(gram)))
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "eigmin", float(eigs[0]))
+        object.__setattr__(self, "alpha2", alpha2)
         object.__setattr__(self, "orthonormal", bool(
             np.max(np.abs(gram - alpha2 * np.eye(len(gram)))) <= 1e-10 * alpha2))
 
@@ -142,12 +146,11 @@ def cut_radius_closed(coords, basis: LatticeBasis = None):
 
 
 def _closed_form(x, basis: LatticeBasis):
-    """(radius, index of the generator attaining it) on an orthonormal
-    lattice, per row of a stack of directions."""
+    """(radius, |<X, A_i>| for every generator A_i) on an orthonormal
+    lattice, per row of a stack of directions X; the generator attaining
+    the radius is the argmax of the second."""
     c = np.abs(_unit_direction(x, basis.gram) @ basis.gram)
-    i0 = np.argmax(c, axis=-1)
-    alpha2 = float(np.mean(np.diag(basis.gram)))
-    return alpha2 / (2.0 * np.take_along_axis(c, i0[..., None], axis=-1)[..., 0]), i0
+    return basis.alpha2 / (2.0 * c.max(axis=-1)), c
 
 
 def _l1_shell(rank: int, s: int):
@@ -206,21 +209,25 @@ def cut_radius_brute(coords, basis: LatticeBasis = None) -> CutRadiusResult:
 def cut_radius(coords, basis: LatticeBasis = None) -> CutRadiusResult:
     """Cut radius by the closed form when available, brute force otherwise."""
     x, basis = _coords_array(coords, basis)
-    radius, minimizer = _cut_radii(x[None], basis)
+    radius, minimizer = _cut_radii(x[None], basis, minimizers=True)
     return CutRadiusResult(radius=float(radius[0]), minimizer=tuple(minimizer[0].tolist()),
                            used_closed_form=basis.orthonormal)
 
 
-def _cut_radii(x, basis: LatticeBasis):
-    """Radii of a stack of directions, one per row, and the integer
-    coefficients of the lattice vectors attaining them, one row each: every
-    row from one vectorised closed form on an orthonormal lattice, each row
-    by the brute-force search otherwise.  The one place that chooses."""
+def _cut_radii(x, basis: LatticeBasis, minimizers: bool):
+    """Radii of a stack of directions, one per row, and, with
+    ``minimizers``, the integer coefficients of the lattice vectors
+    attaining them, one row each (else None): every row from one vectorised
+    closed form on an orthonormal lattice, each row by the brute-force
+    search otherwise.  The one place that chooses."""
     if not basis.orthonormal:
         found = [cut_radius_brute(row, basis) for row in x]
         return (np.array([res.radius for res in found]),
-                np.array([res.minimizer for res in found], dtype=np.int64))
-    radius, i0 = _closed_form(x, basis)
+                np.array([res.minimizer for res in found], dtype=np.int64) if minimizers else None)
+    radius, c = _closed_form(x, basis)
+    if not minimizers:
+        return radius, None
+    i0 = np.argmax(c, axis=-1)
     return radius, -np.equal.outer(i0, np.arange(basis.rank)).astype(np.int64)
 
 
@@ -233,7 +240,7 @@ def region_fraction(coords, basis: LatticeBasis = None):
     hit = nrm > 0.0
     frac = np.zeros(nrm.shape)
     if hit.any():
-        frac[hit] = nrm[hit] / _cut_radii(x[hit], basis)[0]
+        frac[hit] = nrm[hit] / _cut_radii(x[hit], basis, minimizers=False)[0]
     return nk.per_slice(frac)
 
 

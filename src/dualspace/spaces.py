@@ -65,6 +65,10 @@ class SpaceDescriptor:
     """One classical symmetric-space family instance.
 
     Immutable after construction; build through :func:`make_space`.
+    ``lattice_inv`` is the inverse of ``lattice_coeff``, taken once by
+    :func:`make_space`: it maps coordinates with respect to the generators
+    R_i to lattice units, ``cartan @ lattice_inv.T``, for every point read
+    afterwards.
     """
 
     family: Family
@@ -76,6 +80,7 @@ class SpaceDescriptor:
     oriented: bool                  # determinant-one groups, oriented subspaces
     form_j: np.ndarray              # diag(+1 x n, -1 x m)
     lattice_coeff: np.ndarray       # columns: lattice generators in R_i coordinates
+    lattice_inv: np.ndarray         # inverse of lattice_coeff, read-only
     lattice: LatticeBasis
 
     @property
@@ -169,9 +174,16 @@ class FlatCoordinates:
         return self.coords @ self.space.lattice_coeff.T
 
     def matrix(self, side: Side) -> np.ndarray:
-        """The flat tangent matrix sum_i c_i R_i on the given side."""
-        cart = np.moveaxis(self.cartan_coords(), -1, 0)
-        return sum(c[..., None, None] * b for c, b in zip(cart, self.space.cartan_basis(side)))
+        """The flat tangent matrix sum_i c_i R_i on the given side: the
+        Cartan coordinates c_i written into the entries (i, n+i) and
+        (n+i, i) of one zero stack, negated at (n+i, i) on the compact side
+        (see :meth:`SpaceDescriptor.cartan_basis`)."""
+        space, cart = self.space, self.cartan_coords()
+        i = np.arange(space.rank)
+        out = np.zeros(cart.shape[:-1] + (space.dim, space.dim), dtype=space.dtype)
+        out[..., i, space.n + i] = cart
+        out[..., space.n + i, i] = -cart if side is Side.COMPACT else cart
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,9 +194,9 @@ class SubspacePoint:
     The orthonormal frame ``basis`` of the span is computed once, at
     construction, and every comparison reads it; a frame the library built
     orthonormal by construction is passed in as ``basis`` and kept without
-    an SVD.  Two points are equal when their column spans coincide, and,
-    for the oriented families, when the orientation signs agree as well.  A
-    stack shares one orientation.
+    an SVD; either way the stored frame is read-only.  Two points are equal
+    when their column spans coincide, and, for the oriented families, when
+    the orientation signs agree as well.  A stack shares one orientation.
     """
 
     space: SpaceDescriptor
@@ -201,6 +213,7 @@ class SubspacePoint:
             raise DomainError(f"representative must be {self.space.dim} x {self.space.n}")
         if "basis" not in vars(self):
             object.__setattr__(self, "basis", nk.orthonormal_basis(self.rep))
+        self.basis.flags.writeable = False
         if self.space.oriented and self.orientation is None:
             object.__setattr__(self, "orientation", 1)
 
@@ -231,8 +244,8 @@ def same_point(a: SubspacePoint, b: SubspacePoint, tol: float = 1e-9):
 
 MAX_DIM = 256  # the bound on n + m, four times the targeted 64
 # the bound on a CLI sample count, 500 times the default 200: a verify pass
-# holds about 8 KB per sample over the catalog, and a cut-locus grid takes
-# one cut radius per sample
+# holds the draws of one space at a time, about 6 KB per sample at its
+# peak, and a cut-locus grid takes one cut radius per sample
 MAX_SAMPLES = 100_000
 
 
@@ -304,6 +317,8 @@ def make_space(family: Family, n: int, m: int) -> SpaceDescriptor:
         raise DomainError(f"the {family.value} family needs n = {row.fixed_n}, got n={n}")
 
     coeff = np.pi * np.eye(n) if row.lattice_coeff is None else row.lattice_coeff.copy()
+    inv = np.linalg.inv(coeff)
+    inv.flags.writeable = False
     gen_norm = np.sqrt(2.0 * row.metric_scale)  # |R_i| under the family metric
     return SpaceDescriptor(
         family=family,
@@ -315,6 +330,7 @@ def make_space(family: Family, n: int, m: int) -> SpaceDescriptor:
         oriented=row.oriented,
         form_j=np.diag(np.concatenate([np.ones(n), -np.ones(m)])),
         lattice_coeff=coeff,
+        lattice_inv=inv,
         lattice=LatticeBasis(generators=gen_norm * coeff),
     )
 
@@ -431,7 +447,9 @@ def _boost_factors(space: SpaceDescriptor, w: np.ndarray, s: np.ndarray,
     a[..., :n, :n] = (z * ch[..., None, :]) @ zh
     a[..., :n, n:] = (z * sch) @ wnh
     a[..., n:, :n] = (wn * sch) @ zh
-    a[..., n:, n:] = np.eye(space.m) + (wn * (ch - 1.0)[..., None, :]) @ wnh
+    a[..., n:, n:] = (wn * (ch - 1.0)[..., None, :]) @ wnh
+    diag = np.arange(n, space.dim)
+    a[..., diag, diag] += 1.0
     return a
 
 

@@ -21,8 +21,9 @@ three equivariance checks, the isotropy stack drawn next and the
 form-checked stack of moved and unmoved cosets, whose point keeps the
 frame and slope SVD that p and f read.  The store holds one ``(seed,
 samples)`` at a time and shares draws, never results: each report is the
-one the check gives alone, in any order of calls.  The image, cut-radius,
-cut-loci and triangle checks draw as before.
+one the check gives alone, in any order of calls.  :func:`run_suite` runs
+space by space and drops a space's draw once its checks have run.  The
+image, cut-radius, cut-loci and triangle checks draw as before.
 
 :data:`CLAIMS` is the one table of which property is claimed on which
 family; :func:`run_suite` and the CLI read it.
@@ -287,10 +288,14 @@ class _DrawStore:
             self.spaces.add(space)
         return draw
 
+    def drop(self, space: SpaceDescriptor):
+        """Drop the draw kept on ``space``, once no check of it is left."""
+        vars(space).pop("_opening_draw", None)
+        self.spaces.discard(space)
+
     def clear(self):
-        for space in self.spaces:
-            vars(space).pop("_opening_draw", None)
-        self.spaces.clear()
+        for space in list(self.spaces):
+            self.drop(space)
         self.key = None
 
 
@@ -618,6 +623,10 @@ def run_suite(samples: int = 200, seed: int = DEFAULT_SEED, spaces=None,
     ``spaces`` defaults to the whole catalog and ``prop`` to every
     property; a space-free row runs once.  Every row runs ``samples``
     samples, and ``tol`` replaces the tolerance of every check that takes one.
+    The checks run space by space, and a space's opening draw is dropped
+    once its checks have run, so the store holds one space's draw at a
+    time; the reports come in the order of the rows of :data:`CLAIMS`,
+    spaces in order within a row.
 
     Raises
     ------
@@ -625,15 +634,22 @@ def run_suite(samples: int = 200, seed: int = DEFAULT_SEED, spaces=None,
         If ``prop`` names a property claimed on none of the spaces.
     """
     spaces = catalog_spaces() if spaces is None else spaces
-    reports = []
+    rows = []  # (check, extra, keywords, families, reports), one per selected row
     for name, check, extra, families in CLAIMS:
-        if prop not in ("all", name):
-            continue
-        kw = {"samples": samples, "seed": seed}
-        if tol is not None and "tol" in inspect.signature(check).parameters:
-            kw["tol"] = tol
-        targets = [()] if families is None else [(sp,) for sp in spaces if sp.family in families]
-        reports += [check(*target, *extra, **kw) for target in targets]
+        if prop in ("all", name):
+            kw = {"samples": samples, "seed": seed}
+            if tol is not None and "tol" in inspect.signature(check).parameters:
+                kw["tol"] = tol
+            rows.append((check, extra, kw, families, []))
+    for sp in spaces:
+        for check, extra, kw, families, found in rows:
+            if families is not None and sp.family in families:
+                found.append(check(sp, *extra, **kw))
+        _draws.drop(sp)
+    for check, extra, kw, families, found in rows:
+        if families is None:
+            found.append(check(*extra, **kw))
+    reports = [report for *_, found in rows for report in found]
     if not reports:
         raise DomainError(f"property {prop!r} is not claimed on the family of "
                           + ", ".join(sp.label() for sp in spaces))

@@ -129,13 +129,14 @@ def test_one_slice_at_the_boundary_fails_the_logs_and_f(space):
 
 
 class CallCounter:
-    """Counts calls of np.linalg.svd, np.linalg.qr, np.linalg.inv and
+    """Counts calls of np.linalg.svd, np.linalg.qr, np.linalg.inv,
     np.linalg.eigh, the kernel behind the exponentials of the round trip and
-    the cut loci."""
+    the cut loci, and np.linalg.solve, so an exact pin also pins the solves
+    (none, since the lattice-unit map is the space's kept inverse)."""
 
     def __init__(self, monkeypatch):
         self.calls = {}
-        for name in ("svd", "qr", "inv", "eigh"):
+        for name in ("svd", "qr", "inv", "eigh", "solve"):
             monkeypatch.setattr(np.linalg, name, self._counted(name, getattr(np.linalg, name)))
 
     def _counted(self, name, fn):
@@ -148,6 +149,15 @@ class CallCounter:
         self.calls = {}
         check(*args, **kwargs)
         return self.calls
+
+
+def with_orientation_solve(space, check, calls: dict) -> dict:
+    """``calls`` and, on an oriented space, the one solve an equivariance
+    check makes to compare orientations (``spaces.same_orientation``, the
+    change of frame between its two stacks of images)."""
+    if space.oriented and check is verify.check_equivariance:
+        return {**calls, "solve": 1}
+    return calls
 
 
 @pytest.mark.parametrize("space", [make_space(Family.REAL_GRASSMANNIAN, 2, 3),
@@ -174,6 +184,7 @@ def test_sampled_checks_make_as_many_kernel_calls_for_any_batch(monkeypatch, spa
                                                                 calls):
     # each count starts from an emptied store of opening draws
     counter = CallCounter(monkeypatch)
+    calls = with_orientation_solve(space, check, calls)
     for samples in (2, 64):
         verify._draws.clear()
         assert counter.run(check, space, *extra, samples=samples, seed=5) == calls, samples
@@ -203,19 +214,52 @@ def test_checks_after_the_first_read_its_opening_draw(monkeypatch, space):
         verify._draws.clear()
         for check, extra, calls in warm:
             got = counter.run(check, space, *extra, samples=samples, seed=5)
-            assert got == calls, (check.__name__, extra, samples)
+            assert got == with_orientation_solve(space, check, calls), (check.__name__, extra,
+                                                                         samples)
         verify._draws.clear()
         verify.check_triple_equality(space, samples=samples, seed=5)
         # the isotropy draw is the one SVD left to g after the triple check
         got = counter.run(verify.check_equivariance, space, "g", samples=samples, seed=5)
-        assert got == {"svd": 1, "qr": 1}, samples
+        assert got == with_orientation_solve(space, verify.check_equivariance,
+                                             {"svd": 1, "qr": 1}), samples
+
+
+# built once, as the benchmark builds its spaces before its ops
+CATALOG = verify.catalog_spaces()
+SPHERE = make_space(Family.CIRCLE_SPHERE, 1, 2)
+# one catalog pass at seed 2: the slope, isotropy and Haar draws, frames,
+# graph checks and slope SVDs (svd); g's QRs; the graph inverses of the
+# read slopes; the exponentials of the round trips and the cut loci (eigh)
+CATALOG_PASS_CALLS = {"svd": 101, "qr": 16, "inv": 24, "eigh": 11}
+
+
+def catalog_pass(seed: int):
+    """One pass of the 61 checks of the benchmark's catalog-verify op at 2
+    samples, in its order, from an emptied store of opening draws: each
+    Grassmannian's seven checks, yielding the space after them, then the
+    cut loci, the stereographic image and the triangle laws."""
+    verify._draws.clear()
+    for space in CATALOG:
+        if space.family not in verify.GRASSMANNIANS:
+            continue
+        verify.check_triple_equality(space, samples=2, seed=seed)
+        for which in ("p", "g", "f"):
+            verify.check_equivariance(space, which, samples=2, seed=seed)
+        verify.check_image_region(space, "f", samples=2, seed=seed)
+        verify.check_cut_radius_agreement(space, samples=2, seed=seed)
+        verify.check_round_trip(space, samples=2, seed=seed)
+        yield space
+    for space in CATALOG:
+        if space.family is Family.REAL_GRASSMANNIAN and space.n > 1:
+            verify.check_cut_loci_grassmannian(space, samples=2, seed=seed)
+    verify.check_image_region(SPHERE, "b", samples=2, seed=seed)
+    verify.check_trig_duality_random(2, seed)
 
 
 def test_catalog_pass_makes_three_haar_draws_per_grassmannian(monkeypatch):
-    # one pass of the catalog checks at 2 samples, the 61 checks of the
-    # benchmark's catalog-verify op: each Grassmannian's seven checks draw
-    # the opening factors, the isotropy stack and the image cosets, 3 Haar
-    # draws instead of 9, and the triangle laws 2 at this seed, 26 in all
+    # each Grassmannian's seven checks draw the opening factors, the
+    # isotropy stack and the image cosets, 3 Haar draws instead of 9, and
+    # the triangle laws 2 at this seed, 26 in all
     draws = []
     haar = verify.random_orthogonal
 
@@ -224,25 +268,19 @@ def test_catalog_pass_makes_three_haar_draws_per_grassmannian(monkeypatch):
         return haar(*args, **kwargs)
 
     monkeypatch.setattr(verify, "random_orthogonal", counted)
-    verify._draws.clear()
-    seed = 2
-    for space in verify.catalog_spaces():
-        if space.family not in verify.GRASSMANNIANS:
-            continue
-        before = len(draws)
-        verify.check_triple_equality(space, samples=2, seed=seed)
-        for which in ("p", "g", "f"):
-            verify.check_equivariance(space, which, samples=2, seed=seed)
-        verify.check_image_region(space, "f", samples=2, seed=seed)
-        verify.check_cut_radius_agreement(space, samples=2, seed=seed)
-        verify.check_round_trip(space, samples=2, seed=seed)
+    before = 0
+    for space in catalog_pass(seed=2):
         assert len(draws) - before == 3, space.label()
-    for space in verify.catalog_spaces():
-        if space.family is Family.REAL_GRASSMANNIAN and space.n > 1:
-            verify.check_cut_loci_grassmannian(space, samples=2, seed=seed)
-    verify.check_image_region(make_space(Family.CIRCLE_SPHERE, 1, 2), "b", samples=2, seed=seed)
-    verify.check_trig_duality_random(2, seed)
+        before = len(draws)
     assert len(draws) == 26
+
+
+def test_catalog_pass_kernel_counts_are_pinned(monkeypatch):
+    # the kernels of one catalog-verify op at a fixed seed, with no solve:
+    # every map to lattice units multiplies by the space's kept inverse
+    counter = CallCounter(monkeypatch)
+    counter.run(lambda: list(catalog_pass(seed=2)))
+    assert counter.calls == CATALOG_PASS_CALLS
 
 
 def test_cut_loci_makes_as_many_kernel_calls_for_any_batch(monkeypatch):
@@ -260,12 +298,14 @@ def test_every_sampled_report_names_its_worst_sample():
 
 def test_embed_all_reads_each_frame_and_slope_once(monkeypatch, tmp_path, capsys):
     # the slope SVD behind the boost, which the coset's point keeps with
-    # its frame for p, f, space_like and the compact coordinates; g's QR
+    # its frame for p, f, space_like and the compact coordinates; g's QR;
+    # the inverse of the lattice coefficients that make_space keeps on the
+    # descriptor (lattice_inv), the one map to lattice units of the call
     slope = tmp_path / "y.json"
     slope.write_text("[[0.3, -0.1], [0.2, 0.4], [-0.5, 0.1]]")
     counter = CallCounter(monkeypatch)
     argv = ["embed", "gr-real", "2", "3", "--method", "all", "--input", str(slope)]
-    assert counter.run(cli.main, argv) == {"svd": 1, "qr": 1}
+    assert counter.run(cli.main, argv) == {"svd": 1, "qr": 1, "inv": 1}
     assert capsys.readouterr().out
 
 

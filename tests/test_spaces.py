@@ -506,10 +506,17 @@ def test_flat_decompose_recovers_known_construction():
 @pytest.mark.parametrize("side", [Side.COMPACT, Side.NONCOMPACT])
 def test_flat_matrix_is_sum_over_cartan_basis(family, n, m, side):
     sp = make_space(family, n, m)
-    coords = FlatCoordinates(sp, np.linspace(0.3, -0.2, sp.rank))
+    one = np.linspace(0.3, -0.2, sp.rank)
+    # bit for bit, for one direction and for a stack with a zero row
+    for x in (one, np.stack([one, np.zeros(sp.rank), -7.0 * one[::-1]])):
+        coords = FlatCoordinates(sp, x)
+        stacked = np.moveaxis(coords.cartan_coords(), -1, 0)
+        expected = sum(c[..., None, None] * r for c, r in zip(stacked, sp.cartan_basis(side)))
+        got = coords.matrix(side)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected)
+    coords = FlatCoordinates(sp, one)
     cart = coords.cartan_coords()
-    expected = sum(c * r for c, r in zip(cart, sp.cartan_basis(side)))
-    np.testing.assert_allclose(coords.matrix(side), expected, atol=1e-15)
     # the layout of the R_i: c_i at (i, n+i), and -c_i (compact) or +c_i at (n+i, i)
     lower = -1.0 if side is Side.COMPACT else 1.0
     explicit = np.zeros((sp.dim, sp.dim))

@@ -184,6 +184,17 @@ def test_stored_draws_are_read_only():
     verify._draws.clear()
 
 
+def test_a_kept_points_frame_is_read_only():
+    # the frame equivariance-p reads off the shared stack, and -f reuses,
+    # cannot be changed under a later check of the same (seed, samples)
+    verify._draws.clear()
+    for which in ("p", "g", "f"):
+        verify.check_equivariance(GR23, which, samples=4, seed=3)
+    draw = verify._draws.get(GR23, 4, 3)
+    assert draw.moved_and_unmoved().point().basis.flags.writeable is False
+    verify._draws.clear()
+
+
 def test_a_new_seed_or_sample_count_drops_the_store():
     verify._draws.clear()
     gr11 = make_space(Family.REAL_GRASSMANNIAN, 1, 1)
@@ -435,6 +446,31 @@ def test_run_suite_runs_every_claimed_row():
     assert "cut-loci/gr-real(1,1)" in names
     off_grassmannian = {n.split("/")[0] for n in names if "/gr-" not in n}
     assert not off_grassmannian & {"triple-equality", "image-region-f", "cut-loci"}
+
+
+def test_run_suite_runs_space_by_space_in_claims_order(monkeypatch):
+    # one space's draw is kept at a time and dropped once its checks have
+    # run, while the reports keep the order of the rows of CLAIMS
+    held = []
+    get = verify._draws.get
+
+    def holding(space, samples, seed):
+        draw = get(space, samples, seed)
+        held.append(len(verify._draws.spaces))
+        return draw
+
+    verify._draws.clear()
+    spaces = verify.catalog_spaces()
+    monkeypatch.setattr(verify._draws, "get", holding)
+    reports = [r.to_dict() for r in verify.run_suite(samples=2, seed=43, spaces=spaces)]
+    assert held and max(held) == 1
+    assert not list(verify._draws.spaces)
+    assert not any("_opening_draw" in vars(sp) for sp in spaces)
+    row_by_row = [check(*target, *extra, samples=2, seed=43).to_dict()
+                  for _, check, extra, families in verify.CLAIMS
+                  for target in ([()] if families is None else
+                                 [(sp,) for sp in spaces if sp.family in families])]
+    assert reports == row_by_row
 
 
 def test_run_suite_unclaimed_property_names_family():
