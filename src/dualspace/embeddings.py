@@ -65,14 +65,17 @@ BOUNDARY_GUARD = 1e-13
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
-    """A form-preserving matrix representing a coset point, or a stack of them."""
+    """A form-preserving matrix representing a coset point, or a stack of
+    them; built from a caller's array, it keeps a read-only copy of it."""
 
     space: SpaceDescriptor
     side: Side
     a: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", nk.as_matrix(self.a, dtype=self.space.dtype))
+        a = np.array(nk.as_matrix(self.a, dtype=self.space.dtype))  # a copy
+        a.flags.writeable = False
+        object.__setattr__(self, "a", a)
         self._check()
 
     def _check(self):

@@ -194,9 +194,10 @@ class SubspacePoint:
     The orthonormal frame ``basis`` of the span is computed once, at
     construction, and every comparison reads it; a frame the library built
     orthonormal by construction is passed in as ``basis`` and kept without
-    an SVD; either way the stored frame is read-only.  Two points are equal
-    when their column spans coincide, and, for the oriented families, when
-    the orientation signs agree as well.  A stack shares one orientation.
+    an SVD; either way the stored frame is read-only.  A point built from a
+    caller's array keeps a read-only copy of it as ``rep``.  Two points are
+    equal when their column spans coincide, and, for the oriented families,
+    when the orientation signs agree as well.  A stack shares one orientation.
     """
 
     space: SpaceDescriptor
@@ -205,7 +206,9 @@ class SubspacePoint:
     basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rep", nk.as_matrix(self.rep, dtype=self.space.dtype))
+        rep = np.array(nk.as_matrix(self.rep, dtype=self.space.dtype))  # a copy
+        rep.flags.writeable = False
+        object.__setattr__(self, "rep", rep)
         self._check()
 
     def _check(self):
@@ -226,9 +229,9 @@ def same_orientation(a: SubspacePoint, b: SubspacePoint):
     of a stack; always true when either orientation is untracked."""
     if a.orientation is None or b.orientation is None:
         return True
+    # the sign of det(rel), rel = (bh a)^-1 (bh b) the change of frame in the span
     bh = nk.herm(a.basis)
-    rel = np.linalg.solve(bh @ a.rep, bh @ b.rep)  # change of frame within the common span
-    sign = np.sign(np.real(np.linalg.det(rel)))
+    sign = np.sign(np.real(np.linalg.det(bh @ b.rep) * np.conj(np.linalg.det(bh @ a.rep))))
     return nk.per_slice(sign * a.orientation * b.orientation > 0)
 
 

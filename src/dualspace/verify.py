@@ -14,16 +14,15 @@ batch.  Reports are reproducible from (property name, seed, samples).
 
 The triple, equivariance and round-trip checks of one space open with the
 same draw from ``default_rng(seed)``: the slope factors of
-:func:`random_slope`.  That draw is taken once per space and ``(seed,
-samples)`` and kept (:class:`_DrawStore`), with what is built from it on
-first use: the boost that triple and equivariance read, and, for the
-three equivariance checks, the isotropy stack drawn next and the
-form-checked stack of moved and unmoved cosets, whose point keeps the
-frame and slope SVD that p and f read.  The store holds one ``(seed,
-samples)`` at a time and shares draws, never results: each report is the
-one the check gives alone, in any order of calls.  :func:`run_suite` runs
-space by space and drops a space's draw once its checks have run.  The
-image, cut-radius, cut-loci and triangle checks draw as before.
+:func:`random_slope`.  :func:`_shared_draw` takes that draw with what is
+built from it, all at once: the boost that triple and equivariance read,
+the isotropy stack drawn next and the form-checked stack of moved and
+unmoved cosets, whose point keeps the frame and slope SVD that p and f
+read.  It keeps the draw of the last ``(space, samples, seed)`` only, and
+shares draws, never results: each report is the one the check gives
+alone, in any order of calls.  :func:`run_suite` runs space by space and
+clears the draw once a space's checks have run.  The image, cut-radius,
+cut-loci and triangle checks draw as before.
 
 :data:`CLAIMS` is the one table of which property is claimed on which
 family; :func:`run_suite` and the CLI read it.
@@ -31,16 +30,16 @@ family; :func:`run_suite` and the CLI read it.
 
 from __future__ import annotations
 
+import functools
 import inspect
-import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import numkernel as nk
 from .embeddings import (
     GroupElement,
-    _kept,
     b_embed_rank1,
     coset_from_factors,
     embed,
@@ -219,87 +218,41 @@ def _worst_index(values: np.ndarray, largest: bool = True) -> int:
     return int(np.argmax(values) if largest else np.argmin(values))
 
 
-class _Draw:
+class _Draw(NamedTuple):
     """The opening draw of the sampled checks on one space at one ``(seed,
-    samples)``: the factors ``(w, sig, z)`` that :func:`_slope_factors`
-    draws first from ``default_rng(seed)``, read-only, and the generator's
-    state right after them.  The boost of those factors, the isotropy
-    stack drawn next and the form-checked stack of both are built on first
-    use and kept read-only by :func:`_kept`, which stores no exception."""
+    samples)``, read-only: the factors ``(w, sig, z)`` that
+    :func:`_slope_factors` draws first from ``default_rng(seed)``, the
+    cosets ``a`` that :func:`random_coset` builds from them, the isotropy
+    stack ``k`` the generator draws next, and the stack ``[k a, a]``,
+    form-checked once, whose point keeps the frame and slope SVD that
+    every embedding of it reads."""
 
-    def __init__(self, space: SpaceDescriptor, samples: int, seed: int):
-        rng = _generator(samples, seed)
-        self.space, self.key = space, (seed, samples)
-        self.factors = _slope_factors(space, rng, None, samples)
-        for arr in self.factors:
-            arr.flags.writeable = False
-        self.state = rng.bit_generator.state
-
-    def boost(self) -> np.ndarray:
-        """The cosets ``a`` of the factors, as :func:`random_coset` builds them."""
-        return _kept(self, "_boost", lambda: _boost_factors(self.space, *self.factors))
-
-    def isotropy(self) -> np.ndarray:
-        """The isotropy stack ``k`` that the generator draws after the factors."""
-        def draw():
-            seed, samples = self.key
-            rng = np.random.default_rng(seed)
-            rng.bit_generator.state = self.state
-            return random_isotropy(self.space, rng, size=samples)
-        return _kept(self, "_isotropy", draw)
-
-    def moved_and_unmoved(self) -> GroupElement:
-        """The stack ``[k a, a]``, form-checked once; its point keeps the
-        frame and slope SVD that every embedding of it reads."""
-        def build():
-            k, a = self.isotropy(), self.boost()
-            both = _built(GroupElement, space=self.space, side=Side.NONCOMPACT,
-                          a=np.concatenate([k @ a, a]))
-            both.a.flags.writeable = False
-            return both
-        return _kept(self, "_moved_and_unmoved", build)
+    factors: tuple
+    boost: np.ndarray
+    isotropy: np.ndarray
+    moved_and_unmoved: GroupElement
 
 
-class _DrawStore:
-    """The opening draws of one ``(seed, samples)``, one per space object.
-
-    Each draw is kept on its space, as :func:`_kept` keeps a coset's frame,
-    so it goes when its space does.  A request at another ``(seed,
-    samples)`` first drops every kept draw: the store holds at most one
-    suite pass.  Draws are deterministic, so a cleared store changes no
-    report, only the work done; a check takes its draw once and holds it,
-    so a draw dropped under a running check only costs a second draw."""
-
-    def __init__(self):
-        self.key = None
-        self.spaces = weakref.WeakSet()
-
-    def get(self, space: SpaceDescriptor, samples: int, seed: int) -> _Draw:
-        if seed is None:  # fresh entropy on every call: nothing to share
-            return _Draw(space, samples, seed)
-        if (seed, samples) != self.key:
-            self.clear()
-        draw = vars(space).get("_opening_draw")
-        # a copy of a space carries the draw of the space it was copied from
-        if draw is None or draw.key != (seed, samples):
-            draw = _Draw(space, samples, seed)
-            vars(space)["_opening_draw"] = draw
-            self.key = draw.key
-            self.spaces.add(space)
-        return draw
-
-    def drop(self, space: SpaceDescriptor):
-        """Drop the draw kept on ``space``, once no check of it is left."""
-        vars(space).pop("_opening_draw", None)
-        self.spaces.discard(space)
-
-    def clear(self):
-        for space in list(self.spaces):
-            self.drop(space)
-        self.key = None
+@functools.lru_cache(maxsize=1)
+def _shared_draw(space: SpaceDescriptor, samples: int, seed: int) -> _Draw:
+    """The :class:`_Draw` of the last ``(space, samples, seed)`` asked for,
+    kept until another is asked for; the space is keyed by identity, and
+    an exception is not kept, so a refused stack raises again."""
+    rng = _generator(samples, seed)
+    factors = _slope_factors(space, rng, None, samples)
+    boost = _boost_factors(space, *factors)
+    k = random_isotropy(space, rng, size=samples)
+    both = _built(GroupElement, space=space, side=Side.NONCOMPACT,
+                  a=np.concatenate([k @ boost, boost]))
+    for arr in (*factors, boost, k, both.a):
+        arr.flags.writeable = False
+    return _Draw(factors, boost, k, both)
 
 
-_draws = _DrawStore()
+def _opening_draw(space: SpaceDescriptor, samples: int, seed: int) -> _Draw:
+    if seed is None:  # fresh entropy on every call: nothing to share
+        return _shared_draw.__wrapped__(space, samples, seed)
+    return _shared_draw(space, samples, seed)
 
 
 def _report(name: str, samples: int, seed: int, tol: float, resid) -> PropertyReport:
@@ -321,8 +274,8 @@ def check_triple_equality(space, samples: int = 200, seed: int = DEFAULT_SEED,
     """Pairwise agreement of the three embeddings on random cosets, the
     three distances of the batch taken in one stacked call.  The cosets are
     those :func:`random_coset` draws, built from the space's opening draw."""
-    draw = _draws.get(space, samples, seed)
-    g = coset_from_factors(space, *draw.factors, boost=draw.boost())
+    draw = _opening_draw(space, samples, seed)
+    g = coset_from_factors(space, *draw.factors, boost=draw.boost)
     p, q, f = (embed(space, which, g).basis for which in ("p", "g", "f"))
     resid = nk.frame_distance(np.stack([p, p, q]), np.stack([q, f, f])).max(axis=0)
     return _report("triple-equality/" + space.label(), samples, seed, tol, resid)
@@ -341,9 +294,9 @@ def check_equivariance(space, embedding_id: str, samples: int = 200,
     right-hand side moves the frames of the second half by ``k``, with no
     SVD.
     """
-    draw = _draws.get(space, samples, seed)
-    k = draw.isotropy()
-    images = embed(space, embedding_id, draw.moved_and_unmoved())
+    draw = _opening_draw(space, samples, seed)
+    k = draw.isotropy
+    images = embed(space, embedding_id, draw.moved_and_unmoved)
     rep, basis, sign = images.rep, images.basis, images.orientation
     lhs = _built(SubspacePoint, space=space, rep=rep[:samples], orientation=sign,
                  basis=basis[:samples])
@@ -437,7 +390,7 @@ def check_round_trip(space, samples: int = 500, seed: int = DEFAULT_SEED,
                      tol: float = 1e-9) -> PropertyReport:
     """exp(log(point)) reproduces random space-like points: the graphs of the
     slopes :func:`random_slope` draws, from the space's opening draw."""
-    draw = _draws.get(space, samples, seed)
+    draw = _opening_draw(space, samples, seed)
     rep = np.empty((samples, space.dim, space.n), dtype=space.dtype)
     rep[:, : space.n] = np.eye(space.n)
     rep[:, space.n :] = _slope(space, *draw.factors)
@@ -623,9 +576,9 @@ def run_suite(samples: int = 200, seed: int = DEFAULT_SEED, spaces=None,
     ``spaces`` defaults to the whole catalog and ``prop`` to every
     property; a space-free row runs once.  Every row runs ``samples``
     samples, and ``tol`` replaces the tolerance of every check that takes one.
-    The checks run space by space, and a space's opening draw is dropped
-    once its checks have run, so the store holds one space's draw at a
-    time; the reports come in the order of the rows of :data:`CLAIMS`,
+    The checks run space by space, and a space's opening draw is cleared
+    once its checks have run, so one space's draw is held at a time; the
+    reports come in the order of the rows of :data:`CLAIMS`,
     spaces in order within a row.
 
     Raises
@@ -645,7 +598,8 @@ def run_suite(samples: int = 200, seed: int = DEFAULT_SEED, spaces=None,
         for check, extra, kw, families, found in rows:
             if families is not None and sp.family in families:
                 found.append(check(sp, *extra, **kw))
-        _draws.drop(sp)
+        # the memo builds the next space's draw before it drops this one
+        _shared_draw.cache_clear()
     for check, extra, kw, families, found in rows:
         if families is None:
             found.append(check(*extra, **kw))

@@ -132,7 +132,8 @@ class CallCounter:
     """Counts calls of np.linalg.svd, np.linalg.qr, np.linalg.inv,
     np.linalg.eigh, the kernel behind the exponentials of the round trip and
     the cut loci, and np.linalg.solve, so an exact pin also pins the solves
-    (none, since the lattice-unit map is the space's kept inverse)."""
+    (none: the lattice-unit map is the space's kept inverse, and orientations
+    are compared by determinants)."""
 
     def __init__(self, monkeypatch):
         self.calls = {}
@@ -151,22 +152,13 @@ class CallCounter:
         return self.calls
 
 
-def with_orientation_solve(space, check, calls: dict) -> dict:
-    """``calls`` and, on an oriented space, the one solve an equivariance
-    check makes to compare orientations (``spaces.same_orientation``, the
-    change of frame between its two stacks of images)."""
-    if space.oriented and check is verify.check_equivariance:
-        return {**calls, "solve": 1}
-    return calls
-
-
 @pytest.mark.parametrize("space", [make_space(Family.REAL_GRASSMANNIAN, 2, 3),
                                    make_space(Family.ORIENTED_TWO_PLANE, 2, 2)],
                          ids=lambda sp: sp.label())
 @pytest.mark.parametrize("check, extra, calls", [
-    # the coset draw, whose point keeps its frame and slope SVD for p and f;
-    # g's QR
-    (verify.check_triple_equality, (), {"svd": 1, "qr": 1}),
+    # the opening draw (the coset draw and the isotropy draw), whose
+    # point keeps its frame and slope SVD for p and f; g's QR
+    (verify.check_triple_equality, (), {"svd": 2, "qr": 1}),
     # the coset draw, the isotropy draw, then one pass over the stack of
     # moved and unmoved cosets: p's frame; g's QR; f's frame, graph check
     # and slope SVD.  The moved frames take no SVD.
@@ -176,17 +168,17 @@ def with_orientation_solve(space, check, calls: dict) -> dict:
     # the coset draw, then the frame, the graph check and the one slope SVD
     # of f's image, which its compact coordinates and space_like both read
     (verify.check_image_region, ("f",), {"svd": 3, "inv": 1}),
-    # the slope draw; the point's frame, graph check and slope SVD; the
-    # exponential; the frame of the point it maps back to
-    (verify.check_round_trip, (), {"svd": 5, "inv": 1, "eigh": 1}),
+    # the opening draw (the slope draw and the isotropy draw); the point's
+    # frame, graph check and slope SVD; the exponential; the frame of the
+    # point it maps back to
+    (verify.check_round_trip, (), {"svd": 6, "inv": 1, "eigh": 1}),
 ], ids=["triple", "equivariance-p", "equivariance-g", "equivariance-f", "image-f", "round-trip"])
 def test_sampled_checks_make_as_many_kernel_calls_for_any_batch(monkeypatch, space, check, extra,
                                                                 calls):
-    # each count starts from an emptied store of opening draws
+    # each count is cold: the memo of opening draws starts empty, and holds
+    # no draw of the next sample count
     counter = CallCounter(monkeypatch)
-    calls = with_orientation_solve(space, check, calls)
     for samples in (2, 64):
-        verify._draws.clear()
         assert counter.run(check, space, *extra, samples=samples, seed=5) == calls, samples
 
 
@@ -195,14 +187,15 @@ def test_sampled_checks_make_as_many_kernel_calls_for_any_batch(monkeypatch, spa
                          ids=lambda sp: sp.label())
 def test_checks_after_the_first_read_its_opening_draw(monkeypatch, space):
     # in the order of one pass over a space at one (seed, samples): only the
-    # first check draws the slope factors and builds their boost; the three
-    # equivariance checks share one isotropy draw and one stack, whose
-    # point keeps the frame p reads and f reuses
+    # first check draws the slope factors and the isotropy stack and builds
+    # the boost and the stack of moved and unmoved cosets, whose point keeps
+    # the frame p reads and f reuses
     counter = CallCounter(monkeypatch)
     warm = [
-        (verify.check_triple_equality, (), {"svd": 1, "qr": 1}),
-        # the isotropy draw, p's frame
-        (verify.check_equivariance, ("p",), {"svd": 2}),
+        # the slope and isotropy draws; g's QR
+        (verify.check_triple_equality, (), {"svd": 2, "qr": 1}),
+        # p's frame
+        (verify.check_equivariance, ("p",), {"svd": 1}),
         (verify.check_equivariance, ("g",), {"qr": 1}),
         # the graph check and the slope SVD, read off p's frame
         (verify.check_equivariance, ("f",), {"svd": 2, "inv": 1}),
@@ -211,17 +204,14 @@ def test_checks_after_the_first_read_its_opening_draw(monkeypatch, space):
         (verify.check_round_trip, (), {"svd": 4, "inv": 1, "eigh": 1}),
     ]
     for samples in (2, 64):
-        verify._draws.clear()
         for check, extra, calls in warm:
             got = counter.run(check, space, *extra, samples=samples, seed=5)
-            assert got == with_orientation_solve(space, check, calls), (check.__name__, extra,
-                                                                         samples)
-        verify._draws.clear()
+            assert got == calls, (check.__name__, extra, samples)
+        verify._shared_draw.cache_clear()
         verify.check_triple_equality(space, samples=samples, seed=5)
-        # the isotropy draw is the one SVD left to g after the triple check
+        # the triple check took the whole draw, so g is left its QR alone
         got = counter.run(verify.check_equivariance, space, "g", samples=samples, seed=5)
-        assert got == with_orientation_solve(space, verify.check_equivariance,
-                                             {"svd": 1, "qr": 1}), samples
+        assert got == {"qr": 1}, samples
 
 
 # built once, as the benchmark builds its spaces before its ops
@@ -235,10 +225,9 @@ CATALOG_PASS_CALLS = {"svd": 101, "qr": 16, "inv": 24, "eigh": 11}
 
 def catalog_pass(seed: int):
     """One pass of the 61 checks of the benchmark's catalog-verify op at 2
-    samples, in its order, from an emptied store of opening draws: each
+    samples, in its order, from the emptied memo each test starts with: each
     Grassmannian's seven checks, yielding the space after them, then the
     cut loci, the stereographic image and the triangle laws."""
-    verify._draws.clear()
     for space in CATALOG:
         if space.family not in verify.GRASSMANNIANS:
             continue

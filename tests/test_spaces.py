@@ -7,6 +7,7 @@ import pytest
 
 from dualspace import cli
 from dualspace import numkernel as nk
+from dualspace.embeddings import GroupElement
 from dualspace.errors import DomainError
 from dualspace.lattice import is_orthonormal
 from dualspace.verify import random_coset
@@ -22,6 +23,7 @@ from dualspace.spaces import (
     in_group,
     in_isotropy,
     make_space,
+    same_orientation,
     same_point,
     special_svd,
     transitivity_element,
@@ -593,3 +595,63 @@ def test_comparisons_read_the_stored_frames(monkeypatch):
     assert np.linalg.det(g) > 0 and same_point(a, b)
     assert a.distance(c) <= 1e-13
     assert not same_point(a, c)
+
+
+def solved_orientation(a, b):
+    """The verdict of ``same_orientation`` as the sign of the determinant of
+    the change of frame within the common span, solved for."""
+    bh = nk.herm(a.basis)
+    sign = np.sign(np.real(np.linalg.det(np.linalg.solve(bh @ a.rep, bh @ b.rep))))
+    return nk.per_slice(sign * a.orientation * b.orientation > 0)
+
+
+@pytest.mark.parametrize("space", [make_space(Family.ORIENTED_TWO_PLANE, 2, 2),
+                                   make_space(Family.CIRCLE_SPHERE, 1, 2)],
+                         ids=lambda sp: sp.label())
+def test_same_orientation_reads_the_sign_of_the_change_of_frame(space):
+    # the same frames, the frames reversed (last column negated) and frames
+    # changed by a random matrix of either determinant sign, under either
+    # orientation: the verdicts are the solved change of frame's, for a
+    # stack and slice by slice
+    rng = np.random.default_rng(47)
+    rep = rng.standard_normal((8, space.dim, space.n))
+    flip = np.ones(space.n)
+    flip[-1] = -1.0
+    mix = rng.standard_normal((8, space.n, space.n))
+    a = SubspacePoint(space, rep)
+    verdicts = []
+    for other in (rep, rep * flip, rep @ mix):
+        for orientation in (1, -1):
+            b = SubspacePoint(space, other, orientation)
+            got = same_orientation(a, b)
+            assert np.array_equal(got, solved_orientation(a, b))
+            for i in range(len(rep)):
+                lone_a = SubspacePoint(space, rep[i])
+                lone_b = SubspacePoint(space, other[i], orientation)
+                assert same_orientation(lone_a, lone_b) == solved_orientation(lone_a, lone_b)
+                assert same_orientation(lone_a, lone_b) == got[i]
+            verdicts.append(got)
+    assert np.any(verdicts) and not np.all(verdicts)
+
+
+def test_a_point_and_a_coset_keep_read_only_copies_of_their_arrays():
+    # changing the caller's array afterwards changes neither the point's
+    # frame nor its distances, and neither stored array can be written
+    sp = make_space(Family.REAL_GRASSMANNIAN, 2, 3)
+    rng = np.random.default_rng(53)
+    rep, other = rng.standard_normal((2, 5, 2))
+    p, there = SubspacePoint(sp, rep), SubspacePoint(sp, other)
+    kept, far = rep.copy(), p.distance(there)
+    assert far > 0.1
+    rep[:] = other
+    assert np.array_equal(p.rep, kept)
+    assert p.distance(there) == far
+    with pytest.raises(ValueError, match="read-only"):
+        p.rep[0, 0] = 1.0
+    a = random_coset(sp, rng).a.copy()
+    g = GroupElement(sp, Side.NONCOMPACT, a)
+    kept = a.copy()
+    a[:] = np.eye(5)
+    assert np.array_equal(g.a, kept)
+    with pytest.raises(ValueError, match="read-only"):
+        g.a[0, 0] = 1.0

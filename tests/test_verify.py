@@ -1,5 +1,7 @@
 """Tests for the property-report machinery and the triangle checks."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -107,18 +109,23 @@ def test_reports_are_reproducible():
 
 
 # ---------------------------------------------------------------------------
-# the store of opening draws
+# the memo of opening draws
+
+
+def held():
+    """How many opening draws verify's memo holds."""
+    return verify._shared_draw.cache_info().currsize
 
 
 def fresh_draws(monkeypatch):
-    """Make every check start from an emptied store of opening draws."""
-    get = verify._draws.get
+    """Make every check start from an emptied memo of opening draws."""
+    opening = verify._opening_draw
 
     def fresh(space, samples, seed):
-        verify._draws.clear()
-        return get(space, samples, seed)
+        verify._shared_draw.cache_clear()
+        return opening(space, samples, seed)
 
-    monkeypatch.setattr(verify._draws, "get", fresh)
+    monkeypatch.setattr(verify, "_opening_draw", fresh)
 
 
 def claimed_rows(space):
@@ -140,7 +147,6 @@ def space_outer_pass(samples, seed, reverse=False):
 def test_shared_draws_give_the_reports_of_fresh_ones(monkeypatch):
     # property by property (run_suite) and space by space, in either order
     # within a space: sharing the opening draws changes no report
-    verify._draws.clear()
     shared = ([r.to_dict() for r in verify.run_suite(6, 79)], space_outer_pass(6, 79),
               space_outer_pass(5, 83, reverse=True))
     fresh_draws(monkeypatch)
@@ -155,91 +161,78 @@ def test_shared_draws_give_the_reports_of_fresh_ones(monkeypatch):
 def test_opening_draw_is_what_a_lone_generator_draws():
     # the factors and the isotropy stack in the generator's order, and the
     # boost of random_coset, bit for bit
-    verify._draws.clear()
-    draw = verify._draws.get(GR23, 4, 3)
+    draw = verify._opening_draw(GR23, 4, 3)
     rng = np.random.default_rng(3)
     factors = verify._slope_factors(GR23, rng, None, 4)
     k = verify.random_isotropy(GR23, rng, size=4)
     assert all(np.array_equal(a, b) for a, b in zip(draw.factors, factors))
-    assert np.array_equal(draw.isotropy(), k)
+    assert np.array_equal(draw.isotropy, k)
     coset = verify.random_coset(GR23, np.random.default_rng(3), size=4)
-    assert np.array_equal(draw.boost(), coset.a)
-    assert np.array_equal(draw.moved_and_unmoved().a, np.concatenate([k @ coset.a, coset.a]))
-    verify._draws.clear()
+    assert np.array_equal(draw.boost, coset.a)
+    assert np.array_equal(draw.moved_and_unmoved.a, np.concatenate([k @ coset.a, coset.a]))
 
 
 def test_stored_draws_are_read_only():
-    verify._draws.clear()
     for which in ("p", "g", "f"):
         verify.check_equivariance(GR23, which, samples=4, seed=3)
-    draw = verify._draws.get(GR23, 4, 3)
-    both = draw.moved_and_unmoved()
+    draw = verify._opening_draw(GR23, 4, 3)
+    both = draw.moved_and_unmoved
     # the stack's point keeps its slope and slope SVD read-only as every
     # kept point does (embeddings._kept)
-    arrays = [*draw.factors, draw.boost(), draw.isotropy(), both.a, both.point().rep,
+    arrays = [*draw.factors, draw.boost, draw.isotropy, both.a, both.point().rep,
               *_slope_factors(GR23, both.point())]
     assert not any(arr.flags.writeable for arr in arrays)
     with pytest.raises(ValueError, match="read-only"):
         draw.factors[1][0, 0] = 0.5
-    verify._draws.clear()
 
 
 def test_a_kept_points_frame_is_read_only():
     # the frame equivariance-p reads off the shared stack, and -f reuses,
     # cannot be changed under a later check of the same (seed, samples)
-    verify._draws.clear()
     for which in ("p", "g", "f"):
         verify.check_equivariance(GR23, which, samples=4, seed=3)
-    draw = verify._draws.get(GR23, 4, 3)
-    assert draw.moved_and_unmoved().point().basis.flags.writeable is False
-    verify._draws.clear()
+    draw = verify._opening_draw(GR23, 4, 3)
+    assert draw.moved_and_unmoved.point().basis.flags.writeable is False
 
 
 def test_a_new_seed_or_sample_count_drops_the_store():
-    verify._draws.clear()
+    # the memo holds one draw: a repeated key returns it, and another space
+    # (by identity, so a copy too), sample count or seed replaces it
     gr11 = make_space(Family.REAL_GRASSMANNIAN, 1, 1)
-    first = verify._draws.get(GR23, 4, 3)
-    assert verify._draws.get(GR23, 4, 3) is first
-    verify._draws.get(gr11, 4, 3)
-    assert set(verify._draws.spaces) == {GR23, gr11}
-    for samples, seed in ((5, 3), (4, 4)):
-        other = verify._draws.get(GR23, samples, seed)
-        assert other.key == (seed, samples)
-        assert set(verify._draws.spaces) == {GR23}
-        assert "_opening_draw" not in vars(gr11)
-    again = verify._draws.get(GR23, 4, 3)
+    first = verify._opening_draw(GR23, 4, 3)
+    assert verify._opening_draw(GR23, 4, 3) is first and held() == 1
+    for space, samples, seed in ((gr11, 4, 3), (copy.copy(GR23), 4, 3), (GR23, 5, 3),
+                                 (GR23, 4, 4)):
+        other = verify._opening_draw(space, samples, seed)
+        assert other is not first and held() == 1
+        assert other.factors[1].shape == (samples, space.n)
+        assert verify._opening_draw(space, samples, seed) is other
+    again = verify._opening_draw(GR23, 4, 3)
     assert again is not first
     assert all(np.array_equal(a, b) for a, b in zip(again.factors, first.factors))
-    verify._draws.clear()
-    assert not list(verify._draws.spaces) and "_opening_draw" not in vars(GR23)
+    verify._shared_draw.cache_clear()
+    assert held() == 0
 
 
 def test_an_unseeded_check_draws_afresh():
     # seed None asks numpy for fresh entropy, so no two calls share a draw
-    verify._draws.clear()
-    first, second = (verify._draws.get(GR23, 4, None) for _ in range(2))
+    first, second = (verify._opening_draw(GR23, 4, None) for _ in range(2))
     assert not np.array_equal(first.factors[1], second.factors[1])
-    assert not list(verify._draws.spaces)
     assert verify.check_triple_equality(GR23, samples=4, seed=None).passed
+    assert held() == 0
 
 
 def test_a_refused_stack_is_not_kept(monkeypatch):
     # an isotropy stack outside the group makes the stack fail its form
-    # check: the failure is raised again on the next read, never stored
+    # check: the failure is raised again on the next call, never stored
     def scaled(space, rng, size=None):
         return np.broadcast_to(2.0 * np.eye(space.dim), (size, space.dim, space.dim))
 
-    verify._draws.clear()
-    draw = verify._draws.get(GR23, 4, 3)  # the factors, drawn before the patch
     monkeypatch.setattr(verify, "random_isotropy", scaled)
-    try:
-        for which in ("p", "g"):
-            with pytest.raises(DomainError, match="defining form"):
-                verify.check_equivariance(GR23, which, samples=4, seed=3)
-            assert verify._draws.get(GR23, 4, 3) is draw
-            assert "_moved_and_unmoved" not in vars(draw)
-    finally:
-        verify._draws.clear()
+    for which in ("p", "g"):
+        with pytest.raises(DomainError, match="defining form"):
+            verify.check_equivariance(GR23, which, samples=4, seed=3)
+        assert held() == 0
     monkeypatch.undo()
     assert verify.check_equivariance(GR23, "p", samples=4, seed=3).passed
 
@@ -449,23 +442,23 @@ def test_run_suite_runs_every_claimed_row():
 
 
 def test_run_suite_runs_space_by_space_in_claims_order(monkeypatch):
-    # one space's draw is kept at a time and dropped once its checks have
+    # one space's draw is held at a time and cleared once its checks have
     # run, while the reports keep the order of the rows of CLAIMS
-    held = []
-    get = verify._draws.get
+    calls = []  # (space, draws held before the call), one per opening draw
+    opening = verify._opening_draw
 
     def holding(space, samples, seed):
-        draw = get(space, samples, seed)
-        held.append(len(verify._draws.spaces))
-        return draw
+        calls.append((space, held()))
+        return opening(space, samples, seed)
 
-    verify._draws.clear()
     spaces = verify.catalog_spaces()
-    monkeypatch.setattr(verify._draws, "get", holding)
+    monkeypatch.setattr(verify, "_opening_draw", holding)
     reports = [r.to_dict() for r in verify.run_suite(samples=2, seed=43, spaces=spaces)]
-    assert held and max(held) == 1
-    assert not list(verify._draws.spaces)
-    assert not any("_opening_draw" in vars(sp) for sp in spaces)
+    firsts = [i for i, (space, _) in enumerate(calls) if i == 0 or calls[i - 1][0] is not space]
+    # every space's first check finds no draw held, and its later ones its own
+    assert [calls[i][0] for i in firsts] == spaces
+    assert [n for _, n in calls] == [0 if i in firsts else 1 for i in range(len(calls))]
+    assert held() == 0
     row_by_row = [check(*target, *extra, samples=2, seed=43).to_dict()
                   for _, check, extra, families in verify.CLAIMS
                   for target in ([()] if families is None else
