@@ -14,7 +14,6 @@ from .spaces import (
     SubspacePoint,
     TangentVector,
     in_group,
-    in_isotropy,
     make_space,
     same_point,
     transitivity_element,
@@ -26,7 +25,6 @@ from .lattice import (
     cut_radius_brute,
     cut_radius_closed,
     in_half_region,
-    is_orthonormal,
     region_fraction,
     su3_lattice,
 )

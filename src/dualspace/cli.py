@@ -39,9 +39,9 @@ from .embeddings import (
 from .errors import DomainError, NumericalError
 from .lattice import (
     LatticeBasis,
+    _cut_radii,
     cut_radius,
     cut_radius_brute,
-    is_orthonormal,
     region_fraction,
     su3_lattice,
 )
@@ -219,7 +219,7 @@ def cmd_lattice_info(args) -> int:
     result = {
         "rank": basis.rank,
         "gram": basis.gram,
-        "orthonormal": is_orthonormal(basis),
+        "orthonormal": basis.orthonormal,
         "generator_norms": basis.norms(),
     }
     if sp is not None:
@@ -267,29 +267,25 @@ def cmd_cut_radius(args) -> int:
 
 
 def _grid_rows(basis: LatticeBasis, samples: int):
-    """(angles, radius) rows over the unit sphere of the flat, rank <= 3."""
+    """(angles, radius) rows over the unit sphere of the flat, rank <= 3:
+    the directions are built as one stack, and their radii come from one
+    call."""
     r = basis.rank
     if r > 3:
         raise DomainError("cutlocus-grid is limited to rank <= 3 flats")
     if r == 1:
-        x = np.array([1.0])
-        yield (), cut_radius(x, basis).radius
-        return
-    if r == 2:
-        for i in range(samples):
-            phi = 2 * np.pi * i / samples
-            x = np.array([np.cos(phi), np.sin(phi)])
-            yield (phi,), cut_radius(x, basis).radius
-        return
-    k = max(int(np.sqrt(samples)), 2)
-    for i in range(k):
-        theta = np.pi * (i + 0.5) / k
-        for j in range(k):
-            phi = 2 * np.pi * j / k
-            x = np.array([np.sin(theta) * np.cos(phi),
-                          np.sin(theta) * np.sin(phi),
-                          np.cos(theta)])
-            yield (theta, phi), cut_radius(x, basis).radius
+        angles, x = np.empty((1, 0)), np.ones((1, 1))
+    elif r == 2:
+        phi = 2 * np.pi * np.arange(samples) / samples
+        angles, x = phi[:, None], np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    else:
+        k = max(int(np.sqrt(samples)), 2)
+        theta = np.repeat(np.pi * (np.arange(k) + 0.5) / k, k)
+        phi = np.tile(2 * np.pi * np.arange(k) / k, k)
+        angles = np.stack([theta, phi], axis=-1)
+        x = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
+                     axis=-1)
+    return zip(angles.tolist(), _cut_radii(x, basis, minimizers=False)[0].tolist())
 
 
 def cmd_cutlocus_grid(args) -> int:
@@ -312,6 +308,8 @@ def cmd_embed(args) -> int:
     if sp is None:
         raise UsageError("embed needs a catalog space, not a bare lattice id")
     if args.method == "b":
+        if args.input is not None:
+            raise UsageError("--method b reads no --input; it takes the flat parameter via --t")
         if sp.family is not Family.CIRCLE_SPHERE:
             raise DomainError("the stereographic method runs on the circle/sphere family")
         if args.t is None:
@@ -322,6 +320,8 @@ def cmd_embed(args) -> int:
         emit(envelope(sp.label(), "b", result))
         return 0
 
+    if args.t is not None:
+        raise UsageError(f"--t is read by --method b only, not by --method {args.method}")
     if args.input is None:
         raise UsageError("embed needs --input (matrix file or '-')")
     g = coset_from_matrix(sp, read_matrix(args.input))

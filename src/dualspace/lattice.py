@@ -31,12 +31,15 @@ class LatticeBasis:
     """Generators of a full-rank lattice in an inner-product space.
 
     ``generators`` holds one generator per column, expressed in orthonormal
-    coordinates of the flat.  Computed from them once: ``gram``, the matrix
-    of pairwise inner products, its smallest eigenvalue ``eigmin``,
-    ``alpha2``, the mean squared generator length ``mean(diag(gram))``,
-    which is the common squared length alpha^2 of the closed-form cut
-    radius, and ``orthonormal``, whether the generators are orthogonal and
-    of equal length (to 1e-10 relative; see :func:`is_orthonormal`).
+    coordinates of the flat, as a read-only copy of the caller's array.
+    Computed from them once: ``gram``, the matrix of pairwise inner
+    products (read-only), its smallest eigenvalue ``eigmin``, ``alpha2``,
+    the mean squared generator length ``mean(diag(gram))``, which is the
+    common squared length alpha^2 of the closed-form cut radius, and
+    ``orthonormal``, whether the generators are orthogonal and of equal
+    length (to 1e-10 relative).  That verdict is for the generators as
+    given: recognizing a lattice that only becomes orthonormal after a
+    change of Z-basis would need a reduction step and is out of scope.
     """
 
     generators: np.ndarray
@@ -49,9 +52,11 @@ class LatticeBasis:
         gens = np.array(self.generators, dtype=np.float64)
         if gens.ndim != 2 or gens.shape[0] != gens.shape[1]:
             raise DomainError("generators must form a square coordinate matrix")
+        gens.flags.writeable = False
         object.__setattr__(self, "generators", gens)
         gram = gens.T @ gens
         gram = 0.5 * (gram + gram.T)
+        gram.flags.writeable = False
         eigs = np.linalg.eigvalsh(gram)
         if eigs[0] <= 0.0:
             raise DomainError("lattice Gram matrix must be positive definite")
@@ -99,17 +104,6 @@ def _coords_array(coords, basis, stack: bool = False):
     return x, basis
 
 
-def is_orthonormal(basis: LatticeBasis) -> bool:
-    """Whether the given generators are orthogonal and of equal length: the
-    verdict ``basis.orthonormal`` computed with the basis.
-
-    The test applies to the generators as given; recognizing a lattice that
-    only becomes orthonormal after a change of Z-basis would need a
-    reduction step and is out of scope.
-    """
-    return basis.orthonormal
-
-
 def _norm2(x, gram):
     """<x, x> under the Gram matrix, per row of a stack."""
     return np.sum((x @ gram) * x, axis=-1)
@@ -140,7 +134,7 @@ def cut_radius_closed(coords, basis: LatticeBasis = None):
         or a direction is zero.
     """
     x, basis = _coords_array(coords, basis, stack=True)
-    if not is_orthonormal(basis):
+    if not basis.orthonormal:
         raise DomainError("closed-form cut radius needs an orthonormal lattice")
     return nk.per_slice(_closed_form(x, basis)[0])
 

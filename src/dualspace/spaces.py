@@ -5,8 +5,8 @@ scale and orientation, its extra CLI ids, and, for a family of one fixed
 n, that n and its lattice coefficients.  :func:`make_space`, the CLI's
 space ids and the family sets of ``verify`` all read that table, so a new
 family is a new row.  Each space is described by a :class:`SpaceDescriptor`
-holding the base point, the indefinite form, the commuting flat generators
-and the unit lattice.  Conventions:
+holding the indefinite form and the unit lattice; the base point and the
+commuting flat generators are fixed by the conventions:
 
 * the ambient space is R^(n+m) or C^(n+m) with n <= m, the quadratic form
   has signature (n, m), and the base point is the span of the first n
@@ -53,22 +53,15 @@ class Side(enum.Enum):
     NONCOMPACT = "noncompact"
 
 
-def _basis_matrix(dim, i, j, lower, dtype):
-    out = np.zeros((dim, dim), dtype=dtype)
-    out[i, j] = 1.0
-    out[j, i] = lower
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class SpaceDescriptor:
     """One classical symmetric-space family instance.
 
-    Immutable after construction; build through :func:`make_space`.
-    ``lattice_inv`` is the inverse of ``lattice_coeff``, taken once by
-    :func:`make_space`: it maps coordinates with respect to the generators
-    R_i to lattice units, ``cartan @ lattice_inv.T``, for every point read
-    afterwards.
+    Immutable after construction, arrays included (each is read-only);
+    build through :func:`make_space`.  ``lattice_inv`` is the inverse of
+    ``lattice_coeff``, taken once by :func:`make_space`: it maps coordinates
+    with respect to the generators R_i to lattice units,
+    ``cartan @ lattice_inv.T``, for every point read afterwards.
     """
 
     family: Family
@@ -80,7 +73,7 @@ class SpaceDescriptor:
     oriented: bool                  # determinant-one groups, oriented subspaces
     form_j: np.ndarray              # diag(+1 x n, -1 x m)
     lattice_coeff: np.ndarray       # columns: lattice generators in R_i coordinates
-    lattice_inv: np.ndarray         # inverse of lattice_coeff, read-only
+    lattice_inv: np.ndarray         # inverse of lattice_coeff
     lattice: LatticeBasis
 
     @property
@@ -90,19 +83,6 @@ class SpaceDescriptor:
     @property
     def dtype(self):
         return np.complex128 if self.field == "complex" else np.float64
-
-    def base_point(self) -> "SubspacePoint":
-        rep = np.zeros((self.dim, self.n), dtype=self.dtype)
-        rep[: self.n, : self.n] = np.eye(self.n)
-        return SubspacePoint(self, rep)
-
-    def cartan_basis(self, side: Side) -> list:
-        """The rank commuting generators R_i (compact) or their boosts."""
-        lower = -1.0 if side is Side.COMPACT else 1.0
-        return [
-            _basis_matrix(self.dim, i, self.n + i, lower, self.dtype)
-            for i in range(self.rank)
-        ]
 
     def label(self) -> str:
         return f"{self.family.value}({self.n},{self.m})"
@@ -126,7 +106,8 @@ class TangentVector:
 
     The matrix has vanishing diagonal blocks and off-diagonal blocks tied
     by ``lower = -upper^H`` (compact side) or ``lower = +upper^H``
-    (noncompact side).
+    (noncompact side).  A vector built from a caller's array keeps a
+    read-only copy of it.
     """
 
     space: SpaceDescriptor
@@ -134,7 +115,9 @@ class TangentVector:
     x: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", nk.as_matrix(self.x, dtype=self.space.dtype))
+        x = np.array(nk.as_matrix(self.x, dtype=self.space.dtype))  # a copy
+        x.flags.writeable = False
+        object.__setattr__(self, "x", x)
         self._check()
 
     def _check(self):
@@ -156,17 +139,19 @@ class TangentVector:
 @dataclass(frozen=True, eq=False)
 class FlatCoordinates:
     """Coordinates of a flat tangent vector in the lattice basis; a stack of
-    vectors has shape (..., rank)."""
+    vectors has shape (..., rank).  The coordinates are a read-only copy of
+    the caller's array."""
 
     space: SpaceDescriptor
     coords: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coords, dtype=np.float64))
+        c = np.atleast_1d(np.array(self.coords, dtype=np.float64))  # a copy
         if c.shape[-1] != self.space.rank:
             raise DomainError(f"expected {self.space.rank} coordinates, got {c.shape[-1]}")
         if not np.isfinite(c).all():
             raise DomainError("non-finite flat coordinates")
+        c.flags.writeable = False
         object.__setattr__(self, "coords", c)
 
     def cartan_coords(self) -> np.ndarray:
@@ -177,7 +162,7 @@ class FlatCoordinates:
         """The flat tangent matrix sum_i c_i R_i on the given side: the
         Cartan coordinates c_i written into the entries (i, n+i) and
         (n+i, i) of one zero stack, negated at (n+i, i) on the compact side
-        (see :meth:`SpaceDescriptor.cartan_basis`)."""
+        (the generators of the module docstring)."""
         space, cart = self.space, self.cartan_coords()
         i = np.arange(space.rank)
         out = np.zeros(cart.shape[:-1] + (space.dim, space.dim), dtype=space.dtype)
@@ -256,8 +241,8 @@ class FamilyRow(NamedTuple):
     """What sets one family apart; :func:`make_space` reads nothing else.
 
     The rank is n in every family.  A family of one fixed n gives its
-    lattice coefficients (columns: generators in R_i coordinates); the
-    others have pi * I_n.
+    lattice coefficients (columns: generators in R_i coordinates, a
+    read-only array its descriptors share); the others have pi * I_n.
     """
 
     field: str                      # "real" or "complex"
@@ -268,13 +253,19 @@ class FamilyRow(NamedTuple):
     lattice_coeff: np.ndarray | None = None
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 FAMILIES = {
     Family.REAL_GRASSMANNIAN: FamilyRow("real", 0.5, False),
     Family.COMPLEX_GRASSMANNIAN: FamilyRow("complex", 0.5, False),
     # generators pi*(R_1 + R_2) and pi*(R_1 - R_2): orthogonal, equal length
-    Family.ORIENTED_TWO_PLANE: FamilyRow("real", 0.5, True, ("oriented2",), 2,
-                                         np.pi * np.array([[1.0, 1.0], [1.0, -1.0]])),
-    Family.CIRCLE_SPHERE: FamilyRow("real", 2.0, True, ("circle",), 1, 2.0 * np.pi * np.eye(1)),
+    Family.ORIENTED_TWO_PLANE: FamilyRow("real", 0.5, True, ("oriented2",), 2, _read_only(
+        np.pi * np.array([[1.0, 1.0], [1.0, -1.0]]))),
+    Family.CIRCLE_SPHERE: FamilyRow("real", 2.0, True, ("circle",), 1,
+                                    _read_only(2.0 * np.pi * np.eye(1))),
 }
 
 
@@ -319,9 +310,7 @@ def make_space(family: Family, n: int, m: int) -> SpaceDescriptor:
     if row.fixed_n not in (None, n):
         raise DomainError(f"the {family.value} family needs n = {row.fixed_n}, got n={n}")
 
-    coeff = np.pi * np.eye(n) if row.lattice_coeff is None else row.lattice_coeff.copy()
-    inv = np.linalg.inv(coeff)
-    inv.flags.writeable = False
+    coeff = _read_only(np.pi * np.eye(n)) if row.lattice_coeff is None else row.lattice_coeff
     gen_norm = np.sqrt(2.0 * row.metric_scale)  # |R_i| under the family metric
     return SpaceDescriptor(
         family=family,
@@ -331,9 +320,9 @@ def make_space(family: Family, n: int, m: int) -> SpaceDescriptor:
         field=row.field,
         metric_scale=row.metric_scale,
         oriented=row.oriented,
-        form_j=np.diag(np.concatenate([np.ones(n), -np.ones(m)])),
+        form_j=_read_only(np.diag(np.concatenate([np.ones(n), -np.ones(m)]))),
         lattice_coeff=coeff,
-        lattice_inv=inv,
+        lattice_inv=_read_only(np.linalg.inv(coeff)),
         lattice=LatticeBasis(generators=gen_norm * coeff),
     )
 
@@ -397,23 +386,6 @@ def in_group(space: SpaceDescriptor, a, side: Side, tol: float = 1e-10) -> bool:
     if space.oriented:
         ok &= np.abs(np.linalg.det(a) - 1.0) <= scaled
     return bool(ok.all())
-
-
-def in_isotropy(space: SpaceDescriptor, k, tol: float = 1e-10) -> bool:
-    """Whether ``k`` is block diagonal with compact blocks (fixes the base point)."""
-    k = nk.as_matrix(k)
-    if k.shape != (space.dim, space.dim):
-        raise DomainError(f"expected a {space.dim} x {space.dim} matrix, got {k.shape}")
-    n = space.n
-    off = max(float(np.max(np.abs(k[:n, n:]))), float(np.max(np.abs(k[n:, :n]))))
-    if off > tol:
-        return False
-    for block in (k[:n, :n], k[n:, n:]):
-        if np.max(np.abs(block.conj().T @ block - np.eye(block.shape[0]))) > tol:
-            return False
-        if space.oriented and abs(np.linalg.det(block) - 1.0) > tol:
-            return False
-    return True
 
 
 def transitivity_element(space: SpaceDescriptor, y) -> np.ndarray:

@@ -404,26 +404,6 @@ def check_round_trip(space, samples: int = 500, seed: int = DEFAULT_SEED,
 # trigonometric duality (sphere and hyperbolic plane)
 
 
-def _rot_z(t):
-    """Rotation by ``t`` about the z axis; a stack of them for an array ``t``."""
-    c, s = np.cos(t), np.sin(t)
-    out = np.zeros(np.shape(t) + (3, 3))
-    out[..., 0, 0] = out[..., 1, 1] = c
-    out[..., 0, 1], out[..., 1, 0] = -s, s
-    out[..., 2, 2] = 1.0
-    return out
-
-
-def _boost_x(t):
-    """Boost of rapidity ``t`` along x; a stack of them for an array ``t``."""
-    c, s = np.cosh(t), np.sinh(t)
-    out = np.zeros(np.shape(t) + (3, 3))
-    out[..., 0, 0] = out[..., 2, 2] = c
-    out[..., 0, 2] = out[..., 2, 0] = s
-    out[..., 1, 1] = 1.0
-    return out
-
-
 _SPHERE_J = np.ones(3)  # diagonals of the Euclidean and the Minkowski form
 _HYP_J = np.array([1.0, 1.0, -1.0])
 _NEXT = [1, 2, 0]  # the vertices, sides or angles after each one, cyclically
@@ -489,10 +469,13 @@ def _sphere_triangles(rng, count):
 
 def _hyperbolic_triangles(rng, count):
     """Vertices of ``count`` random hyperbolic triangles, three boosted and
-    rotated copies of the apex each."""
+    rotated copies of the apex each: the apex boosted along x by a rapidity
+    r and turned about the z axis by an angle t is
+    ``(cos t sinh r, sin t sinh r, cosh r)``."""
     turn = rng.uniform(0, 2 * np.pi, size=(3, count))
     rapidity = rng.uniform(0.2, 1.6, size=(3, count))
-    return (_rot_z(turn) @ _boost_x(rapidity))[..., 2]
+    sh = np.sinh(rapidity)
+    return np.stack([np.cos(turn) * sh, np.sin(turn) * sh, np.cosh(rapidity)], axis=-1)
 
 
 def _accepted_triangles(rng, samples, draw, measure, rejected):

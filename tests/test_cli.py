@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import dualspace
 from dualspace import cli
 from dualspace.cli import _jsonify, emit, main, parse_space
+from dualspace.lattice import cut_radius
 from dualspace.spaces import MAX_SAMPLES
 from dualspace.verify import random_slope
 
@@ -34,6 +35,20 @@ def run_json(capsys, *argv):
     payload = json.loads(out)
     assert set(payload) == ENVELOPE_KEYS
     return payload
+
+
+def test_public_names_are_pinned():
+    # a public name is added or dropped on purpose, by editing this list
+    assert sorted(dualspace.__all__) == [
+        "CATALOG", "CutRadiusResult", "DomainError", "Family", "FlatCoordinates",
+        "GroupElement", "LatticeBasis", "NumericalError", "PropertyReport", "Side",
+        "SpaceDescriptor", "SubspacePoint", "TangentVector", "b_embed_rank1", "cut_radius",
+        "cut_radius_brute", "cut_radius_closed", "embed", "embeddings", "errors", "f_embed",
+        "f_flat_rank1", "g_embed", "h_flat", "in_group", "in_half_region", "lattice",
+        "log_compact", "log_noncompact", "make_space", "numkernel", "p_embed",
+        "region_fraction", "run_suite", "same_point", "space_like", "spaces", "su3_lattice",
+        "transitivity_element", "verify",
+    ]
 
 
 def test_lattice_info_real_grassmannian(capsys):
@@ -249,6 +264,25 @@ def test_embed_stereographic(capsys):
     assert payload["result"]["flat_profile_f"] == pytest.approx(0.9607621582674589, abs=1e-12)
 
 
+def test_embed_stereographic_refuses_an_input(capsys):
+    code, out, err = run_cli(capsys, "embed", "sphere", "1", "2", "--method", "b", "--t", "1",
+                             "--input", "/nonexistent")
+    assert code == 2
+    assert out == ""
+    assert "--input" in err
+
+
+@pytest.mark.parametrize("method", ["p", "g", "f", "all"])
+def test_embed_of_a_coset_refuses_a_flat_parameter(tmp_path, capsys, method):
+    f = tmp_path / "s.json"
+    f.write_text("[[0.3]]")
+    code, out, err = run_cli(capsys, "embed", "gr-real", "1", "1", "--method", method,
+                             "--t", "3", "--input", str(f))
+    assert code == 2
+    assert out == ""
+    assert "--t" in err
+
+
 def test_embed_identity_gives_base_point(tmp_path, capsys):
     f = tmp_path / "id.json"
     f.write_text(json.dumps(np.eye(3).tolist()))
@@ -418,6 +452,39 @@ def test_cutlocus_grid_rank_one_constant(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "t0"
     assert float(lines[1]) == pytest.approx(np.pi / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("space,samples", [
+    (("gr-real", 1, 2), 5),
+    (("gr-real", 2, 2), 90),
+    (("oriented2", 2, 2), 60),
+    (("gr-real", 3, 4), 200),
+    (("su3", None, None), 40),
+])
+def test_cutlocus_grid_rows_are_the_per_direction_radii(monkeypatch, space, samples):
+    # one stacked radius call gives, bit for bit, the angles and the radius
+    # of one cut_radius call per direction
+    _, basis, _ = cli.space_lattice(*space)
+    calls = []
+    stacked = cli._cut_radii
+    monkeypatch.setattr(cli, "_cut_radii", lambda *a, **kw: calls.append(1) or stacked(*a, **kw))
+    rows = list(cli._grid_rows(basis, samples))
+    assert calls == [1]
+    k = max(int(np.sqrt(samples)), 2)
+    assert len(rows) == {1: 1, 2: samples, 3: k * k}[basis.rank]
+    for i, (angles, t0) in enumerate(rows):
+        if basis.rank == 1:
+            expected, x = [], np.array([1.0])
+        elif basis.rank == 2:
+            phi = 2 * np.pi * i / samples
+            expected, x = [phi], np.array([np.cos(phi), np.sin(phi)])
+        else:
+            theta, phi = np.pi * (i // k + 0.5) / k, 2 * np.pi * (i % k) / k
+            expected = [theta, phi]
+            x = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                          np.cos(theta)])
+        assert angles == expected
+        assert t0 == cut_radius(x, basis).radius
 
 
 def test_cutlocus_grid_rank_too_large(capsys):

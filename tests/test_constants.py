@@ -12,7 +12,7 @@ import pytest
 from dualspace import lattice, verify
 from dualspace import numkernel as nk
 from dualspace.embeddings import _negated_factors, _slope_factors, point_flat_coords
-from dualspace.spaces import Family, Side, _boost_factors, make_space
+from dualspace.spaces import FAMILIES, Family, Side, _boost_factors, make_space
 
 SPACES = verify.catalog_spaces() + [make_space(Family.REAL_GRASSMANNIAN, 16, 48),
                                     make_space(Family.COMPLEX_GRASSMANNIAN, 16, 16)]
@@ -98,3 +98,20 @@ def test_boost_adds_the_identity_in_place(space):
         ch = 1.0 / np.sqrt((1.0 - s) * (1.0 + s))
         lower = np.eye(space.m) + (wn * (ch - 1.0)[..., None, :]) @ nk.herm(wn)
         assert np.array_equal(a[..., n:, n:], lower)
+
+
+def test_kept_constants_are_read_only():
+    # a write to one of these would leave what was computed from it
+    # (lattice_inv, eigmin, alpha2, the orthonormal verdict) out of step
+    kept = [row.lattice_coeff for row in FAMILIES.values() if row.lattice_coeff is not None]
+    for space in SPACES:
+        kept += [space.form_j, space.lattice_coeff, space.lattice_inv]
+    for basis in [space.lattice for space in SPACES] + [lattice.su3_lattice()]:
+        kept += [basis.generators, basis.gram]
+    for arr in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+    gens = np.eye(2)
+    basis = lattice.LatticeBasis(generators=gens)
+    gens[0, 0] = 2.0
+    assert np.array_equal(basis.generators, np.eye(2)) and basis.orthonormal

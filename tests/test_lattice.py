@@ -11,7 +11,6 @@ from dualspace.lattice import (
     cut_radius_brute,
     cut_radius_closed,
     in_half_region,
-    is_orthonormal,
     su3_lattice,
 )
 from dualspace.spaces import (
@@ -51,19 +50,19 @@ def brute_full_enumeration(basis, x, bound=6):
 
 
 def test_grassmannian_lattice_is_orthonormal():
-    assert is_orthonormal(GR23.lattice)
+    assert GR23.lattice.orthonormal
     np.testing.assert_allclose(GR23.lattice.gram, PI ** 2 * np.eye(2), atol=1e-12)
 
 
 def test_su3_lattice_is_not_orthonormal():
     basis = su3_lattice()
-    assert not is_orthonormal(basis)
+    assert not basis.orthonormal
     np.testing.assert_allclose(basis.gram, 2 * PI ** 2 * np.array([[2, -1], [-1, 2]]),
                                atol=1e-10)
 
 
 def test_single_generator_is_orthonormal():
-    assert is_orthonormal(LatticeBasis(generators=np.array([[2.7]])))
+    assert LatticeBasis(generators=np.array([[2.7]])).orthonormal
 
 
 def test_basis_keeps_its_eigmin_and_verdict(monkeypatch):
@@ -76,7 +75,7 @@ def test_basis_keeps_its_eigmin_and_verdict(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     assert cut_radius_brute(np.array([1.0, 0.3]), basis).radius > 0.0
-    assert not is_orthonormal(basis)
+    assert not basis.orthonormal
 
 
 def test_lattice_basis_rejects_degenerate_gram():
