@@ -261,6 +261,7 @@ def cmd_cut_radius(args) -> int:
         "radius": res.radius,
         "minimizer": list(res.minimizer),
         "used_closed_form": res.used_closed_form,
+        "visited": res.visited,
     }
     emit(envelope(label, "cut-radius", result, residuals))
     return 0
@@ -285,7 +286,7 @@ def _grid_rows(basis: LatticeBasis, samples: int):
         angles = np.stack([theta, phi], axis=-1)
         x = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
                      axis=-1)
-    return zip(angles.tolist(), _cut_radii(x, basis, minimizers=False)[0].tolist())
+    return zip(angles.tolist(), _cut_radii(x, basis).tolist())
 
 
 def cmd_cutlocus_grid(args) -> int:

@@ -151,12 +151,17 @@ def b_embed_rank1(t):
     Maps the boost parameter t to the angle 2*arctan(tanh(t/2)), with range
     (-pi/2, pi/2): a quarter of the closed geodesic of length 4*pi used by
     the circle/sphere family.  A float for a scalar t, an array over an
-    array of them.
+    array of them.  As for f, |tanh(t/2)| >= 1 - ``BOUNDARY_GUARD`` (|t|
+    beyond about 30.6) raises NumericalError: tanh rounds to 1 soon after,
+    and the angle to the boundary value pi/2.
     """
     t = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(t)):
         raise DomainError("need a finite flat parameter")
-    return nk.per_slice(2.0 * np.arctan(np.tanh(t / 2.0)))
+    h = np.tanh(t / 2.0)
+    if np.any(np.abs(h) >= 1.0 - BOUNDARY_GUARD):
+        raise NumericalError("flat parameter too close to the boundary for double precision")
+    return nk.per_slice(2.0 * np.arctan(h))
 
 
 def f_flat_rank1(t: float) -> float:

@@ -10,12 +10,13 @@ Directions through these functions may be given either as plain
 coordinate arrays (with an explicit ``LatticeBasis``) or as
 ``spaces.FlatCoordinates`` objects, which carry their space's lattice
 along.  Coordinates are always with respect to the lattice generators.
-The closed-form radius and the region fraction also take a stack of
-directions, one per row.
+The cut radii and the region fraction also take a stack of directions,
+one per row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,9 @@ from . import numkernel as nk
 from .errors import DomainError
 
 _REL_TIE = 1e-12
+# the brute walk scores at most this many (direction, lattice vector) values
+# at once, so a stack of MAX_SAMPLES directions walks in bounded memory
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,12 +84,15 @@ class CutRadiusResult:
     """Cut radius along a direction, with the lattice vector attaining it.
 
     ``radius`` equals <A,A> / (2 |<X,A>|) at A = sum_i minimizer[i] * A_i
-    for the direction X normalized to unit length.
+    for the direction X normalized to unit length.  ``visited`` is the
+    number of lattice vectors the brute-force search scored, 0 for the
+    closed form.
     """
 
     radius: float
     minimizer: tuple
     used_closed_form: bool
+    visited: int
 
 
 def _coords_array(coords, basis, stack: bool = False):
@@ -106,7 +113,7 @@ def _coords_array(coords, basis, stack: bool = False):
 
 def _norm2(x, gram):
     """<x, x> under the Gram matrix, per row of a stack."""
-    return np.sum((x @ gram) * x, axis=-1)
+    return ((x @ gram) * x).sum(axis=-1)
 
 
 def _unit_direction(x, gram):
@@ -161,68 +168,119 @@ def _l1_shell(rank: int, s: int):
             yield (v,) + rest
 
 
-def cut_radius_brute(coords, basis: LatticeBasis = None) -> CutRadiusResult:
-    """Cut radius by exact minimization of <A,A> / (2|<X,A>|) over the lattice.
+def _dot(a, b):
+    """Sum of a * b over the last axis, broadcast over the others, term by
+    term in a fixed order: a row gets the same bits alone or in any stack,
+    which a BLAS product does not promise."""
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * b[..., k]
+    return out
+
+
+def _inner_products(x, gram):
+    """<X, A_i> for every generator A_i, with X the unit direction along each
+    row of x, scaled as in :func:`_unit_direction` but with every sum in a
+    fixed order (:func:`_dot`)."""
+    scale = np.abs(x).max(axis=-1, keepdims=True)
+    if not scale.all():
+        raise DomainError("zero flat direction")
+    y = x / scale
+    c = _dot(y[:, None, :], gram)
+    c /= np.sqrt(_dot(c, y))[:, None]
+    return c
+
+
+def _brute_walk(x, basis: LatticeBasis, minimizer: bool = False):
+    """The brute-force search for a stack of directions, one per row, in
+    one walk over the L1 shells.
+
+    Each shell is generated once, and its values |A|^2 / (2|<X, A>|) are
+    scored for every row still searching as one (rows x vectors) matrix,
+    at most ``_BLOCK`` entries at a time.  A row retires once the shell
+    bound passes its best value.  Returns the radii and the number of
+    lattice vectors scored per row; with ``minimizer``, for a stack of one
+    direction, also the coefficients of the lexicographically smallest
+    vector within the tie of its radius, picked from every value scored.
+    """
+    gram, r = basis.gram, basis.rank
+    c = _inner_products(x, gram)
+    if (np.abs(c).max(axis=-1) < 1e-14).any():
+        raise DomainError("direction is orthogonal to the whole lattice (infinite cut radius)")
+
+    best, visited = np.empty(len(x)), np.empty(len(x), dtype=np.int64)
+    live, best_live = np.arange(len(x)), np.full(len(x), np.inf)  # the rows still searching
+    shells, scored = [], []  # with minimizer: each shell and its values
+    step, half_gram = math.sqrt(basis.eigmin / r) / 2.0, 0.5 * gram
+    total, s = 0, 1
+    while live.size:
+        m = np.array(list(_l1_shell(r, s)), dtype=np.float64)
+        half = _norm2(m, half_gram)  # |A|^2 / 2, so a value is half / |<X, A>|
+        per = max(1, _BLOCK // len(m))
+        for lo in range(0, live.size, per):
+            d = np.abs(_dot(c[lo:lo + per, None, :], m))
+            val = np.divide(half, d, out=np.full(d.shape, np.inf), where=d >= 1e-14)
+            np.minimum(best_live[lo:lo + per], val.min(axis=-1), out=best_live[lo:lo + per])
+        if minimizer:
+            shells.append(m)
+            scored.append(val[0])
+        total += len(m)
+        s += 1
+        keep = s * step <= best_live * (1.0 + _REL_TIE)
+        if keep.all():
+            continue
+        if not keep.any():  # the last rows retire together
+            best[live], visited[live] = best_live, total
+            break
+        gone = ~keep
+        best[live[gone]], visited[live[gone]] = best_live[gone], total
+        live, c, best_live = live[keep], c[keep], best_live[keep]
+    if not minimizer:
+        return best, visited
+    tied = np.concatenate(shells)[np.concatenate(scored) <= best[0] * (1.0 + _REL_TIE)]
+    return best, visited, np.array(min(tied.tolist()), dtype=np.int64)  # lexicographic min
+
+
+def cut_radius_brute(coords, basis: LatticeBasis = None):
+    """Cut radius by exact minimization of <A,A> / (2|<X,A>|) over the lattice;
+    an array of radii for a stack of directions, all from one walk.
 
     Nonzero lattice vectors are enumerated in shells of increasing L1 norm.
     With X normalized, Cauchy-Schwarz gives value >= |A|/2, so the search
-    can stop once every vector in the current shell is longer than twice
-    the best value found; |A|^2 >= eigmin(gram) |m|_2^2 >= eigmin |m|_1^2 / r
-    turns that into a shell bound.  Ties are broken by lexicographic order
-    of the integer coefficient vector, making the minimizer reproducible.
+    along X can stop once every vector in the current shell is longer than
+    twice the best value found; |A|^2 >= eigmin(gram) |m|_2^2 >=
+    eigmin |m|_1^2 / r turns that into a shell bound.  The radius is the
+    least value met; the minimizer is the lexicographically smallest
+    integer coefficient vector whose value is within a relative 1e-12 of
+    it, so neither depends on the order of the walk.  ``visited`` counts
+    the lattice vectors scored.
     """
-    x, basis = _coords_array(coords, basis)
-    gram = basis.gram
-    r = basis.rank
-    x = _unit_direction(x, gram)
-    c = gram @ x
-    if float(np.max(np.abs(c))) < 1e-14:
-        raise DomainError("direction is orthogonal to the whole lattice (infinite cut radius)")
-
-    eigmin = basis.eigmin
-    best = np.inf
-    best_m = None
-    s = 1
-    while True:
-        if best_m is not None and s * np.sqrt(eigmin / r) / 2.0 > best * (1.0 + _REL_TIE):
-            break
-        for m in _l1_shell(r, s):
-            mv = np.array(m, dtype=np.float64)
-            d = abs(float(c @ mv))
-            if d < 1e-14:
-                continue
-            val = float(mv @ gram @ mv) / (2.0 * d)
-            if val < best * (1.0 - _REL_TIE):
-                best, best_m = val, m
-            elif val <= best * (1.0 + _REL_TIE) and best_m is not None and m < best_m:
-                best_m = m
-        s += 1
-    return CutRadiusResult(radius=best, minimizer=best_m, used_closed_form=False)
+    x, basis = _coords_array(coords, basis, stack=True)
+    if x.ndim > 1:
+        return _brute_walk(x.reshape(-1, basis.rank), basis)[0].reshape(x.shape[:-1])
+    radius, visited, minimizer = _brute_walk(x[None], basis, minimizer=True)
+    return CutRadiusResult(radius=float(radius[0]), minimizer=tuple(minimizer.tolist()),
+                           used_closed_form=False, visited=int(visited[0]))
 
 
 def cut_radius(coords, basis: LatticeBasis = None) -> CutRadiusResult:
     """Cut radius by the closed form when available, brute force otherwise."""
     x, basis = _coords_array(coords, basis)
-    radius, minimizer = _cut_radii(x[None], basis, minimizers=True)
-    return CutRadiusResult(radius=float(radius[0]), minimizer=tuple(minimizer[0].tolist()),
-                           used_closed_form=basis.orthonormal)
-
-
-def _cut_radii(x, basis: LatticeBasis, minimizers: bool):
-    """Radii of a stack of directions, one per row, and, with
-    ``minimizers``, the integer coefficients of the lattice vectors
-    attaining them, one row each (else None): every row from one vectorised
-    closed form on an orthonormal lattice, each row by the brute-force
-    search otherwise.  The one place that chooses."""
     if not basis.orthonormal:
-        found = [cut_radius_brute(row, basis) for row in x]
-        return (np.array([res.radius for res in found]),
-                np.array([res.minimizer for res in found], dtype=np.int64) if minimizers else None)
-    radius, c = _closed_form(x, basis)
-    if not minimizers:
-        return radius, None
-    i0 = np.argmax(c, axis=-1)
-    return radius, -np.equal.outer(i0, np.arange(basis.rank)).astype(np.int64)
+        return cut_radius_brute(x, basis)
+    radius, c = _closed_form(x[None], basis)
+    minimizer = [0] * basis.rank
+    minimizer[int(np.argmax(c[0]))] = -1
+    return CutRadiusResult(radius=float(radius[0]), minimizer=tuple(minimizer),
+                           used_closed_form=True, visited=0)
+
+
+def _cut_radii(x, basis: LatticeBasis):
+    """Radii of a stack of directions, one per row: one vectorised closed
+    form on an orthonormal lattice, one brute-force walk otherwise."""
+    if basis.orthonormal:
+        return _closed_form(x, basis)[0]
+    return _brute_walk(x, basis)[0]
 
 
 def region_fraction(coords, basis: LatticeBasis = None):
@@ -234,7 +292,7 @@ def region_fraction(coords, basis: LatticeBasis = None):
     hit = nrm > 0.0
     frac = np.zeros(nrm.shape)
     if hit.any():
-        frac[hit] = nrm[hit] / _cut_radii(x[hit], basis, minimizers=False)[0]
+        frac[hit] = nrm[hit] / _cut_radii(x[hit], basis)
     return nk.per_slice(frac)
 
 

@@ -112,6 +112,17 @@ def test_cut_radius_methods(capsys, method, used_closed):
         assert payload["residuals"] == {}
 
 
+@pytest.mark.parametrize("argv,visited", [
+    (("su3", "--direction", "1,0"), 12),
+    (("gr-real", "2", "2", "--direction", "1,0.3", "--method", "brute"), 4),
+    (("gr-real", "2", "2", "--direction", "1,0.3", "--method", "closed"), 0),
+])
+def test_cut_radius_reports_the_vectors_it_visited(capsys, argv, visited):
+    result = run_json(capsys, "cut-radius", *argv)["result"]
+    assert set(result) == {"direction", "radius", "minimizer", "used_closed_form", "visited"}
+    assert result["visited"] == visited
+
+
 def test_cut_radius_bad_direction_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "cut-radius", "gr-real", "2", "2", "--direction", "abc")
     assert code == 2
@@ -262,6 +273,16 @@ def test_embed_stereographic(capsys):
     payload = run_json(capsys, "embed", "sphere", "1", "2", "--method", "b", "--t", "1")
     assert payload["result"]["angle"] == pytest.approx(0.8657694832396586, abs=1e-12)
     assert payload["result"]["flat_profile_f"] == pytest.approx(0.9607621582674589, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [("--t", "40"), ("--t=-1e308",)])
+def test_embed_stereographic_at_the_boundary_is_a_numerical_error(capsys, t):
+    # tanh(t/2) rounds to +-1 there, and the angle to the wall pi/2 of the
+    # open quarter region
+    code, out, err = run_cli(capsys, "embed", "sphere", "1", "2", "--method", "b", *t)
+    assert code == 4
+    assert out == ""
+    assert "boundary" in err
 
 
 def test_embed_stereographic_refuses_an_input(capsys):

@@ -136,6 +136,14 @@ def test_b_embed_rejects_nonfinite():
         b_embed_rank1(np.inf)
 
 
+def test_b_embed_refuses_the_boundary_guard_as_f_does():
+    # |tanh(t/2)| >= 1 - BOUNDARY_GUARD from |t| of about 30.6 on
+    assert abs(b_embed_rank1(30.5)) < np.pi / 2
+    for t in (30.7, -30.7, 40.0, 1e308, np.array([0.0, 31.0])):
+        with pytest.raises(NumericalError):
+            b_embed_rank1(t)
+
+
 def test_b_embed_takes_an_array():
     ts = np.array([-20.0, -1.0, 0.0, 1.0, 14.0])
     assert type(b_embed_rank1(1.0)) is float

@@ -5,15 +5,18 @@ import itertools
 import numpy as np
 import pytest
 
+from dualspace import lattice
 from dualspace.errors import DomainError
 from dualspace.lattice import (
     LatticeBasis,
+    cut_radius,
     cut_radius_brute,
     cut_radius_closed,
     in_half_region,
     su3_lattice,
 )
 from dualspace.spaces import (
+    CATALOG,
     Family,
     FlatCoordinates,
     Side,
@@ -26,6 +29,19 @@ from flat_oracle import flat_decompose
 PI = np.pi
 GR22 = make_space(Family.REAL_GRASSMANNIAN, 2, 2)
 GR23 = make_space(Family.REAL_GRASSMANNIAN, 2, 3)
+
+
+def skewed(k, skew):
+    """Z^k in the unimodular basis I + skew * (superdiagonal)."""
+    return LatticeBasis(generators=np.eye(k) + skew * np.eye(k, k=1))
+
+
+# the skewed bases of the cut-radius benchmark workload
+SKEWED = {"z2-skew4": skewed(2, 4), "z3-skew2": skewed(3, 2), "z4-skew1": skewed(4, 1)}
+STACK_LATTICES = {"su3": su3_lattice(),
+                  **{make_space(f, n, m).label(): make_space(f, n, m).lattice
+                     for f, n, m in CATALOG},
+                  **SKEWED}
 
 
 def brute_full_enumeration(basis, x, bound=6):
@@ -215,6 +231,119 @@ def test_radius_invariant_under_isotropy_rotation():
 def test_brute_rejects_zero_direction():
     with pytest.raises(DomainError):
         cut_radius_brute(np.zeros(2), GR22.lattice)
+    with pytest.raises(DomainError):
+        cut_radius_brute(np.array([[1.0, 0.0], [0.0, 0.0]]), GR22.lattice)
+
+
+# ---------------------------------------------------------------------------
+# one walk for a stack of directions
+
+
+@pytest.mark.parametrize("name", list(STACK_LATTICES))
+def test_stack_gives_the_single_calls_bit_for_bit(name):
+    basis = STACK_LATTICES[name]
+    rng = np.random.default_rng(111)
+    x = np.vstack([np.eye(basis.rank), -np.eye(basis.rank),
+                   rng.standard_normal((40, basis.rank))])
+    stack = cut_radius_brute(x, basis)
+    assert stack.shape == (len(x),)
+    assert np.array_equal(stack, [cut_radius_brute(row, basis).radius for row in x])
+    assert np.array_equal(cut_radius_brute(x.reshape(2, -1, basis.rank), basis),
+                          stack.reshape(2, -1))
+    assert cut_radius_brute(x[:0], basis).shape == (0,)
+
+
+def test_stack_matches_full_enumeration():
+    # the random rank-3 Grams of test_pruned_search_never_misses_full_enumeration
+    rng = np.random.default_rng(105)
+    bases = [LatticeBasis(generators=a @ a.T + 3 * np.eye(3))
+             for a in (rng.standard_normal((3, 3)) for _ in range(3))]
+    rng = np.random.default_rng(113)
+    for basis in bases + list(SKEWED.values()):
+        x = rng.standard_normal((60 if basis.rank < 4 else 8, basis.rank))
+        full = [brute_full_enumeration(basis, row, bound=6 if basis.rank < 4 else 4)
+                for row in x]
+        np.testing.assert_allclose(cut_radius_brute(x, basis), full, rtol=1e-12, atol=0.0)
+
+
+def values_near_the_minimum(basis, x, bound=3):
+    """Independent oracle: the least value over |m_i| <= bound, and every
+    vector whose value is within the relative tie of it, with its value."""
+    g = basis.gram
+    x = np.asarray(x, float) / np.sqrt(x @ g @ x)
+    values = {}
+    for m in itertools.product(range(-bound, bound + 1), repeat=basis.rank):
+        mv = np.array(m, float)
+        d = abs(x @ g @ mv)
+        if any(m) and d >= 1e-14:
+            values[m] = (mv @ g @ mv) / (2 * d)
+    low = min(values.values())
+    return low, {m: v for m, v in values.items() if v <= low * (1 + lattice._REL_TIE)}
+
+
+@pytest.mark.parametrize("delta", [3e-13, -3e-13])
+def test_near_tie_gives_the_minimum_and_the_lexicographic_first(delta):
+    # on Z^2 along (1, 1 + delta), e1, e2 and e1 + e2 score within the
+    # relative tie 1e-12 of each other without being equal
+    basis = LatticeBasis(generators=np.eye(2))
+    x = np.array([1.0, 1.0 + delta])
+    low, tied = values_near_the_minimum(basis, x)
+    assert set(tied) == {(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)}
+    assert max(tied.values()) > low * (1 + 1e-14)
+    # the minimizer is the first in lexicographic order, not the least value
+    assert tied[(-1, -1)] > low * (1 + 1e-14)
+    res = cut_radius_brute(x, basis)
+    assert res.radius == pytest.approx(low, rel=1e-15)
+    assert res.radius < tied[(-1, -1)] * (1 - 1e-14)
+    assert res.minimizer == (-1, -1)
+    assert cut_radius_brute(x[None], basis)[0] == res.radius
+
+
+def test_one_walk_generates_each_shell_once(monkeypatch):
+    basis = SKEWED["z3-skew2"]
+    walked = []
+    shell = lattice._l1_shell
+
+    def counted(rank, s):
+        if rank == basis.rank:  # the walk's calls, not the shell's own recursion
+            walked.append(s)
+        return shell(rank, s)
+
+    monkeypatch.setattr(lattice, "_l1_shell", counted)
+    x = np.random.default_rng(115).standard_normal((200, 3))
+    radii = cut_radius_brute(x, basis)
+    stack_walk = list(walked)
+    assert stack_walk == list(range(1, len(stack_walk) + 1))
+    single_walks = []
+    for row in x:
+        walked.clear()
+        assert cut_radius_brute(row, basis).radius == radii[len(single_walks)]
+        single_walks.append(len(walked))
+    # the stack walks as far as its farthest row, each shell once; row by
+    # row, the same shells are generated once per row
+    assert len(stack_walk) == max(single_walks)
+    assert sum(single_walks) > 20 * len(stack_walk)
+
+
+@pytest.mark.parametrize("name,direction,visited", [
+    ("z2-skew4", (1.0, 0.3), 84),
+    ("z2-skew4", (-0.4, 1.0), 84),
+    ("z3-skew2", (0.2, -0.7, 1.1), 3302),
+    ("z3-skew2", (1.0, 0.0, 0.0), 832),
+    ("z4-skew1", (0.5, -0.3, 0.9, 0.1), 1288),
+    ("z4-skew1", (0.0, 0.0, 0.0, 1.0), 3648),
+])
+def test_visited_counts_are_pinned(name, direction, visited):
+    # every vector of the L1 shells up to the one where the walk stops
+    res = cut_radius_brute(np.array(direction), SKEWED[name])
+    assert res.visited == visited
+    assert cut_radius(np.array(direction), SKEWED[name]) == res
+
+
+def test_closed_form_visits_nothing():
+    res = cut_radius(np.array([1.0, 0.3]), GR22.lattice)
+    assert res.used_closed_form and res.visited == 0
+    assert cut_radius_brute(np.array([1.0, 0.3]), GR22.lattice).visited == 4
 
 
 # ---------------------------------------------------------------------------
