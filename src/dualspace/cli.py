@@ -39,7 +39,6 @@ from .embeddings import (
 from .errors import DomainError, NumericalError
 from .lattice import (
     LatticeBasis,
-    _cut_radii,
     cut_radius,
     cut_radius_brute,
     region_fraction,
@@ -286,7 +285,7 @@ def _grid_rows(basis: LatticeBasis, samples: int):
         angles = np.stack([theta, phi], axis=-1)
         x = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
                      axis=-1)
-    return zip(angles.tolist(), _cut_radii(x, basis).tolist())
+    return zip(angles.tolist(), cut_radius(x, basis).tolist())
 
 
 def cmd_cutlocus_grid(args) -> int:
@@ -401,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cut-radius", help="cut radius along a flat direction")
     _add_space_args(p)
     p.add_argument("--direction", required=True,
-                   help="comma-separated lattice coordinates of the direction")
+                   help="comma-separated lattice coordinates of the direction; join a "
+                        "value that starts with '-' by '=', as in --direction=-1,0")
     p.add_argument("--method", choices=("brute", "closed", "both"), default="both")
     p.set_defaults(func=cmd_cut_radius)
 
@@ -416,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("p", "g", "f", "b", "all"), default="all")
     p.add_argument("--input", help="matrix file (JSON array-of-arrays or CSV), '-' for stdin")
     p.add_argument("--t", type=float, default=None,
-                   help="flat parameter for the rank-1 stereographic method")
+                   help="flat parameter for the rank-1 stereographic method; join a "
+                        "value such as -1e308 by '=', as in --t=-1e308")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("verify", help="run property suites")

@@ -85,7 +85,7 @@ class GroupElement:
     def point(self) -> SubspacePoint:
         """The image of the base point, built once and shared by every reader."""
         return _kept(self, "_point", lambda: _built(
-            SubspacePoint, space=self.space, rep=self.a[..., : self.space.n], orientation=None))
+            SubspacePoint, space=self.space, rep=self.a[..., : self.space.n]))
 
 
 def coset_from_factors(space: SpaceDescriptor, w: np.ndarray, s: np.ndarray,
@@ -101,7 +101,7 @@ def coset_from_factors(space: SpaceDescriptor, w: np.ndarray, s: np.ndarray,
     wn, zh, c = w[..., :, : space.n], nk.herm(z), 1.0 / np.sqrt(1.0 + s * s)
     frame = np.concatenate(((z * c[..., None, :]) @ zh, (wn * (s * c)[..., None, :]) @ zh), axis=-2)
     point = _kept(g, "_point", lambda: _built(SubspacePoint, space=space, rep=g.a[..., : space.n],
-                                              orientation=None, basis=frame))
+                                              basis=frame))
     _kept(point, "_slope_svd", lambda: (w, s, z))
     return g
 
@@ -121,18 +121,6 @@ def _kept(obj, name: str, compute):
     return kept[name]
 
 
-def _contract(x):
-    """Odd increasing squash of the line onto (-1/4, 1/4), per coordinate.
-
-    tanh saturates to 1.0 in double precision around |x| ~ 6, beyond the
-    range reachable from any admissible coset (the boundary guard caps
-    lattice coordinates near 4.9); clip there so the image stays open.
-    """
-    out = np.arctan(np.tanh(np.pi * np.asarray(x, dtype=np.float64))) / np.pi
-    limit = np.nextafter(0.25, 0.0)
-    return np.clip(out, -limit, limit)
-
-
 def h_flat(coords: FlatCoordinates) -> FlatCoordinates:
     """Contract noncompact flat coordinates into the open quarter-lattice box.
 
@@ -140,9 +128,14 @@ def h_flat(coords: FlatCoordinates) -> FlatCoordinates:
     the sign-flipped odd increasing squash, with range (-1/4, 1/4).  The
     quarter box is half of the half-lattice box where the cut locus sits,
     which is what keeps the resulting embedding inside the space-like
-    region.
+    region.  tanh saturates to 1.0 in double precision around |x| ~ 6,
+    beyond the range reachable from any admissible coset (the boundary
+    guard caps lattice coordinates near 4.9); the result is clipped there
+    so the image stays open.
     """
-    return FlatCoordinates(coords.space, -_contract(coords.coords))
+    out = np.arctan(np.tanh(np.pi * coords.coords)) / np.pi
+    limit = np.nextafter(0.25, 0.0)
+    return FlatCoordinates(coords.space, -np.clip(out, -limit, limit))
 
 
 def b_embed_rank1(t):
@@ -169,12 +162,18 @@ def f_flat_rank1(t: float) -> float:
 
     Same arc-length units and orientation as :func:`b_embed_rank1`, so the
     two are directly comparable: this one has range (-pi, pi), twice the
-    stereographic range, and the two differ at every t != 0.
+    stereographic range, and the two differ at every t != 0.  As for b,
+    |tanh(t/4)| >= 1 - ``BOUNDARY_GUARD`` (|t| beyond about 61.3) raises
+    NumericalError: tanh rounds to 1 soon after, and the angle to the
+    boundary value pi.
     """
     t = float(t)
     if not np.isfinite(t):
         raise DomainError("need a finite flat parameter")
-    return 4.0 * np.arctan(np.tanh(t / 4.0))
+    h = np.tanh(t / 4.0)
+    if abs(h) >= 1.0 - BOUNDARY_GUARD:
+        raise NumericalError("flat parameter too close to the boundary for double precision")
+    return 4.0 * np.arctan(h)
 
 
 def space_like(space: SpaceDescriptor, point: SubspacePoint):
@@ -220,7 +219,7 @@ def embed(space: SpaceDescriptor, which: str, g: GroupElement) -> SubspacePoint:
         return p_embed(space, g)
     if which == "g":
         frame = g_embed(space, g).a[..., : space.n]
-        return _built(SubspacePoint, space=space, rep=frame, orientation=None, basis=frame)
+        return _built(SubspacePoint, space=space, rep=frame, basis=frame)
     if which == "f":
         return f_embed(space, g)
     raise DomainError(f"unknown embedding id {which!r}")
@@ -379,5 +378,5 @@ def f_embed(space: SpaceDescriptor, x) -> SubspacePoint:
     zh = nk.herm(z)
     rep = np.concatenate(((z * np.cos(theta)) @ zh, -(w[..., :, : space.n] * np.sin(theta)) @ zh),
                          axis=-2)
-    return _built(SubspacePoint, space=space, rep=rep, orientation=None, basis=rep)
+    return _built(SubspacePoint, space=space, rep=rep, basis=rep)
 

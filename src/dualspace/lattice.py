@@ -11,7 +11,8 @@ coordinate arrays (with an explicit ``LatticeBasis``) or as
 ``spaces.FlatCoordinates`` objects, which carry their space's lattice
 along.  Coordinates are always with respect to the lattice generators.
 The cut radii and the region fraction also take a stack of directions,
-one per row.
+one per row.  :func:`cut_radius` is the one place that chooses between
+the closed form and the brute-force search.
 """
 
 from __future__ import annotations
@@ -95,16 +96,16 @@ class CutRadiusResult:
     visited: int
 
 
-def _coords_array(coords, basis, stack: bool = False):
+def _coords_array(coords, basis):
     """Accept FlatCoordinates-like objects or raw arrays plus a basis; one
-    direction, or with ``stack`` rows of shape (..., rank)."""
+    direction, or a stack of them as rows of shape (..., rank)."""
     if basis is None:
         space = getattr(coords, "space", None)
         if space is None or getattr(space, "lattice", None) is None:
             raise DomainError("no lattice basis supplied and none attached to the coordinates")
         basis = space.lattice
     x = np.asarray(getattr(coords, "coords", coords), dtype=np.float64)
-    if x.ndim < 1 or (x.ndim != 1 and not stack) or x.shape[-1] != basis.rank:
+    if x.ndim < 1 or x.shape[-1] != basis.rank:
         raise DomainError(f"expected {basis.rank} flat coordinates, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise DomainError("non-finite flat coordinates")
@@ -140,7 +141,7 @@ def cut_radius_closed(coords, basis: LatticeBasis = None):
         If the lattice is not orthonormal (use :func:`cut_radius_brute`)
         or a direction is zero.
     """
-    x, basis = _coords_array(coords, basis, stack=True)
+    x, basis = _coords_array(coords, basis)
     if not basis.orthonormal:
         raise DomainError("closed-form cut radius needs an orthonormal lattice")
     return nk.per_slice(_closed_form(x, basis)[0])
@@ -255,7 +256,7 @@ def cut_radius_brute(coords, basis: LatticeBasis = None):
     it, so neither depends on the order of the walk.  ``visited`` counts
     the lattice vectors scored.
     """
-    x, basis = _coords_array(coords, basis, stack=True)
+    x, basis = _coords_array(coords, basis)
     if x.ndim > 1:
         return _brute_walk(x.reshape(-1, basis.rank), basis)[0].reshape(x.shape[:-1])
     radius, visited, minimizer = _brute_walk(x[None], basis, minimizer=True)
@@ -263,11 +264,16 @@ def cut_radius_brute(coords, basis: LatticeBasis = None):
                            used_closed_form=False, visited=int(visited[0]))
 
 
-def cut_radius(coords, basis: LatticeBasis = None) -> CutRadiusResult:
-    """Cut radius by the closed form when available, brute force otherwise."""
+def cut_radius(coords, basis: LatticeBasis = None):
+    """Cut radius by the closed form when the lattice is orthonormal, brute
+    force otherwise: a :class:`CutRadiusResult` for one direction, and for
+    a stack of directions the array of radii, from one vectorised closed
+    form or one walk."""
     x, basis = _coords_array(coords, basis)
     if not basis.orthonormal:
         return cut_radius_brute(x, basis)
+    if x.ndim > 1:
+        return _closed_form(x, basis)[0]
     radius, c = _closed_form(x[None], basis)
     minimizer = [0] * basis.rank
     minimizer[int(np.argmax(c[0]))] = -1
@@ -275,24 +281,16 @@ def cut_radius(coords, basis: LatticeBasis = None) -> CutRadiusResult:
                            used_closed_form=True, visited=0)
 
 
-def _cut_radii(x, basis: LatticeBasis):
-    """Radii of a stack of directions, one per row: one vectorised closed
-    form on an orthonormal lattice, one brute-force walk otherwise."""
-    if basis.orthonormal:
-        return _closed_form(x, basis)[0]
-    return _brute_walk(x, basis)[0]
-
-
 def region_fraction(coords, basis: LatticeBasis = None):
     """Length of a flat vector as a fraction of the cut radius along its
     own direction; 0 for the zero vector.  A stack of vectors gives an
     array, with the radii of all rows found at once (see :func:`cut_radius`)."""
-    x, basis = _coords_array(coords, basis, stack=True)
+    x, basis = _coords_array(coords, basis)
     nrm = np.sqrt(np.maximum(_norm2(x, basis.gram), 0.0))
     hit = nrm > 0.0
     frac = np.zeros(nrm.shape)
     if hit.any():
-        frac[hit] = nrm[hit] / _cut_radii(x[hit], basis)
+        frac[hit] = nrm[hit] / cut_radius(x[hit], basis)
     return nk.per_slice(frac)
 
 

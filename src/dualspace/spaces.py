@@ -22,7 +22,8 @@ commuting flat generators are fixed by the conventions:
 
 Points, tangent vectors and flat coordinates may hold one value or a
 stack of them along leading axes; the functions here act slice by slice
-and check a stack once.
+and check a stack once.  On the oriented families a point's orientation
+is that of its frame ``rep``; nothing else records it.
 """
 
 from __future__ import annotations
@@ -182,12 +183,11 @@ class SubspacePoint:
     an SVD; either way the stored frame is read-only.  A point built from a
     caller's array keeps a read-only copy of it as ``rep``.  Two points are
     equal when their column spans coincide, and, for the oriented families,
-    when the orientation signs agree as well.  A stack shares one orientation.
+    when their frames ``rep`` carry the same orientation as well.
     """
 
     space: SpaceDescriptor
     rep: np.ndarray
-    orientation: int | None = None
     basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -202,28 +202,27 @@ class SubspacePoint:
         if "basis" not in vars(self):
             object.__setattr__(self, "basis", nk.orthonormal_basis(self.rep))
         self.basis.flags.writeable = False
-        if self.space.oriented and self.orientation is None:
-            object.__setattr__(self, "orientation", 1)
 
     def distance(self, other: "SubspacePoint"):
         return nk.frame_distance(self.basis, other.basis)
 
 
 def same_orientation(a: SubspacePoint, b: SubspacePoint):
-    """Whether two points of one span carry the same orientation, per slice
-    of a stack; always true when either orientation is untracked."""
-    if a.orientation is None or b.orientation is None:
+    """Whether the frames of two points of one span carry the same
+    orientation, per slice of a stack; always true off the oriented
+    families."""
+    if not a.space.oriented:
         return True
     # the sign of det(rel), rel = (bh a)^-1 (bh b) the change of frame in the span
     bh = nk.herm(a.basis)
     sign = np.sign(np.real(np.linalg.det(bh @ b.rep) * np.conj(np.linalg.det(bh @ a.rep))))
-    return nk.per_slice(sign * a.orientation * b.orientation > 0)
+    return nk.per_slice(sign > 0)
 
 
-def same_point(a: SubspacePoint, b: SubspacePoint, tol: float = 1e-9):
-    """Equality of subspace points, per slice of a stack: same span, and
-    same orientation if tracked."""
-    return nk.per_slice(np.logical_and(a.distance(b) <= tol, same_orientation(a, b)))
+def same_point(a: SubspacePoint, b: SubspacePoint):
+    """Equality of subspace points, per slice of a stack: spans within 1e-9
+    of each other, and the same orientation on the oriented families."""
+    return nk.per_slice(np.logical_and(a.distance(b) <= 1e-9, same_orientation(a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +359,16 @@ def _form_residual(space: SpaceDescriptor, a: np.ndarray, side: Side) -> np.ndar
     return np.abs(ah @ a - j).max(axis=(-2, -1))
 
 
-def in_group(space: SpaceDescriptor, a, side: Side, tol: float = 1e-10) -> bool:
+def in_group(space: SpaceDescriptor, a, side: Side) -> bool:
     """Whether ``a``, or every slice of a stack, preserves the defining form
     of the given side.
 
     Compact side: A^H A = I.  Noncompact side: A^H J A = J for the
     signature (n, m) form.  The oriented families additionally require
-    det A = +1.  The tolerance applies relative to ||A||^2, which is the
-    natural scale of the residual.  A non-finite entry fails the test.
+    det A = +1.  The tolerance 1e-10 applies relative to ||A||^2, which is
+    the natural scale of the residual.  A non-finite entry fails the test.
     """
+    tol = 1e-10
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-2:] != (space.dim, space.dim):
         raise DomainError(f"expected a {space.dim} x {space.dim} matrix, got {a.shape}")

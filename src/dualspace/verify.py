@@ -10,7 +10,8 @@ under test are exact, so a single bad sample is a failure, and a NaN
 residual is a failure and the worst.  :func:`_report` applies this
 policy to the residual checks.  Every check draws from :func:`_generator`,
 which refuses fewer than one sample, so no report can pass over an empty
-batch.  Reports are reproducible from (property name, seed, samples).
+batch, and a seed that is not a non-negative integer, so every report is
+reproducible from (property name, seed, samples).
 
 The triple, equivariance and round-trip checks of one space open with the
 same draw from ``default_rng(seed)``: the slope factors of
@@ -22,7 +23,7 @@ read.  It keeps the draw of the last ``(space, samples, seed)`` only, and
 shares draws, never results: each report is the one the check gives
 alone, in any order of calls.  :func:`run_suite` runs space by space and
 clears the draw once a space's checks have run.  The image, cut-radius,
-cut-loci and triangle checks draw as before.
+cut-loci and triangle checks each draw alone from their own generator.
 
 :data:`CLAIMS` is the one table of which property is claimed on which
 family; :func:`run_suite` and the CLI read it.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -206,16 +208,17 @@ def random_unit_flat(space: SpaceDescriptor, rng, size: int | None = None) -> np
 
 
 def _generator(samples: int, seed: int):
-    """The seeded generator of one check, which must draw at least one sample."""
+    """The seeded generator of one check, which must draw at least one
+    sample from a non-negative integer seed."""
     if samples < 1:
         raise DomainError(f"a check needs at least one sample, got {samples}")
+    try:
+        ok = operator.index(seed) >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise DomainError(f"a check needs a non-negative integer seed, got {seed!r}")
     return np.random.default_rng(seed)
-
-
-def _worst_index(values: np.ndarray, largest: bool = True) -> int:
-    """Index of the worst of a batch of residuals (largest) or margins
-    (smallest); the first NaN when there is one, since a NaN is the worst."""
-    return int(np.argmax(values) if largest else np.argmin(values))
 
 
 class _Draw(NamedTuple):
@@ -249,22 +252,17 @@ def _shared_draw(space: SpaceDescriptor, samples: int, seed: int) -> _Draw:
     return _Draw(factors, boost, k, both)
 
 
-def _opening_draw(space: SpaceDescriptor, samples: int, seed: int) -> _Draw:
-    if seed is None:  # fresh entropy on every call: nothing to share
-        return _shared_draw.__wrapped__(space, samples, seed)
-    return _shared_draw(space, samples, seed)
-
-
 def _report(name: str, samples: int, seed: int, tol: float, resid) -> PropertyReport:
     """Worst case of the residual array ``resid``, one entry per sample of a
     batch drawn from one seeded generator; a sample fails when its residual
     is not at most ``tol``, so a NaN fails and is the worst.
-    ``details["worst_index"]`` is that sample's index."""
+    ``details["worst_index"]`` is that sample's index, the first NaN's when
+    there is one."""
     resid = np.asarray(resid, dtype=np.float64)
     if resid.shape != (samples,):
         raise ValueError(f"{name}: {resid.shape} residuals for {samples} samples")
     failures = int(np.count_nonzero(~(resid <= tol)))
-    worst = _worst_index(resid)
+    worst = int(np.argmax(resid))
     return PropertyReport(name, samples, failures, float(resid[worst]), seed, tol,
                           details={"worst_index": worst})
 
@@ -274,7 +272,7 @@ def check_triple_equality(space, samples: int = 200, seed: int = DEFAULT_SEED,
     """Pairwise agreement of the three embeddings on random cosets, the
     three distances of the batch taken in one stacked call.  The cosets are
     those :func:`random_coset` draws, built from the space's opening draw."""
-    draw = _opening_draw(space, samples, seed)
+    draw = _shared_draw(space, samples, seed)
     g = coset_from_factors(space, *draw.factors, boost=draw.boost)
     p, q, f = (embed(space, which, g).basis for which in ("p", "g", "f"))
     resid = nk.frame_distance(np.stack([p, p, q]), np.stack([q, f, f])).max(axis=0)
@@ -294,15 +292,13 @@ def check_equivariance(space, embedding_id: str, samples: int = 200,
     right-hand side moves the frames of the second half by ``k``, with no
     SVD.
     """
-    draw = _opening_draw(space, samples, seed)
+    draw = _shared_draw(space, samples, seed)
     k = draw.isotropy
     images = embed(space, embedding_id, draw.moved_and_unmoved)
-    rep, basis, sign = images.rep, images.basis, images.orientation
-    lhs = _built(SubspacePoint, space=space, rep=rep[:samples], orientation=sign,
-                 basis=basis[:samples])
+    rep, basis = images.rep, images.basis
+    lhs = _built(SubspacePoint, space=space, rep=rep[:samples], basis=basis[:samples])
     # k is unitary, so the moved frames stay orthonormal and are kept
-    rhs = _built(SubspacePoint, space=space, rep=k @ rep[samples:], orientation=sign,
-                 basis=k @ basis[samples:])
+    rhs = _built(SubspacePoint, space=space, rep=k @ rep[samples:], basis=k @ basis[samples:])
     resid = np.where(same_orientation(lhs, rhs), lhs.distance(rhs), np.inf)
     return _report(f"equivariance-{embedding_id}/" + space.label(), samples, seed, tol, resid)
 
@@ -328,7 +324,7 @@ def check_image_region(space, embedding_id: str, samples: int = 500,
         t = np.where(near_boundary, rng.choice([-14.0, 14.0], samples),
                      rng.uniform(-20.0, 20.0, samples))
         margins = quarter - np.abs(b_embed_rank1(t))
-        worst = _worst_index(margins, largest=False)
+        worst = int(np.argmin(margins))
         return PropertyReport("image-region-b/" + space.label(), samples,
                               int(np.count_nonzero(~(margins > 0.0))), float(margins[worst]),
                               seed, None, details={"region_fraction": 0.25,
@@ -341,7 +337,7 @@ def check_image_region(space, embedding_id: str, samples: int = 500,
     gap = 0.25 - np.max(np.abs(coords.coords), axis=-1)
     ok = space_like(space, pt) & in_half_region(coords, 0.5) & (gap > 0.0)
     ok &= ~near_boundary | (gap < 1e-5)
-    worst = _worst_index(gap, largest=False)
+    worst = int(np.argmin(gap))
     return PropertyReport(f"image-region-{embedding_id}/" + space.label(), samples,
                           int(np.count_nonzero(~ok)), float(gap[worst]), seed, None,
                           details={"region_fraction": 0.5,
@@ -370,7 +366,7 @@ def check_cut_loci_grassmannian(space, samples: int = 100,
     frames = nk.exp_tangent(times * flat, hermitian=False)[..., : space.n]
     deficient, full = np.linalg.svd(frames[..., : space.n, :], compute_uv=False)[..., -1]
     failures = np.count_nonzero(~(deficient <= 1e-10)) + np.count_nonzero(~(full >= 1e-3))
-    worst = _worst_index(deficient)
+    worst = int(np.argmax(deficient))
     return PropertyReport("cut-loci/" + space.label(), samples, int(failures),
                           float(deficient[worst]), seed, 1e-10,
                           details={"worst_index": worst})
@@ -389,13 +385,13 @@ def check_round_trip(space, samples: int = 500, seed: int = DEFAULT_SEED,
                      tol: float = 1e-9) -> PropertyReport:
     """exp(log(point)) reproduces random space-like points: the graphs of the
     slopes :func:`random_slope` draws, from the space's opening draw."""
-    draw = _opening_draw(space, samples, seed)
+    draw = _shared_draw(space, samples, seed)
     rep = np.empty((samples, space.dim, space.n), dtype=space.dtype)
     rep[:, : space.n] = np.eye(space.n)
     rep[:, space.n :] = _slope(space, *draw.factors)
-    pt = _built(SubspacePoint, space=space, rep=rep, orientation=None)
+    pt = _built(SubspacePoint, space=space, rep=rep)
     back = nk.exp_tangent(log_noncompact(space, pt).x, hermitian=True)[..., : space.n]
-    resid = _built(SubspacePoint, space=space, rep=back, orientation=None).distance(pt)
+    resid = _built(SubspacePoint, space=space, rep=back).distance(pt)
     return _report("round-trip/" + space.label(), samples, seed, tol, resid)
 
 
@@ -512,7 +508,7 @@ def check_trig_duality_random(samples: int = 100, seed: int = DEFAULT_SEED,
     resid = np.stack(_law_residuals(*sphere, hyperbolic=False)
                      + _law_residuals(*hyper, hyperbolic=True))
     per_pair = resid.max(axis=0)
-    worst = _worst_index(per_pair)
+    worst = int(np.argmax(per_pair))
     return PropertyReport("trig-duality-random", samples, int(np.count_nonzero(~(resid <= tol))),
                           float(per_pair[worst]), seed, tol,
                           details={"hyperbolic_plus_sign_worst":

@@ -89,7 +89,7 @@ def test_stacked_cosets_and_embeddings_match_their_slices(space):
     flipped = SubspacePoint(space, points["g"].rep[..., ::-1])  # same spans, frames reversed
     for other in (points["g"], flipped):
         dist = points["p"].distance(other)
-        same = np.broadcast_to(same_orientation(points["p"], other), STACK)  # True if untracked
+        same = np.broadcast_to(same_orientation(points["p"], other), STACK)  # True if unoriented
         equal = same_point(points["p"], other)
         for i in range(STACK):
             lhs = SubspacePoint(space, points["p"].rep[i])

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: schema, exit codes, determinism."""
 
+import ast
 import contextlib
 import io
 import json
@@ -49,6 +50,26 @@ def test_public_names_are_pinned():
         "region_fraction", "run_suite", "same_point", "space_like", "spaces", "su3_lattice",
         "transitivity_element", "verify",
     ]
+
+
+def private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_cli_reads_no_private_name_of_the_library():
+    # the CLI is a client of the library's public names: a private helper it
+    # imported would be a second implementation the library does not own
+    tree = ast.parse(Path(cli.__file__).read_text())
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("dualspace")):
+            found += [alias.name for alias in node.names if private(alias.name)]
+            modules |= {alias.asname or alias.name for alias in node.names}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and private(node.attr)):
+            found.append(f"{node.value.id}.{node.attr}")
+    assert found == []
 
 
 def test_lattice_info_real_grassmannian(capsys):
@@ -121,6 +142,15 @@ def test_cut_radius_reports_the_vectors_it_visited(capsys, argv, visited):
     result = run_json(capsys, "cut-radius", *argv)["result"]
     assert set(result) == {"direction", "radius", "minimizer", "used_closed_form", "visited"}
     assert result["visited"] == visited
+
+
+def test_cut_radius_takes_a_negative_direction_joined_by_equals(capsys):
+    # argparse reads a bare "-1,0" as an option; joined by "=" it is the
+    # value, and the radius is the one of the opposite direction
+    joined = run_json(capsys, "cut-radius", "su3", "--direction=-1,0")["result"]
+    assert joined["direction"] == [-1.0, 0.0]
+    assert joined["radius"] == run_json(capsys, "cut-radius", "su3", "--direction", "1,0")[
+        "result"]["radius"]
 
 
 def test_cut_radius_bad_direction_is_usage_error(capsys):
@@ -487,8 +517,7 @@ def test_cutlocus_grid_rows_are_the_per_direction_radii(monkeypatch, space, samp
     # of one cut_radius call per direction
     _, basis, _ = cli.space_lattice(*space)
     calls = []
-    stacked = cli._cut_radii
-    monkeypatch.setattr(cli, "_cut_radii", lambda *a, **kw: calls.append(1) or stacked(*a, **kw))
+    monkeypatch.setattr(cli, "cut_radius", lambda *a, **kw: calls.append(1) or cut_radius(*a, **kw))
     rows = list(cli._grid_rows(basis, samples))
     assert calls == [1]
     k = max(int(np.sqrt(samples)), 2)

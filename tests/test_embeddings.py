@@ -131,6 +131,15 @@ def test_f_flat_rank1_values():
     assert f_flat_rank1(40.0) == pytest.approx(np.pi, abs=1e-8)
 
 
+def test_f_flat_rank1_refuses_the_boundary_guard_as_b_does():
+    # |tanh(t/4)| >= 1 - BOUNDARY_GUARD from |t| of about 61.25 on; at 80
+    # the angle would round to the wall pi of the open range
+    assert abs(f_flat_rank1(61.2)) < np.pi
+    for t in (61.3, -61.3, 80.0, -80.0, 1e308):
+        with pytest.raises(NumericalError):
+            f_flat_rank1(t)
+
+
 def test_b_embed_rejects_nonfinite():
     with pytest.raises(DomainError):
         b_embed_rank1(np.inf)

@@ -245,12 +245,12 @@ def test_stack_gives_the_single_calls_bit_for_bit(name):
     rng = np.random.default_rng(111)
     x = np.vstack([np.eye(basis.rank), -np.eye(basis.rank),
                    rng.standard_normal((40, basis.rank))])
-    stack = cut_radius_brute(x, basis)
-    assert stack.shape == (len(x),)
-    assert np.array_equal(stack, [cut_radius_brute(row, basis).radius for row in x])
-    assert np.array_equal(cut_radius_brute(x.reshape(2, -1, basis.rank), basis),
-                          stack.reshape(2, -1))
-    assert cut_radius_brute(x[:0], basis).shape == (0,)
+    for radius in (cut_radius_brute, cut_radius):  # cut_radius: closed or brute, as chosen
+        stack = radius(x, basis)
+        assert stack.shape == (len(x),)
+        assert np.array_equal(stack, [radius(row, basis).radius for row in x])
+        assert np.array_equal(radius(x.reshape(2, -1, basis.rank), basis), stack.reshape(2, -1))
+        assert radius(x[:0], basis).shape == (0,)
 
 
 def test_stack_matches_full_enumeration():

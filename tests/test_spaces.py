@@ -542,11 +542,12 @@ def test_same_point_tracks_orientation():
     sp = make_space(Family.ORIENTED_TWO_PLANE, 2, 2)
     rep = np.vstack([np.eye(2), np.zeros((2, 2))])
     flipped = rep[:, ::-1]  # same plane, reversed frame orientation
-    a = SubspacePoint(sp, rep, orientation=1)
-    b = SubspacePoint(sp, flipped, orientation=1)
+    a = SubspacePoint(sp, rep)
+    b = SubspacePoint(sp, flipped)
     assert a.distance(b) <= 1e-14
     assert not same_point(a, b)
-    assert same_point(a, SubspacePoint(sp, flipped, orientation=-1))
+    # reversing a column of the reversed frame restores the orientation
+    assert same_point(a, SubspacePoint(sp, flipped * [1.0, -1.0]))
 
 
 def test_subspace_point_stores_its_frame():
@@ -581,7 +582,7 @@ def solved_orientation(a, b):
     the change of frame within the common span, solved for."""
     bh = nk.herm(a.basis)
     sign = np.sign(np.real(np.linalg.det(np.linalg.solve(bh @ a.rep, bh @ b.rep))))
-    return nk.per_slice(sign * a.orientation * b.orientation > 0)
+    return nk.per_slice(sign > 0)
 
 
 @pytest.mark.parametrize("space", [make_space(Family.ORIENTED_TWO_PLANE, 2, 2),
@@ -589,9 +590,9 @@ def solved_orientation(a, b):
                          ids=lambda sp: sp.label())
 def test_same_orientation_reads_the_sign_of_the_change_of_frame(space):
     # the same frames, the frames reversed (last column negated) and frames
-    # changed by a random matrix of either determinant sign, under either
-    # orientation: the verdicts are the solved change of frame's, for a
-    # stack and slice by slice
+    # changed by a random matrix of either determinant sign, each as given
+    # and with its last column reversed: the verdicts are the solved change
+    # of frame's, for a stack and slice by slice
     rng = np.random.default_rng(47)
     rep = rng.standard_normal((8, space.dim, space.n))
     flip = np.ones(space.n)
@@ -599,14 +600,14 @@ def test_same_orientation_reads_the_sign_of_the_change_of_frame(space):
     mix = rng.standard_normal((8, space.n, space.n))
     a = SubspacePoint(space, rep)
     verdicts = []
-    for other in (rep, rep * flip, rep @ mix):
-        for orientation in (1, -1):
-            b = SubspacePoint(space, other, orientation)
+    for frames in (rep, rep * flip, rep @ mix):
+        for other in (frames, frames * flip):
+            b = SubspacePoint(space, other)
             got = same_orientation(a, b)
             assert np.array_equal(got, solved_orientation(a, b))
             for i in range(len(rep)):
                 lone_a = SubspacePoint(space, rep[i])
-                lone_b = SubspacePoint(space, other[i], orientation)
+                lone_b = SubspacePoint(space, other[i])
                 assert same_orientation(lone_a, lone_b) == solved_orientation(lone_a, lone_b)
                 assert same_orientation(lone_a, lone_b) == got[i]
             verdicts.append(got)

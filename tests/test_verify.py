@@ -1,6 +1,7 @@
 """Tests for the property-report machinery and the triangle checks."""
 
 import copy
+import functools
 
 import numpy as np
 import pytest
@@ -119,14 +120,10 @@ def held():
 
 
 def fresh_draws(monkeypatch):
-    """Make every check start from an emptied memo of opening draws."""
-    opening = verify._opening_draw
-
-    def fresh(space, samples, seed):
-        verify._shared_draw.cache_clear()
-        return opening(space, samples, seed)
-
-    monkeypatch.setattr(verify, "_opening_draw", fresh)
+    """Make every check build its opening draw afresh, with a memo that
+    holds none."""
+    monkeypatch.setattr(verify, "_shared_draw",
+                        functools.lru_cache(maxsize=0)(verify._shared_draw.__wrapped__))
 
 
 def claimed_rows(space):
@@ -162,7 +159,7 @@ def test_shared_draws_give_the_reports_of_fresh_ones(monkeypatch):
 def test_opening_draw_is_what_a_lone_generator_draws():
     # the factors and the isotropy stack in the generator's order, and the
     # boost of random_coset, bit for bit
-    draw = verify._opening_draw(GR23, 4, 3)
+    draw = verify._shared_draw(GR23, 4, 3)
     rng = np.random.default_rng(3)
     factors = verify._slope_factors(GR23, rng, None, 4)
     k = verify.random_isotropy(GR23, rng, size=4)
@@ -176,7 +173,7 @@ def test_opening_draw_is_what_a_lone_generator_draws():
 def test_stored_draws_are_read_only():
     for which in ("p", "g", "f"):
         verify.check_equivariance(GR23, which, samples=4, seed=3)
-    draw = verify._opening_draw(GR23, 4, 3)
+    draw = verify._shared_draw(GR23, 4, 3)
     both = draw.moved_and_unmoved
     # the stack's point keeps its slope and slope SVD read-only as every
     # kept point does (embeddings._kept)
@@ -192,7 +189,7 @@ def test_a_kept_points_frame_is_read_only():
     # cannot be changed under a later check of the same (seed, samples)
     for which in ("p", "g", "f"):
         verify.check_equivariance(GR23, which, samples=4, seed=3)
-    draw = verify._opening_draw(GR23, 4, 3)
+    draw = verify._shared_draw(GR23, 4, 3)
     assert draw.moved_and_unmoved.point().basis.flags.writeable is False
 
 
@@ -200,26 +197,30 @@ def test_a_new_seed_or_sample_count_drops_the_store():
     # the memo holds one draw: a repeated key returns it, and another space
     # (by identity, so a copy too), sample count or seed replaces it
     gr11 = make_space(Family.REAL_GRASSMANNIAN, 1, 1)
-    first = verify._opening_draw(GR23, 4, 3)
-    assert verify._opening_draw(GR23, 4, 3) is first and held() == 1
+    first = verify._shared_draw(GR23, 4, 3)
+    assert verify._shared_draw(GR23, 4, 3) is first and held() == 1
     for space, samples, seed in ((gr11, 4, 3), (copy.copy(GR23), 4, 3), (GR23, 5, 3),
                                  (GR23, 4, 4)):
-        other = verify._opening_draw(space, samples, seed)
+        other = verify._shared_draw(space, samples, seed)
         assert other is not first and held() == 1
         assert other.factors[1].shape == (samples, space.n)
-        assert verify._opening_draw(space, samples, seed) is other
-    again = verify._opening_draw(GR23, 4, 3)
+        assert verify._shared_draw(space, samples, seed) is other
+    again = verify._shared_draw(GR23, 4, 3)
     assert again is not first
     assert all(np.array_equal(a, b) for a, b in zip(again.factors, first.factors))
     verify._shared_draw.cache_clear()
     assert held() == 0
 
 
-def test_an_unseeded_check_draws_afresh():
-    # seed None asks numpy for fresh entropy, so no two calls share a draw
-    first, second = (verify._opening_draw(GR23, 4, None) for _ in range(2))
-    assert not np.array_equal(first.factors[1], second.factors[1])
-    assert verify.check_triple_equality(GR23, samples=4, seed=None).passed
+@pytest.mark.parametrize("seed", [None, 1.5, -1])
+def test_a_check_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    # a report is reproducible from (property, seed, samples) only, so no
+    # check draws from fresh entropy, and none keeps a draw it refused
+    for _, check, extra, families in verify.CLAIMS:
+        target = () if families is None else (
+            next(sp for sp in verify.catalog_spaces() if sp.family in families),)
+        with pytest.raises(DomainError, match="non-negative integer seed"):
+            check(*target, *extra, samples=4, seed=seed)
     assert held() == 0
 
 
@@ -458,14 +459,15 @@ def test_run_suite_runs_space_by_space_in_claims_order(monkeypatch):
     # one space's draw is held at a time and cleared once its checks have
     # run, while the reports keep the order of the rows of CLAIMS
     calls = []  # (space, draws held before the call), one per opening draw
-    opening = verify._opening_draw
+    opening = verify._shared_draw
 
     def holding(space, samples, seed):
         calls.append((space, held()))
         return opening(space, samples, seed)
 
+    holding.cache_info, holding.cache_clear = opening.cache_info, opening.cache_clear
     spaces = verify.catalog_spaces()
-    monkeypatch.setattr(verify, "_opening_draw", holding)
+    monkeypatch.setattr(verify, "_shared_draw", holding)
     reports = [r.to_dict() for r in verify.run_suite(samples=2, seed=43, spaces=spaces)]
     firsts = [i for i, (space, _) in enumerate(calls) if i == 0 or calls[i - 1][0] is not space]
     # every space's first check finds no draw held, and its later ones its own
