@@ -21,16 +21,18 @@ map then embeds the whole stack at once and returns a stack of points,
 with each check (form, rank, boundary) run once over the stack.  One
 coset is a stack with no leading axes, so it runs the same code.
 
-Each frame and slope of a coset is computed once and kept on the
+Each frame, slope and image of a coset is computed once and kept on the
 immutable object that owns it: a coset keeps its point, shared by p and
-f, and a point keeps its frame, its slope block and that slope's SVD,
-shared by the noncompact log, f and ``space_like``.  The compact side
-reads the same SVD: the factors of the negated slope differ from it only
-by signs.  A coset built from a slope SVD (``coset_from_factors``: slope
-input and random draws) keeps on its point the frame in closed form
-and that SVD, so its slope is never formed; any other point
-reads its frame by an SVD and its slope off that frame.  The g and f
-images keep the frames they are built with, orthonormal by construction.
+f, and the g and f images ``embed`` gives of it, and a point keeps its
+frame, its slope block and that slope's SVD, shared by the noncompact
+log, f and ``space_like``.  The compact side reads the same SVD: the
+factors of the negated slope differ from it only by signs.  A coset
+built from a slope SVD (``coset_from_factors``: slope input and random
+draws) keeps on its point the frame in closed form and that SVD, so its
+slope is never formed; any other point reads its frame by an SVD and its
+slope off that frame.  The g and f images keep the frames they are built
+with, orthonormal by construction.  Every map refuses a coset of another
+space, so what a coset keeps is the same whichever space asks first.
 
 The sign convention of the flat contraction is chosen so that p, g and f
 produce literally the same subspaces: a boost of rapidity t along a flat
@@ -89,15 +91,15 @@ class GroupElement:
 
 
 def coset_from_factors(space: SpaceDescriptor, w: np.ndarray, s: np.ndarray,
-                       z: np.ndarray, boost: np.ndarray | None = None) -> GroupElement:
+                       z: np.ndarray) -> GroupElement:
     """The coset of the slope ``w[:, :n] diag(s) z^H`` (or a stack) from
-    factors in :func:`slope_svd`'s conventions, by :func:`_boost_factors`
-    unless the caller passes that ``boost``.  Its point keeps the frame
-    ``[z C z^H; w[:, :n] S z^H]``, ``C = 1/sqrt(1 + s^2)``, ``S = s C``, and
-    the factors as its slope SVD, read-only."""
-    if boost is None:
-        boost = _boost_factors(space, w, s, z)
-    g = _built(GroupElement, space=space, side=Side.NONCOMPACT, a=boost)
+    factors in :func:`slope_svd`'s conventions, by :func:`_boost_factors`.
+    Its point keeps the frame ``[z C z^H; w[:, :n] S z^H]``,
+    ``C = 1/sqrt(1 + s^2)``, ``S = s C``, and the factors as its slope SVD,
+    read-only, as its matrix is."""
+    a = _boost_factors(space, w, s, z)
+    a.flags.writeable = False
+    g = _built(GroupElement, space=space, side=Side.NONCOMPACT, a=a)
     wn, zh, c = w[..., :, : space.n], nk.herm(z), 1.0 / np.sqrt(1.0 + s * s)
     frame = np.concatenate(((z * c[..., None, :]) @ zh, (wn * (s * c)[..., None, :]) @ zh), axis=-2)
     point = _kept(g, "_point", lambda: _built(SubspacePoint, space=space, rep=g.a[..., : space.n],
@@ -189,10 +191,19 @@ def space_like(space: SpaceDescriptor, point: SubspacePoint):
     return nk.per_slice(np.abs(sig).max(axis=-1) < 1.0)
 
 
+def _own_space(space: SpaceDescriptor, x, name: str):
+    """DomainError unless the coset or point ``x`` is of ``space``'s
+    family and shape: an image computed under another space would be
+    mislabelled, and kept on ``x`` for every later reader."""
+    if (x.space.family, x.space.n, x.space.m) != (space.family, space.n, space.m):
+        raise DomainError(f"{name} on {space.label()} got an input of {x.space.label()}")
+
+
 def p_embed(space: SpaceDescriptor, g: GroupElement) -> SubspacePoint:
     """Space-like realization: the image of the base point under the coset."""
     if g.side is not Side.NONCOMPACT:
         raise DomainError("p_embed expects a noncompact coset representative")
+    _own_space(space, g, "p_embed")
     return g.point()
 
 
@@ -207,21 +218,27 @@ def g_embed(space: SpaceDescriptor, g: GroupElement) -> GroupElement:
     """
     if g.side is not Side.NONCOMPACT:
         raise DomainError("g_embed expects a noncompact coset representative")
+    _own_space(space, g, "g_embed")
     q, _ = nk.phase_fixed_qr(g.a)
     return _built(GroupElement, space=space, side=Side.COMPACT, a=q)
 
 
 def embed(space: SpaceDescriptor, which: str, g: GroupElement) -> SubspacePoint:
     """Image subspace of a noncompact coset under embedding ``which``: "p",
-    "g" or "f".  The g image keeps the first n columns of the unitary
-    factor as its frame, orthonormal by construction."""
+    "g" or "f", computed once and kept on the coset, as its point is, for
+    every later call.  The g image keeps a copy of the first n columns of
+    the unitary factor as its frame, orthonormal by construction, so the
+    whole factor is not held."""
+    _own_space(space, g, "embed")  # before a kept image is read
     if which == "p":
         return p_embed(space, g)
     if which == "g":
-        frame = g_embed(space, g).a[..., : space.n]
-        return _built(SubspacePoint, space=space, rep=frame, basis=frame)
+        def g_image():
+            frame = g_embed(space, g).a[..., : space.n].copy()
+            return _built(SubspacePoint, space=space, rep=frame, basis=frame)
+        return _kept(g, "_g_image", g_image)
     if which == "f":
-        return f_embed(space, g)
+        return _kept(g, "_f_image", lambda: f_embed(space, g))
     raise DomainError(f"unknown embedding id {which!r}")
 
 
@@ -365,11 +382,13 @@ def f_embed(space: SpaceDescriptor, x) -> SubspacePoint:
     if isinstance(x, GroupElement):
         if x.side is not Side.NONCOMPACT:
             raise DomainError("f_embed expects a noncompact coset representative")
+        _own_space(space, x, "f_embed")
         try:
             z, w, coords = _log_flat(space, x.point(), Side.NONCOMPACT)
         except DomainError as exc:
             raise NumericalError(f"coset too close to the boundary: {exc}") from exc
     elif isinstance(x, SubspacePoint):
+        _own_space(space, x, "f_embed")
         z, w, coords = _log_flat(space, x, Side.NONCOMPACT)
     else:
         raise DomainError("f_embed takes a GroupElement or a SubspacePoint")

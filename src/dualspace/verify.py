@@ -16,14 +16,17 @@ reproducible from (property name, seed, samples).
 The triple, equivariance and round-trip checks of one space open with the
 same draw from ``default_rng(seed)``: the slope factors of
 :func:`random_slope`.  :func:`_shared_draw` takes that draw with what is
-built from it, all at once: the boost that triple and equivariance read,
-the isotropy stack drawn next and the form-checked stack of moved and
-unmoved cosets, whose point keeps the frame and slope SVD that p and f
-read.  It keeps the draw of the last ``(space, samples, seed)`` only, and
-shares draws, never results: each report is the one the check gives
-alone, in any order of calls.  :func:`run_suite` runs space by space and
-clears the draw once a space's checks have run.  The image, cut-radius,
-cut-loci and triangle checks each draw alone from their own generator.
+built from it, all at once: the isotropy stack drawn next and the
+form-checked stack of moved and unmoved cosets ``[k a, a]``.  The stack
+keeps the p, g and f images that :func:`embed` gives of it, so the
+triple check, which compares the three images of the unmoved half, and
+the equivariance checks embed it once between them, whichever runs
+first.  The draw of the last ``(space, samples, seed)`` only is kept.
+Every image is a function of the stack alone, so each report is the one
+the check gives alone, in any order of calls.  :func:`run_suite` runs
+space by space and clears the draw once a space's checks have run.  The
+image, cut-radius, cut-loci and triangle checks each draw alone from
+their own generator.
 
 :data:`CLAIMS` is the one table of which property is claimed on which
 family; :func:`run_suite` and the CLI read it.
@@ -225,13 +228,13 @@ class _Draw(NamedTuple):
     """The opening draw of the sampled checks on one space at one ``(seed,
     samples)``, read-only: the factors ``(w, sig, z)`` that
     :func:`_slope_factors` draws first from ``default_rng(seed)``, the
-    cosets ``a`` that :func:`random_coset` builds from them, the isotropy
-    stack ``k`` the generator draws next, and the stack ``[k a, a]``,
-    form-checked once, whose point keeps the frame and slope SVD that
-    every embedding of it reads."""
+    isotropy stack ``k`` the generator draws next, and the stack
+    ``[k a, a]``, form-checked once, of the cosets ``a`` that
+    :func:`random_coset` builds from those factors.  The stack keeps its
+    point, the frame and slope SVD read off it, and its g and f images,
+    for every check that embeds it."""
 
     factors: tuple
-    boost: np.ndarray
     isotropy: np.ndarray
     moved_and_unmoved: GroupElement
 
@@ -247,9 +250,9 @@ def _shared_draw(space: SpaceDescriptor, samples: int, seed: int) -> _Draw:
     k = random_isotropy(space, rng, size=samples)
     both = _built(GroupElement, space=space, side=Side.NONCOMPACT,
                   a=np.concatenate([k @ boost, boost]))
-    for arr in (*factors, boost, k, both.a):
+    for arr in (*factors, k, both.a):
         arr.flags.writeable = False
-    return _Draw(factors, boost, k, both)
+    return _Draw(factors, k, both)
 
 
 def _report(name: str, samples: int, seed: int, tol: float, resid) -> PropertyReport:
@@ -271,10 +274,13 @@ def check_triple_equality(space, samples: int = 200, seed: int = DEFAULT_SEED,
                           tol: float = 1e-9) -> PropertyReport:
     """Pairwise agreement of the three embeddings on random cosets, the
     three distances of the batch taken in one stacked call.  The cosets are
-    those :func:`random_coset` draws, built from the space's opening draw."""
-    draw = _shared_draw(space, samples, seed)
-    g = coset_from_factors(space, *draw.factors, boost=draw.boost)
-    p, q, f = (embed(space, which, g).basis for which in ("p", "g", "f"))
+    those :func:`random_coset` draws, the unmoved half ``a`` of the space's
+    opening stack ``[k a, a]``, whose p, g and f images the equivariance
+    checks read too.  p's frame is the SVD frame of the coset's first n
+    columns, and f reads its slope off that frame; the closed-form frame
+    and the drawn factors a coset built from them keeps are not read."""
+    stack = _shared_draw(space, samples, seed).moved_and_unmoved
+    p, q, f = (embed(space, which, stack).basis[samples:] for which in ("p", "g", "f"))
     resid = nk.frame_distance(np.stack([p, p, q]), np.stack([q, f, f])).max(axis=0)
     return _report("triple-equality/" + space.label(), samples, seed, tol, resid)
 

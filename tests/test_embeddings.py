@@ -1,5 +1,7 @@
 """Tests for the four embeddings and their supporting maps."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -588,6 +590,36 @@ def test_embed_dispatches_by_id():
         np.testing.assert_array_equal(embed(GR23, which, g).rep, pt.rep)
     with pytest.raises(DomainError):
         embed(GR23, "x", g)
+
+
+def test_embed_keeps_the_g_and_f_images_read_only():
+    g = random_coset(GR23, np.random.default_rng(59), size=3)
+    for which in ("p", "g", "f"):
+        pt = embed(GR23, which, g)
+        assert embed(GR23, which, g) is pt
+        assert embed(copy.copy(GR23), which, g) is pt  # the same space, not the same object
+        assert not pt.rep.flags.writeable and not pt.basis.flags.writeable
+    # the g image owns a copy of its n columns, not a view of the whole factor
+    frame = embed(GR23, "g", g).basis
+    assert frame.flags.owndata and frame.shape == (3, GR23.dim, GR23.n)
+
+
+@pytest.mark.parametrize("which", ["p", "g", "f"])
+def test_embed_refuses_a_coset_of_another_space(which):
+    # an image under another space is refused, whether the coset has kept
+    # one yet or not, so its kept images are always its own space's
+    oriented = make_space(Family.ORIENTED_TWO_PLANE, 2, 2)
+    direct = {"p": p_embed, "g": g_embed, "f": f_embed}[which]
+    g = random_coset(GR22, np.random.default_rng(61), size=2)
+    for space in (oriented, GR23):
+        with pytest.raises(DomainError, match=r"of gr-real\(2,2\)"):
+            embed(space, which, g)
+        with pytest.raises(DomainError, match=r"of gr-real\(2,2\)"):
+            direct(space, g)
+    kept = embed(GR22, which, g)
+    with pytest.raises(DomainError, match=r"of gr-real\(2,2\)"):
+        embed(oriented, which, g)
+    assert embed(GR22, which, g) is kept
 
 
 def test_equivariance_small():

@@ -158,7 +158,7 @@ def test_shared_draws_give_the_reports_of_fresh_ones(monkeypatch):
 
 def test_opening_draw_is_what_a_lone_generator_draws():
     # the factors and the isotropy stack in the generator's order, and the
-    # boost of random_coset, bit for bit
+    # boost of random_coset, bit for bit, as the unmoved half of the stack
     draw = verify._shared_draw(GR23, 4, 3)
     rng = np.random.default_rng(3)
     factors = verify._slope_factors(GR23, rng, None, 4)
@@ -166,7 +166,6 @@ def test_opening_draw_is_what_a_lone_generator_draws():
     assert all(np.array_equal(a, b) for a, b in zip(draw.factors, factors))
     assert np.array_equal(draw.isotropy, k)
     coset = verify.random_coset(GR23, np.random.default_rng(3), size=4)
-    assert np.array_equal(draw.boost, coset.a)
     assert np.array_equal(draw.moved_and_unmoved.a, np.concatenate([k @ coset.a, coset.a]))
 
 
@@ -176,12 +175,36 @@ def test_stored_draws_are_read_only():
     draw = verify._shared_draw(GR23, 4, 3)
     both = draw.moved_and_unmoved
     # the stack's point keeps its slope and slope SVD read-only as every
-    # kept point does (embeddings._kept)
-    arrays = [*draw.factors, draw.boost, draw.isotropy, both.a, both.point().rep,
-              *_slope_factors(GR23, both.point())]
+    # kept point does (embeddings._kept), and so do its kept images
+    arrays = [*draw.factors, draw.isotropy, both.a, both.point().rep,
+              *_slope_factors(GR23, both.point()),
+              *(getattr(verify.embed(GR23, which, both), name)
+                for which in ("g", "f") for name in ("rep", "basis"))]
     assert not any(arr.flags.writeable for arr in arrays)
     with pytest.raises(ValueError, match="read-only"):
         draw.factors[1][0, 0] = 0.5
+
+
+@pytest.mark.parametrize("space", [GR23, make_space(Family.COMPLEX_GRASSMANNIAN, 2, 2)],
+                         ids=lambda sp: sp.label())
+@pytest.mark.parametrize("samples", [2, 64])
+def test_triple_and_equivariance_reports_do_not_depend_on_the_order(space, samples):
+    # whichever of them embeds the shared stack first, the others read the
+    # images it kept: every report is the one the check gives alone
+    checks = [(verify.check_triple_equality, ())] + [
+        (verify.check_equivariance, (which,)) for which in ("p", "g", "f")]
+
+    def report(check, extra):
+        return check(space, *extra, samples=samples, seed=31).to_dict()
+
+    alone = []
+    for check, extra in checks:
+        verify._shared_draw.cache_clear()
+        alone.append(report(check, extra))
+    verify._shared_draw.cache_clear()
+    assert [report(check, extra) for check, extra in checks] == alone
+    verify._shared_draw.cache_clear()
+    assert [report(check, extra) for check, extra in checks[::-1]] == alone[::-1]
 
 
 def test_a_kept_points_frame_is_read_only():
