@@ -11,9 +11,10 @@ verify          run the claims of ``verify.CLAIMS`` on one space or all; exit 0
 
 Output goes to stdout as JSON with the stable key set
 {space, method, result, residuals, seed, version} (CSV for grid data),
-diagnostics to stderr.  Exit codes: 0 ok, 2 usage, 3 mathematical domain
-error, 4 numerical failure.  The environment variable DUALSPACE_SEED
-overrides the default sampling seed.
+diagnostics to stderr.  Exit codes: 0 ok, 1 a verify claim failed (its
+report still on stdout), 2 usage, 3 mathematical domain error, 4 numerical
+failure.  The environment variable DUALSPACE_SEED overrides the default
+sampling seed.
 """
 
 from __future__ import annotations
@@ -336,7 +337,7 @@ def cmd_embed(args) -> int:
     result = {
         "subspace": first.rep,
         "flat_coords": coords.coords,
-        "region_fraction": region_fraction(coords),
+        "region_fraction": region_fraction(coords.coords, sp.lattice),
         "space_like": space_like(sp, first),
     }
     emit(envelope(sp.label(), args.method, result, residuals))

@@ -10,11 +10,14 @@ descriptor and all agreeing with each other on the Grassmannian families:
 * ``f_embed``  -- pull the coset back to the tangent space, contract the
   flat coordinates into the quarter-lattice box, and push forward along
   the compact flat, a direct sum of plane rotations, whose frame is
-  written down in closed form;
+  written down in closed form, as a coset built from slope factors does;
 * ``b_embed_rank1`` -- the stereographic formula on the rank-1 flat of the
-  circle/sphere family, the one place where it differs from ``f_embed``.
+  circle/sphere family, the one place where it differs from ``f_embed``;
+  it and f's rank-1 profile ``f_flat_rank1`` are one kernel at two scales.
 
-``embed`` dispatches to p, g or f by id.
+``embed`` dispatches to p, g or f by id.  The four take a noncompact
+``GroupElement`` of the space asked for and refuse anything else with
+DomainError; a ``SubspacePoint`` goes to the logs instead.
 
 A ``GroupElement`` may hold a stack of cosets along leading axes; every
 map then embeds the whole stack at once and returns a stack of points,
@@ -24,8 +27,8 @@ coset is a stack with no leading axes, so it runs the same code.
 Each frame, slope and image of a coset is computed once and kept on the
 immutable object that owns it: a coset keeps its point, shared by p and
 f, and the g and f images ``embed`` gives of it, and a point keeps its
-frame, its slope block and that slope's SVD, shared by the noncompact
-log, f and ``space_like``.  The compact side reads the same SVD: the
+frame and its slope's SVD, shared by the noncompact log, f and
+``space_like``.  The compact side reads the same SVD: the
 factors of the negated slope differ from it only by signs.  A coset
 built from a slope SVD (``coset_from_factors``: slope input and random
 draws) keeps on its point the frame in closed form and that SVD, so its
@@ -100,12 +103,21 @@ def coset_from_factors(space: SpaceDescriptor, w: np.ndarray, s: np.ndarray,
     a = _boost_factors(space, w, s, z)
     a.flags.writeable = False
     g = _built(GroupElement, space=space, side=Side.NONCOMPACT, a=a)
-    wn, zh, c = w[..., :, : space.n], nk.herm(z), 1.0 / np.sqrt(1.0 + s * s)
-    frame = np.concatenate(((z * c[..., None, :]) @ zh, (wn * (s * c)[..., None, :]) @ zh), axis=-2)
+    c = 1.0 / np.sqrt(1.0 + s * s)
+    frame = _flat_frame(space, z, w, c, s * c)
     point = _kept(g, "_point", lambda: _built(SubspacePoint, space=space, rep=g.a[..., : space.n],
                                               basis=frame))
     _kept(point, "_slope_svd", lambda: (w, s, z))
     return g
+
+
+def _flat_frame(space: SpaceDescriptor, z, w, c, s) -> np.ndarray:
+    """The frame ``[z diag(c) z^H; w[:, :n] diag(s) z^H]`` (or a stack): the
+    image of the base point under ``diag(z, w)`` times a flat element
+    whose (i, n+i) planes have diagonal blocks ``c`` and off-diagonal
+    blocks ``s``.  Orthonormal when ``c^2 + s^2 = 1``."""
+    zh, wn = nk.herm(z), w[..., :, : space.n]
+    return np.concatenate(((z * c[..., None, :]) @ zh, (wn * s[..., None, :]) @ zh), axis=-2)
 
 
 def _kept(obj, name: str, compute):
@@ -140,42 +152,40 @@ def h_flat(coords: FlatCoordinates) -> FlatCoordinates:
     return FlatCoordinates(coords.space, -np.clip(out, -limit, limit))
 
 
+def _rank1_profile(t, k: float):
+    """The rank-1 flat profile ``k*arctan(tanh(t/k))``, a float for a scalar
+    t, an array over an array.  |tanh(t/k)| >= 1 - ``BOUNDARY_GUARD`` raises
+    NumericalError: tanh rounds to 1 soon after, and the angle to the wall."""
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all(np.isfinite(t)):
+        raise DomainError("need a finite flat parameter")
+    h = np.tanh(t / k)
+    if np.any(np.abs(h) >= 1.0 - BOUNDARY_GUARD):
+        raise NumericalError("flat parameter too close to the boundary for double precision")
+    return nk.per_slice(k * np.arctan(h))
+
+
 def b_embed_rank1(t):
     """Stereographic embedding of the rank-1 flat, in arc-length units.
 
     Maps the boost parameter t to the angle 2*arctan(tanh(t/2)), with range
     (-pi/2, pi/2): a quarter of the closed geodesic of length 4*pi used by
-    the circle/sphere family.  A float for a scalar t, an array over an
-    array of them.  As for f, |tanh(t/2)| >= 1 - ``BOUNDARY_GUARD`` (|t|
-    beyond about 30.6) raises NumericalError: tanh rounds to 1 soon after,
-    and the angle to the boundary value pi/2.
+    the circle/sphere family.  |t| beyond about 30.6 raises NumericalError
+    (:func:`_rank1_profile`).
     """
-    t = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(t)):
-        raise DomainError("need a finite flat parameter")
-    h = np.tanh(t / 2.0)
-    if np.any(np.abs(h) >= 1.0 - BOUNDARY_GUARD):
-        raise NumericalError("flat parameter too close to the boundary for double precision")
-    return nk.per_slice(2.0 * np.arctan(h))
+    return _rank1_profile(t, 2.0)
 
 
-def f_flat_rank1(t: float) -> float:
-    """Flat profile of ``f_embed`` on the circle/sphere family.
+def f_flat_rank1(t):
+    """Flat profile of ``f_embed`` on the circle/sphere family,
+    4*arctan(tanh(t/4)).
 
     Same arc-length units and orientation as :func:`b_embed_rank1`, so the
     two are directly comparable: this one has range (-pi, pi), twice the
-    stereographic range, and the two differ at every t != 0.  As for b,
-    |tanh(t/4)| >= 1 - ``BOUNDARY_GUARD`` (|t| beyond about 61.3) raises
-    NumericalError: tanh rounds to 1 soon after, and the angle to the
-    boundary value pi.
+    stereographic range, and the two differ at every t != 0.  |t| beyond
+    about 61.3 raises NumericalError (:func:`_rank1_profile`).
     """
-    t = float(t)
-    if not np.isfinite(t):
-        raise DomainError("need a finite flat parameter")
-    h = np.tanh(t / 4.0)
-    if abs(h) >= 1.0 - BOUNDARY_GUARD:
-        raise NumericalError("flat parameter too close to the boundary for double precision")
-    return 4.0 * np.arctan(h)
+    return _rank1_profile(t, 4.0)
 
 
 def space_like(space: SpaceDescriptor, point: SubspacePoint):
@@ -191,19 +201,19 @@ def space_like(space: SpaceDescriptor, point: SubspacePoint):
     return nk.per_slice(np.abs(sig).max(axis=-1) < 1.0)
 
 
-def _own_space(space: SpaceDescriptor, x, name: str):
-    """DomainError unless the coset or point ``x`` is of ``space``'s
-    family and shape: an image computed under another space would be
-    mislabelled, and kept on ``x`` for every later reader."""
-    if (x.space.family, x.space.n, x.space.m) != (space.family, space.n, space.m):
-        raise DomainError(f"{name} on {space.label()} got an input of {x.space.label()}")
+def _own_coset(space: SpaceDescriptor, g, name: str):
+    """DomainError unless ``g`` is a noncompact :class:`GroupElement` of
+    ``space``'s family and shape: an image computed under another space
+    would be mislabelled, and kept on ``g`` for every later reader."""
+    if not isinstance(g, GroupElement) or g.side is not Side.NONCOMPACT:
+        raise DomainError(f"{name} expects a noncompact coset representative")
+    if (g.space.family, g.space.n, g.space.m) != (space.family, space.n, space.m):
+        raise DomainError(f"{name} on {space.label()} got a coset of {g.space.label()}")
 
 
 def p_embed(space: SpaceDescriptor, g: GroupElement) -> SubspacePoint:
     """Space-like realization: the image of the base point under the coset."""
-    if g.side is not Side.NONCOMPACT:
-        raise DomainError("p_embed expects a noncompact coset representative")
-    _own_space(space, g, "p_embed")
+    _own_coset(space, g, "p_embed")
     return g.point()
 
 
@@ -216,9 +226,7 @@ def g_embed(space: SpaceDescriptor, g: GroupElement) -> GroupElement:
     changes the result by right isotropy multiplication, so the image
     subspace is unchanged.
     """
-    if g.side is not Side.NONCOMPACT:
-        raise DomainError("g_embed expects a noncompact coset representative")
-    _own_space(space, g, "g_embed")
+    _own_coset(space, g, "g_embed")
     q, _ = nk.phase_fixed_qr(g.a)
     return _built(GroupElement, space=space, side=Side.COMPACT, a=q)
 
@@ -229,7 +237,7 @@ def embed(space: SpaceDescriptor, which: str, g: GroupElement) -> SubspacePoint:
     every later call.  The g image keeps a copy of the first n columns of
     the unitary factor as its frame, orthonormal by construction, so the
     whole factor is not held."""
-    _own_space(space, g, "embed")  # before a kept image is read
+    _own_coset(space, g, "embed")  # before a kept image is read
     if which == "p":
         return p_embed(space, g)
     if which == "g":
@@ -245,15 +253,12 @@ def embed(space: SpaceDescriptor, which: str, g: GroupElement) -> SubspacePoint:
 def _slope_block(space: SpaceDescriptor, point: SubspacePoint) -> np.ndarray:
     """Slope Y with span([I; Y]) = span(point), read off the stored frame,
     whose top block has singular values >= 1/sqrt(2) if space-like; per
-    slice of a stack, DomainError if any slice is not a graph.  Read once
-    per point."""
-    def read():
-        n = space.n
-        top = point.basis[..., :n, :]
-        if (np.linalg.svd(top, compute_uv=False)[..., -1] <= 1e-13).any():
-            raise DomainError("subspace is not a graph over the base point")
-        return point.basis[..., n:, :] @ np.linalg.inv(top)
-    return _kept(point, "_slope", read)
+    slice of a stack, DomainError if any slice is not a graph."""
+    n = space.n
+    top = point.basis[..., :n, :]
+    if (np.linalg.svd(top, compute_uv=False)[..., -1] <= 1e-13).any():
+        raise DomainError("subspace is not a graph over the base point")
+    return point.basis[..., n:, :] @ np.linalg.inv(top)
 
 
 def _slope_factors(space: SpaceDescriptor, point: SubspacePoint):
@@ -361,41 +366,30 @@ def point_flat_coords(space: SpaceDescriptor, point: SubspacePoint, side: Side) 
     return _log_flat(space, point, side)[2]
 
 
-def f_embed(space: SpaceDescriptor, x) -> SubspacePoint:
-    """Cut-locus embedding: the contracted noncompact log, pushed forward
-    along the compact flat.
+def f_embed(space: SpaceDescriptor, g: GroupElement) -> SubspacePoint:
+    """Cut-locus embedding of a noncompact coset: the contracted noncompact
+    log, pushed forward along the compact flat.
 
-    Accepts either a noncompact :class:`GroupElement` or a space-like
-    :class:`SubspacePoint`.  The pipeline takes the noncompact log, applies
+    The pipeline takes the noncompact log of the coset's point, applies
     the coordinate-wise contraction on the flat in lattice units, rotates
     back with the same isotropy element, and lands on the compact side.
     The compact flat is a direct sum of rotations of the (i, n+i) planes,
     so with the slope SVD ``Y = w S z^H`` and the contracted angles Theta
-    the image is spanned by ``[z cos(Theta) z^H ; -w[:, :n] sin(Theta) z^H]``,
-    the first n columns of the compact exponential, with no exponential
-    taken; that frame is orthonormal by construction and is kept as the
-    image's frame.  The image always lies strictly inside half of the cut
-    radius.  A slope singular value >= 1 - 1e-13 raises NumericalError;
-    >= 1 raises DomainError on a SubspacePoint, but is roundoff on a
-    GroupElement, whose point is space-like, so NumericalError there too.
+    the image is spanned by ``[z cos(Theta) z^H ; -w[:, :n] sin(Theta) z^H]``
+    (:func:`_flat_frame`), the first n columns of the compact exponential,
+    with no exponential taken; that frame is orthonormal by construction
+    and is kept as the image's frame.  The image always lies strictly
+    inside half of the cut radius.  A slope singular value >= 1 - 1e-13
+    raises NumericalError, and so does one >= 1: the coset's point is
+    space-like, so that reading is roundoff.  A point's own domain verdict
+    is :func:`log_noncompact`'s.
     """
-    if isinstance(x, GroupElement):
-        if x.side is not Side.NONCOMPACT:
-            raise DomainError("f_embed expects a noncompact coset representative")
-        _own_space(space, x, "f_embed")
-        try:
-            z, w, coords = _log_flat(space, x.point(), Side.NONCOMPACT)
-        except DomainError as exc:
-            raise NumericalError(f"coset too close to the boundary: {exc}") from exc
-    elif isinstance(x, SubspacePoint):
-        _own_space(space, x, "f_embed")
-        z, w, coords = _log_flat(space, x, Side.NONCOMPACT)
-    else:
-        raise DomainError("f_embed takes a GroupElement or a SubspacePoint")
-
-    theta = h_flat(coords).cartan_coords()[..., None, :]
-    zh = nk.herm(z)
-    rep = np.concatenate(((z * np.cos(theta)) @ zh, -(w[..., :, : space.n] * np.sin(theta)) @ zh),
-                         axis=-2)
+    _own_coset(space, g, "f_embed")
+    try:
+        z, w, coords = _log_flat(space, g.point(), Side.NONCOMPACT)
+    except DomainError as exc:
+        raise NumericalError(f"coset too close to the boundary: {exc}") from exc
+    theta = h_flat(coords).cartan_coords()
+    rep = _flat_frame(space, z, w, np.cos(theta), -np.sin(theta))
     return _built(SubspacePoint, space=space, rep=rep, basis=rep)
 

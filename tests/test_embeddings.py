@@ -155,12 +155,15 @@ def test_b_embed_refuses_the_boundary_guard_as_f_does():
             b_embed_rank1(t)
 
 
-def test_b_embed_takes_an_array():
+@pytest.mark.parametrize("profile", [b_embed_rank1, f_flat_rank1])
+def test_rank1_profiles_take_an_array(profile):
     ts = np.array([-20.0, -1.0, 0.0, 1.0, 14.0])
-    assert type(b_embed_rank1(1.0)) is float
-    np.testing.assert_array_equal(b_embed_rank1(ts), [b_embed_rank1(t) for t in ts])
+    assert type(profile(1.0)) is float
+    np.testing.assert_array_equal(profile(ts), [profile(t) for t in ts])
     with pytest.raises(DomainError):
-        b_embed_rank1(np.array([0.0, np.nan]))
+        profile(np.array([0.0, np.nan]))
+    with pytest.raises(NumericalError):
+        profile(np.array([0.0, 80.0]))
 
 
 def test_sphere_matrix_pipeline_matches_flat_profile():
@@ -495,14 +498,6 @@ def test_f_embed_closed_frame_matches_compact_exponential(space):
         assert np.max(np.abs(got - f_embed_by_expm(space, g))) <= 1e-12
 
 
-def test_f_embed_accepts_subspace_points():
-    rng = np.random.default_rng(19)
-    y = capped(0.4 * rng.standard_normal((3, 2)))
-    via_group = f_embed(GR23, coset_from_slope(GR23, y))
-    via_point = f_embed(GR23, graph_point(GR23, y))
-    assert via_group.distance(via_point) <= 1e-11
-
-
 def test_f_embed_matches_p_on_degenerate_directions():
     # repeated singular values make the flat decomposition non-unique; the
     # subspace realization p is decomposition-free, so agreement with it
@@ -524,7 +519,7 @@ def test_f_embed_image_is_spacelike_and_inside_half_region():
         assert space_like(GR23, pt)
         coords = point_flat_coords(GR23, pt, Side.COMPACT)
         assert np.max(np.abs(coords.coords)) < 0.25
-        assert region_fraction(coords) < 0.5
+        assert region_fraction(coords.coords, GR23.lattice) < 0.5
 
 
 def test_f_embed_inverts_through_the_contraction():
@@ -550,8 +545,6 @@ def test_f_embed_on_a_coset_reads_a_boundary_slope_as_numerical():
     with pytest.raises(NumericalError):
         embed(GR11, "f", g)
     # the same subspace given as a point keeps its domain verdict
-    with pytest.raises(DomainError):
-        f_embed(GR11, g.point())
     with pytest.raises(DomainError):
         log_noncompact(GR11, g.point())
 
@@ -620,6 +613,23 @@ def test_embed_refuses_a_coset_of_another_space(which):
     with pytest.raises(DomainError, match=r"of gr-real\(2,2\)"):
         embed(oriented, which, g)
     assert embed(GR22, which, g) is kept
+
+
+MAPS = {"p_embed": p_embed, "g_embed": g_embed, "f_embed": f_embed,
+        **{f"embed-{which}": lambda sp, x, which=which: embed(sp, which, x) for which in "pgf"}}
+
+
+@pytest.mark.parametrize("name", MAPS)
+@pytest.mark.parametrize("given", ["ndarray", "point", "compact"])
+def test_maps_take_only_a_noncompact_coset(name, given):
+    # one input form: a point goes to the logs, not to a map, and nothing
+    # is kept on what a map refuses
+    x = {"ndarray": np.eye(5),
+         "point": graph_point(GR23, np.full((3, 2), 0.1)),
+         "compact": GroupElement(GR23, Side.COMPACT, np.eye(5))}[given]
+    with pytest.raises(DomainError, match="expects a noncompact coset"):
+        MAPS[name](GR23, x)
+    assert not any(key.endswith("_image") for key in getattr(x, "__dict__", {}))
 
 
 def test_equivariance_small():

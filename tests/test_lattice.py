@@ -361,8 +361,8 @@ def test_half_region_boundary_on_grassmannian():
     eps = 1e-6
     inside = FlatCoordinates(GR23, np.array([0.25 - eps, 0.0]))
     outside = FlatCoordinates(GR23, np.array([0.25 + eps, 0.0]))
-    assert in_half_region(inside, 0.5)
-    assert not in_half_region(outside, 0.5)
+    assert in_half_region(inside.coords, 0.5, GR23.lattice)
+    assert not in_half_region(outside.coords, 0.5, GR23.lattice)
 
 
 def test_quarter_vs_half_region_distinguish_sphere_images():
@@ -374,9 +374,9 @@ def test_quarter_vs_half_region_distinguish_sphere_images():
     f_angle = f_flat_rank1(5.0)
     b_coords = FlatCoordinates(sphere, np.array([b_angle / alpha]))
     f_coords = FlatCoordinates(sphere, np.array([f_angle / alpha]))
-    assert in_half_region(b_coords, 0.25)
-    assert in_half_region(f_coords, 0.5)
-    assert not in_half_region(f_coords, 0.25)
+    assert in_half_region(b_coords.coords, 0.25, sphere.lattice)
+    assert in_half_region(f_coords.coords, 0.5, sphere.lattice)
+    assert not in_half_region(f_coords.coords, 0.25, sphere.lattice)
 
 
 def test_half_region_validates_fraction():

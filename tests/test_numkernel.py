@@ -9,9 +9,10 @@ from dualspace import numkernel as nk
 from dualspace.embeddings import log_noncompact
 from dualspace.errors import DomainError, NumericalError
 from dualspace.spaces import Family, FlatCoordinates, Side, SubspacePoint, make_space
-from dualspace.verify import catalog_spaces, random_coset, random_slope, random_unit_flat
+from dualspace.verify import catalog_spaces, random_coset, random_unit_flat
 
 from expm_oracle import expm
+from flat_oracle import random_slope
 
 # angle of the rotation produced by orthonormalizing the unit boost:
 # tan(theta) = -tanh(1), evaluated independently of the kernel under test

@@ -20,7 +20,7 @@ from dualspace.spaces import (
 )
 
 from expm_oracle import expm
-from flat_oracle import cartan_basis
+from flat_oracle import cartan_basis, random_slope
 
 GR23 = make_space(Family.REAL_GRASSMANNIAN, 2, 3)
 
@@ -96,7 +96,7 @@ def test_random_orthogonal_refuses_a_singular_draw():
 def test_random_coset_is_the_boost_of_random_slope(space):
     for seed in (107, 109):
         got = verify.random_coset(space, np.random.default_rng(seed), size=200).a
-        y = verify.random_slope(space, np.random.default_rng(seed), size=200)
+        y = random_slope(space, np.random.default_rng(seed), size=200)
         want = transitivity_element(space, y)
         scale = np.abs(want).max(axis=(-2, -1))
         assert (np.abs(got - want).max(axis=(-2, -1)) <= 1e-13 * scale).all()
