@@ -247,12 +247,12 @@ def cmd_cut_radius(args) -> int:
     sp, basis, label = space_lattice(args.space, args.n, args.m)
     x = _parse_direction(args.direction)
     residuals = {}
+    if args.method == "closed" and not basis.orthonormal:
+        raise DomainError("closed form needs an orthonormal lattice; use --method brute")
     if args.method == "brute":
         res = cut_radius_brute(x, basis)
     else:
         res = cut_radius(x, basis)  # brute force already when the lattice is not orthonormal
-        if args.method == "closed" and not res.used_closed_form:
-            raise DomainError("closed form needs an orthonormal lattice; use --method brute")
         if args.method == "both" and res.used_closed_form:
             closed, res = res, cut_radius_brute(x, basis)
             residuals["closed_vs_brute"] = abs(closed.radius - res.radius)

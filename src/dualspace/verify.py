@@ -4,13 +4,14 @@ Each check draws its whole batch of samples at once from a seeded
 generator, runs the batch through the stacked kernels (one SVD, QR or
 exponential per stage, not per sample), evaluates a pointwise identity
 per sample, and returns a :class:`PropertyReport` with the worst residual
-seen and, in ``details["worst_index"]``, the index of the sample that
-gave it.  Residual aggregation is worst-case, not mean: the identities
-under test are exact, so a single bad sample is a failure, and a NaN
-residual is a failure and the worst.  :func:`_report` applies this
-policy to the residual checks.  Every check draws from :func:`_generator`,
-which refuses fewer than one sample, so no report can pass over an empty
-batch, and a seed that is not a non-negative integer, so every report is
+(or margin) seen and, in ``details["worst_index"]``, the index of the
+sample that gave it.  Aggregation is worst-case, not mean: the identities
+under test are exact, so a single bad sample is a failure, and a NaN is a
+failure and the worst.  ``failures`` counts failing samples, and the worst
+sample is a failing one whenever any fails; :func:`_report` builds every
+report by this rule.  Every check draws from :func:`_generator`, which
+refuses fewer than one sample, so no report can pass over an empty batch,
+and a seed that is not a non-negative integer, so every report is
 reproducible from (property name, seed, samples).
 
 The triple, equivariance and round-trip checks of one space open with the
@@ -249,19 +250,23 @@ def _shared_draw(space: SpaceDescriptor, samples: int, seed: int) -> _Draw:
     return _Draw(factors, k, both)
 
 
-def _report(name: str, samples: int, seed: int, tol: float, resid) -> PropertyReport:
-    """Worst case of the residual array ``resid``, one entry per sample of a
-    batch drawn from one seeded generator; a sample fails when its residual
-    is not at most ``tol``, so a NaN fails and is the worst.
-    ``details["worst_index"]`` is that sample's index, the first NaN's when
-    there is one."""
-    resid = np.asarray(resid, dtype=np.float64)
-    if resid.shape != (samples,):
-        raise ValueError(f"{name}: {resid.shape} residuals for {samples} samples")
-    failures = int(np.count_nonzero(~(resid <= tol)))
-    worst = int(np.argmax(resid))
-    return PropertyReport(name, samples, failures, float(resid[worst]), seed, tol,
-                          details={"worst_index": worst})
+def _report(name: str, samples: int, seed: int, tol, values, ok=None, **details) -> PropertyReport:
+    """The report of one value per sample: a residual, failing where not
+    at most ``tol``, or, with ``tol`` None, a margin; ``ok`` overrides the
+    verdicts.  The worst is the largest residual or smallest margin (the
+    first NaN), over the failing samples if any fail."""
+    values = np.asarray(values, dtype=np.float64)
+    ok = values <= tol if ok is None else np.asarray(ok)
+    if values.shape != (samples,) or ok.shape != (samples,):
+        raise ValueError(f"{name}: {values.shape} values, {ok.shape} verdicts, {samples} samples")
+    failures = int(np.count_nonzero(~ok))
+    score = values if tol is not None else -values
+    worst = int(np.argmax(score))
+    if failures:
+        failing = np.flatnonzero(~ok)
+        worst = int(failing[np.argmax(score[failing])])
+    return PropertyReport(name, samples, failures, float(values[worst]), seed, tol,
+                          details={**details, "worst_index": worst})
 
 
 def check_triple_equality(space, samples: int = 200, seed: int = DEFAULT_SEED,
@@ -311,9 +316,8 @@ def check_image_region(space, embedding_id: str, samples: int = 500,
     the stereographic map on the circle/sphere family.  One fifth of the
     samples are drawn at slope 1 - 1e-6 to probe the boundary: those must
     approach the quarter-lattice box within 1e-5 without crossing it.  The
-    reported value is the smallest margin, and ``details["worst_index"]``
-    the sample it came from.
-    """
+    reported value is the smallest margin, of a failing sample if any, and
+    ``details["worst_index"]`` the sample it came from."""
     rng = _generator(samples, seed)
     near_boundary = np.arange(samples) % 5 == 0
 
@@ -324,11 +328,8 @@ def check_image_region(space, embedding_id: str, samples: int = 500,
         t = np.where(near_boundary, rng.choice([-14.0, 14.0], samples),
                      rng.uniform(-20.0, 20.0, samples))
         margins = quarter - np.abs(b_embed_rank1(t))
-        worst = int(np.argmin(margins))
-        return PropertyReport("image-region-b/" + space.label(), samples,
-                              int(np.count_nonzero(~(margins > 0.0))), float(margins[worst]),
-                              seed, None, details={"region_fraction": 0.25,
-                                                   "worst_index": worst})
+        return _report("image-region-b/" + space.label(), samples, seed, None, margins,
+                       margins > 0.0, region_fraction=0.25)
 
     sigma = np.where(near_boundary, 1.0 - 1e-6, rng.uniform(0.0, 0.95, samples))
     pt = embed(space, embedding_id, random_coset(space, rng, sigma_max=sigma, size=samples))
@@ -337,12 +338,8 @@ def check_image_region(space, embedding_id: str, samples: int = 500,
     gap = 0.25 - np.max(np.abs(coords.coords), axis=-1)
     ok = space_like(space, pt) & in_half_region(coords.coords, 0.5, space.lattice) & (gap > 0.0)
     ok &= ~near_boundary | (gap < 1e-5)
-    worst = int(np.argmin(gap))
-    return PropertyReport(f"image-region-{embedding_id}/" + space.label(), samples,
-                          int(np.count_nonzero(~ok)), float(gap[worst]), seed, None,
-                          details={"region_fraction": 0.5,
-                                   "near_boundary_gap": float(np.max(gap[near_boundary])),
-                                   "worst_index": worst})
+    return _report(f"image-region-{embedding_id}/" + space.label(), samples, seed, None, gap,
+                   ok, region_fraction=0.5, near_boundary_gap=float(np.max(gap[near_boundary])))
 
 
 def check_cut_loci_grassmannian(space, samples: int = 100,
@@ -352,9 +349,11 @@ def check_cut_loci_grassmannian(space, samples: int = 100,
 
     Along a unit flat direction the top block of the geodesic frame is
     diagonal with entries cos(t x_i), so the first rank drop happens
-    exactly at t = t0; the residual reported is the largest violation of
-    rank-deficiency at t0 respectively full rank at t0 - 0.01.  The frames
-    of the whole batch at both times come from one stacked exponential.
+    exactly at t = t0.  The residual reported is the smallest singular
+    value of that block at t0; a sample fails when it exceeds 1e-10 or
+    when the block's smallest singular value at t0 - 0.01 is below 1e-3.
+    The frames of the whole batch at both times come from one stacked
+    exponential.
     """
     if space.family is not Family.REAL_GRASSMANNIAN:
         raise DomainError("cut loci structure check runs on real Grassmannians")
@@ -365,11 +364,8 @@ def check_cut_loci_grassmannian(space, samples: int = 100,
     times = np.stack([t0, t0 - 0.01])[..., None, None]
     frames = nk.exp_tangent(times * flat, hermitian=False)[..., : space.n]
     deficient, full = np.linalg.svd(frames[..., : space.n, :], compute_uv=False)[..., -1]
-    failures = np.count_nonzero(~(deficient <= 1e-10)) + np.count_nonzero(~(full >= 1e-3))
-    worst = int(np.argmax(deficient))
-    return PropertyReport("cut-loci/" + space.label(), samples, int(failures),
-                          float(deficient[worst]), seed, 1e-10,
-                          details={"worst_index": worst})
+    return _report("cut-loci/" + space.label(), samples, seed, 1e-10, deficient,
+                   (deficient <= 1e-10) & (full >= 1e-3))
 
 
 def check_cut_radius_agreement(space, samples: int = 1000,
@@ -399,50 +395,42 @@ def check_round_trip(space, samples: int = 500, seed: int = DEFAULT_SEED,
 # trigonometric duality (sphere and hyperbolic plane)
 
 
-_SPHERE_J = np.ones(3)  # diagonals of the Euclidean and the Minkowski form
-_HYP_J = np.array([1.0, 1.0, -1.0])
 _NEXT = [1, 2, 0]  # the vertices, sides or angles after each one, cyclically
 _LAST = [2, 0, 1]
 
 
-def _measure(p1, p2, p3, form, sign):
+def _measure(p1, p2, p3, kappa):
     """Sides (a, b, c) opposite and angles (A, B, C) at the vertices
-    p1, p2, p3 (3-vectors, or stacks of them with the coordinates last),
-    as arrays with the three values first.  The angle at u is measured
-    between the tangents ``v - sign <u, v> u`` and ``w - sign <u, w> u``
-    towards the other two vertices, under the diagonal ``form``."""
+    p1, p2, p3 (3-vectors, or stacks with the coordinates last) of a
+    triangle of curvature ``kappa``: 1 on the sphere, -1 on the hyperbolic
+    plane, as arrays with the three values first.  Under the form diag(1,
+    1, kappa) a side's (hyperbolic) cosine is ``kappa <v, w>``, and the
+    angle at u lies between the tangents ``v - kappa <u, v> u`` and ``w -
+    kappa <u, w> u`` towards the other two vertices."""
     u = np.stack([p1, p2, p3])
     v, w = u[_NEXT], u[_LAST]
+    form = np.array([1.0, 1.0, kappa])
 
     def inner(x, y):
         return (x * form * y).sum(axis=-1)
 
-    tv = v - sign * inner(u, v)[..., None] * u
-    tw = w - sign * inner(u, w)[..., None] * u
+    tv = v - kappa * inner(u, v)[..., None] * u
+    tw = w - kappa * inner(u, w)[..., None] * u
     cos = inner(tv, tw) / np.sqrt(inner(tv, tv) * inner(tw, tw))
-    return inner(v, w), np.arccos(np.clip(cos, -1.0, 1.0))
+    dots = kappa * inner(v, w)
+    sides = np.arccos(np.clip(dots, -1.0, 1.0)) if kappa > 0 else np.arccosh(np.maximum(dots, 1.0))
+    return sides, np.arccos(np.clip(cos, -1.0, 1.0))
 
 
-def _measure_sphere(p1, p2, p3):
-    dots, angles = _measure(p1, p2, p3, _SPHERE_J, 1.0)
-    return np.arccos(np.clip(dots, -1.0, 1.0)), angles
-
-
-def _measure_hyperbolic(p1, p2, p3):
-    minks, angles = _measure(p1, p2, p3, _HYP_J, -1.0)
-    return np.arccosh(np.maximum(-minks, 1.0)), angles
-
-
-def _law_residuals(sides, angles, hyperbolic: bool):
-    """Worst residual of the laws of sines and of cosines of a triangle, or
-    per triangle of a stack, with the three sides and angles first."""
+def _law_residuals(sides, angles, kappa):
+    """Worst residual of the laws of sines and of cosines of a triangle of
+    curvature ``kappa``, or per triangle of a stack, with the three sides
+    and angles first."""
     sides, angles = np.asarray(sides), np.asarray(angles)
-    sf = np.sinh(sides) if hyperbolic else np.sin(sides)
-    cf = np.cosh(sides) if hyperbolic else np.cos(sides)
+    sf, cf = (np.sin(sides), np.cos(sides)) if kappa > 0 else (np.sinh(sides), np.cosh(sides))
     sine = np.abs(sf * np.sin(angles[_NEXT]) - sf[_NEXT] * np.sin(angles)).max(axis=0)
-    sign = -1.0 if hyperbolic else 1.0
     cosine = np.abs(cf - (cf[_NEXT] * cf[_LAST]
-                          + sign * sf[_NEXT] * sf[_LAST] * np.cos(angles))).max(axis=0)
+                          + kappa * sf[_NEXT] * sf[_LAST] * np.cos(angles))).max(axis=0)
     return sine, cosine
 
 
@@ -473,15 +461,15 @@ def _hyperbolic_triangles(rng, count):
     return np.stack([np.cos(turn) * sh, np.sin(turn) * sh, np.cosh(rapidity)], axis=-1)
 
 
-def _accepted_triangles(rng, samples, draw, measure, rejected):
+def _accepted_triangles(rng, samples, draw, kappa, rejected):
     """Sides and angles, each of shape (3, samples), of ``samples`` accepted
-    random triangles.  Every pending triangle is drawn and measured at once,
-    and only the rejected ones are drawn again; accepted triangles keep the
-    order they were drawn in."""
+    random triangles of curvature ``kappa``.  Every pending triangle is
+    drawn and measured at once, and only the rejected ones are drawn again;
+    accepted triangles keep the order they were drawn in."""
     sides, angles = np.empty((3, samples)), np.empty((3, samples))
     done = 0
     while done < samples:
-        sm, am = measure(*draw(rng, samples - done))
+        sm, am = _measure(*draw(rng, samples - done), kappa)
         keep = ~rejected(sm, am)
         new = done + int(np.count_nonzero(keep))
         sides[:, done:new], angles[:, done:new] = sm[:, keep], am[:, keep]
@@ -494,26 +482,21 @@ def check_trig_duality_random(samples: int = 100, seed: int = DEFAULT_SEED,
     """Both laws on random triangles, measured from random group orbits.
 
     ``samples`` spherical and ``samples`` hyperbolic triangles are drawn
-    and measured in batches, and the i-th of each form pair i.
-    ``details["worst_index"]`` is the pair with the worst residual, i.e.
-    the number of accepted pairs before it.
+    and measured in batches, and the i-th of each form pair i, whose
+    residual is the worst of its four laws; ``failures`` counts pairs.
+    ``details["worst_index"]`` is the worst pair, i.e. the number of
+    accepted pairs before it.
     """
     rng = _generator(samples, seed)
     sphere = _accepted_triangles(
-        rng, samples, _sphere_triangles, _measure_sphere,
+        rng, samples, _sphere_triangles, 1.0,
         lambda s, a: (s.min(0) < 0.2) | (s.max(0) > 2.5) | (a.min(0) < 0.2) | (a.max(0) > 2.9))
     hyper = _accepted_triangles(
-        rng, samples, _hyperbolic_triangles, _measure_hyperbolic,
+        rng, samples, _hyperbolic_triangles, -1.0,
         lambda s, a: (s.min(0) < 0.2) | (s.max(0) > 4.0) | (a.min(0) < 0.05))
-    resid = np.stack(_law_residuals(*sphere, hyperbolic=False)
-                     + _law_residuals(*hyper, hyperbolic=True))
-    per_pair = resid.max(axis=0)
-    worst = int(np.argmax(per_pair))
-    return PropertyReport("trig-duality-random", samples, int(np.count_nonzero(~(resid <= tol))),
-                          float(per_pair[worst]), seed, tol,
-                          details={"hyperbolic_plus_sign_worst":
-                                   float(np.max(_plus_sign_residual(*hyper))),
-                                   "worst_index": worst})
+    resid = np.stack(_law_residuals(*sphere, 1.0) + _law_residuals(*hyper, -1.0))
+    return _report("trig-duality-random", samples, seed, tol, resid.max(axis=0),
+                   hyperbolic_plus_sign_worst=float(np.max(_plus_sign_residual(*hyper))))
 
 
 # ---------------------------------------------------------------------------

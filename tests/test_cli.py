@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dualspace
-from dualspace import cli
+from dualspace import cli, lattice
 from dualspace.cli import _jsonify, emit, main, parse_space
 from dualspace.lattice import cut_radius
 from dualspace.spaces import MAX_SAMPLES
@@ -73,6 +73,26 @@ def test_cli_reads_no_private_name_of_the_library():
     assert found == []
 
 
+def calls_in_scopes(node, name, scope="<module>"):
+    """The innermost def or class around each call of ``name`` under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope
+        if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                    getattr(child.func, "attr", None)):
+            yield inner
+        yield from calls_in_scopes(child, name, inner)
+
+
+def test_only_the_report_rule_builds_a_report():
+    # what failures counts and which sample is worst has one implementation:
+    # every check reports through verify._report
+    found = [f"{path.stem}.{scope}"
+             for path in sorted(Path(dualspace.__file__).parent.glob("*.py"))
+             for scope in calls_in_scopes(ast.parse(path.read_text()), "PropertyReport")]
+    assert found == ["verify._report"]
+
+
 # numkernel.projector is called by the acceptance suite (criterion 8)
 UNREFERENCED_BY_DESIGN = {"projector"}
 
@@ -119,11 +139,17 @@ def test_missing_dimensions_is_usage_error(capsys):
     assert code == 2
 
 
-def test_cut_radius_closed_on_su3_is_domain_error(capsys):
+def test_cut_radius_closed_on_su3_is_domain_error(monkeypatch, capsys):
+    # refused from the lattice alone, before any brute walk
+    def walk(*args, **kwargs):
+        raise AssertionError("the brute walk ran")
+
+    monkeypatch.setattr(lattice, "_brute_walk", walk)
     code, _, err = run_cli(capsys, "cut-radius", "su3", "--direction", "1,0",
                            "--method", "closed")
     assert code == 3
     assert "orthonormal" in err
+    assert err == "domain error: closed form needs an orthonormal lattice; use --method brute\n"
 
 
 def test_cut_radius_diagonal(capsys):

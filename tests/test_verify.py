@@ -342,7 +342,7 @@ def sphere_triangle(sides, rng):
     verts = (POLE, np.array([np.sin(c), 0.0, np.cos(c)]),
              np.array([np.sin(b) * np.cos(angle), np.sin(b) * np.sin(angle), np.cos(b)]))
     rot = verify.random_orthogonal(rng, 3, special=True)
-    return verify._measure_sphere(*(rot @ p for p in verts))
+    return verify._measure(*(rot @ p for p in verts), 1.0)
 
 
 def rot_z(t):
@@ -366,7 +366,7 @@ def hyperbolic_triangle(sides, rng):
              np.array([np.sinh(b) * np.cos(angle), np.sinh(b) * np.sin(angle), np.cosh(b)]))
     iso = rot_z(rng.uniform(0, 2 * np.pi)) @ boost_x(rng.uniform(0, 1.0)) \
         @ rot_z(rng.uniform(0, 2 * np.pi))
-    return verify._measure_hyperbolic(*(iso @ p for p in verts))
+    return verify._measure(*(iso @ p for p in verts), -1.0)
 
 
 def test_trig_octant_triangle():
@@ -374,11 +374,11 @@ def test_trig_octant_triangle():
     sides = (np.pi / 2, np.pi / 2, np.pi / 2)
     sm, am = sphere_triangle(sides, rng)
     np.testing.assert_allclose(am, [np.pi / 2] * 3, atol=1e-12)
-    sine, cosine = verify._law_residuals(sm, am, hyperbolic=False)
+    sine, cosine = verify._law_residuals(sm, am, 1.0)
     assert sine <= 1e-12
     assert cosine <= 1e-12
     sm, am = hyperbolic_triangle(sides, rng)
-    assert max(verify._law_residuals(sm, am, hyperbolic=True)) <= 1e-8
+    assert max(verify._law_residuals(sm, am, -1.0)) <= 1e-8
 
 
 def test_trig_equilateral_hyperbolic_angle():
@@ -397,17 +397,17 @@ def test_trig_right_spherical_triangle_pythagoras():
     a = np.arccos(np.cos(b) * np.cos(c))
     sm, am = sphere_triangle((a, b, c), rng)
     assert am[0] == pytest.approx(np.pi / 2, abs=1e-12)
-    assert max(verify._law_residuals(sm, am, hyperbolic=False)) <= 1e-8
+    assert max(verify._law_residuals(sm, am, 1.0)) <= 1e-8
     sm, am = hyperbolic_triangle((a, b, c), rng)
-    assert max(verify._law_residuals(sm, am, hyperbolic=True)) <= 1e-8
+    assert max(verify._law_residuals(sm, am, -1.0)) <= 1e-8
 
 
 def test_trig_plus_sign_variant_is_recorded_not_asserted():
     rng = np.random.default_rng(5)
     sm, am = sphere_triangle((1.0, 1.0, 1.0), rng)
-    assert max(verify._law_residuals(sm, am, hyperbolic=False)) <= 1e-8
+    assert max(verify._law_residuals(sm, am, 1.0)) <= 1e-8
     sm, am = hyperbolic_triangle((1.0, 1.0, 1.0), rng)
-    assert max(verify._law_residuals(sm, am, hyperbolic=True)) <= 1e-8  # the minus-sign law holds
+    assert max(verify._law_residuals(sm, am, -1.0)) <= 1e-8  # the minus-sign law holds
     plus = verify._plus_sign_residual(sm, am)
     # the two variants differ by 2 sinh(b) sinh(c) cos(A)
     expected = 2.0 * np.sinh(1.0) ** 2 * COS_A_EQUILATERAL
@@ -518,6 +518,39 @@ def test_sampled_counts_nan_as_failure():
     assert r.failures == 1
     assert np.isnan(r.worst_residual)
     assert r.details["worst_index"] == 1
+
+
+@pytest.mark.parametrize("tol, values, ok, failures, worst", [
+    # residuals: the failing sample is worst although another is larger
+    (1e-9, [5e-10, 1e-12, 8e-10], [True, False, True], 1, 1),
+    (1e-9, [2e-9, 1e-12, 3e-9], [False, True, False], 2, 2),
+    (1e-9, [5e-10, 1e-12, 8e-10], None, 0, 2),
+    # margins: the smallest failing margin, or the smallest of all
+    (None, [0.3, 0.2, 0.1], [True, False, True], 1, 1),
+    (None, [0.3, 0.2, 0.25], [False, True, False], 2, 2),
+    (None, [0.3, 0.1, 0.2], [True, True, True], 0, 1),
+    (None, [0.3, float("nan"), -0.1], [True, False, False], 2, 1),
+], ids=["residual-one", "residual-two", "residual-pass", "margin-one", "margin-two",
+        "margin-pass", "margin-nan"])
+def test_the_worst_sample_is_a_failing_one(tol, values, ok, failures, worst):
+    r = verify._report("probe", 3, 0, tol, values, ok, extra=1.5)
+    assert r.failures == failures
+    assert r.details == {"extra": 1.5, "worst_index": worst}
+    np.testing.assert_equal(r.worst_residual, values[worst])
+
+
+def test_report_refuses_values_or_verdicts_of_another_shape():
+    with pytest.raises(ValueError, match="3 samples"):
+        verify._report("probe", 3, 0, 1e-9, np.zeros(2))
+    with pytest.raises(ValueError, match="3 samples"):
+        verify._report("probe", 3, 0, None, np.zeros(3), np.ones(2, dtype=bool))
+
+
+def test_failures_count_samples_in_every_report():
+    reports = verify.run_suite(10, seed=1, tol=0.0)
+    assert all(0 <= r.failures <= r.samples for r in reports)
+    trig, = (r for r in reports if r.property_name == "trig-duality-random")
+    assert trig.failures == trig.samples == 10
 
 
 @pytest.mark.parametrize("samples", [0, -1])
