@@ -59,6 +59,7 @@ from .spaces import (
     _block_diag,
     _boost_factors,
     _built,
+    _flat_frame,
     in_group,
     slope_svd,
 )
@@ -71,7 +72,8 @@ BOUNDARY_GUARD = 1e-13
 @dataclass(frozen=True, eq=False)
 class GroupElement:
     """A form-preserving matrix representing a coset point, or a stack of
-    them; built from a caller's array, it keeps a read-only copy of it."""
+    them, read-only whoever builds it: built from a caller's array, it
+    keeps a read-only copy of it."""
 
     space: SpaceDescriptor
     side: Side
@@ -100,24 +102,13 @@ def coset_from_factors(space: SpaceDescriptor, w: np.ndarray, s: np.ndarray,
     Its point keeps the frame ``[z C z^H; w[:, :n] S z^H]``,
     ``C = 1/sqrt(1 + s^2)``, ``S = s C``, and the factors as its slope SVD,
     read-only, as its matrix is."""
-    a = _boost_factors(space, w, s, z)
-    a.flags.writeable = False
-    g = _built(GroupElement, space=space, side=Side.NONCOMPACT, a=a)
+    g = _built(GroupElement, space=space, side=Side.NONCOMPACT, a=_boost_factors(space, w, s, z))
     c = 1.0 / np.sqrt(1.0 + s * s)
     frame = _flat_frame(space, z, w, c, s * c)
     point = _kept(g, "_point", lambda: _built(SubspacePoint, space=space, rep=g.a[..., : space.n],
                                               basis=frame))
     _kept(point, "_slope_svd", lambda: (w, s, z))
     return g
-
-
-def _flat_frame(space: SpaceDescriptor, z, w, c, s) -> np.ndarray:
-    """The frame ``[z diag(c) z^H; w[:, :n] diag(s) z^H]`` (or a stack): the
-    image of the base point under ``diag(z, w)`` times a flat element
-    whose (i, n+i) planes have diagonal blocks ``c`` and off-diagonal
-    blocks ``s``.  Orthonormal when ``c^2 + s^2 = 1``."""
-    zh, wn = nk.herm(z), w[..., :, : space.n]
-    return np.concatenate(((z * c[..., None, :]) @ zh, (wn * s[..., None, :]) @ zh), axis=-2)
 
 
 def _kept(obj, name: str, compute):

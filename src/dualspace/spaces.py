@@ -37,7 +37,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import DomainError
-from .lattice import LatticeBasis
+from .lattice import LatticeBasis, _coords_array
 
 
 class Family(enum.Enum):
@@ -91,10 +91,13 @@ class SpaceDescriptor:
 
 def _built(cls, **fields):
     """An instance of one of the frozen value classes holding arrays the
-    library built itself: ``as_matrix`` is skipped, and only the class's
-    own invariant check ``_check`` runs, once for a whole stack."""
+    library built itself, each made read-only as a caller's copy is:
+    ``as_matrix`` is skipped, and only the class's own invariant check
+    ``_check`` runs, once for a whole stack."""
     obj = object.__new__(cls)
     for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
         object.__setattr__(obj, name, value)
     obj._check()
     return obj
@@ -107,8 +110,8 @@ class TangentVector:
 
     The matrix has vanishing diagonal blocks and off-diagonal blocks tied
     by ``lower = -upper^H`` (compact side) or ``lower = +upper^H``
-    (noncompact side).  A vector built from a caller's array keeps a
-    read-only copy of it.
+    (noncompact side).  It is read-only whoever builds it: a vector built
+    from a caller's array keeps a read-only copy of it.
     """
 
     space: SpaceDescriptor
@@ -147,11 +150,7 @@ class FlatCoordinates:
     coords: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.array(self.coords, dtype=np.float64))  # a copy
-        if c.shape[-1] != self.space.rank:
-            raise DomainError(f"expected {self.space.rank} coordinates, got {c.shape[-1]}")
-        if not np.isfinite(c).all():
-            raise DomainError("non-finite flat coordinates")
+        c = _coords_array(np.array(self.coords, dtype=np.float64), self.space.lattice)  # a copy
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
 
@@ -180,10 +179,10 @@ class SubspacePoint:
     The orthonormal frame ``basis`` of the span is computed once, at
     construction, and every comparison reads it; a frame the library built
     orthonormal by construction is passed in as ``basis`` and kept without
-    an SVD; either way the stored frame is read-only.  A point built from a
-    caller's array keeps a read-only copy of it as ``rep``.  Two points are
-    equal when their column spans coincide, and, for the oriented families,
-    when their frames ``rep`` carry the same orientation as well.
+    an SVD.  Both arrays are read-only whoever builds the point; one built
+    from a caller's array keeps a read-only copy of it as ``rep``.  Two
+    points are equal when their column spans coincide, and, for the
+    oriented families, when their frames ``rep`` carry the same orientation.
     """
 
     space: SpaceDescriptor
@@ -415,17 +414,26 @@ def _boost_factors(space: SpaceDescriptor, w: np.ndarray, s: np.ndarray,
         raise DomainError("slope has a singular value >= 1: input is not space-like")
     n = space.n
     ch = 1.0 / np.sqrt((1.0 - s) * (1.0 + s))
-    sch = (s * ch)[..., None, :]
+    sch = s * ch
     wn = w[..., :, :n]
-    zh, wnh = nk.herm(z), nk.herm(wn)
+    wnh = nk.herm(wn)
     a = np.empty(s.shape[:-1] + (space.dim, space.dim), dtype=space.dtype)
-    a[..., :n, :n] = (z * ch[..., None, :]) @ zh
-    a[..., :n, n:] = (z * sch) @ wnh
-    a[..., n:, :n] = (wn * sch) @ zh
+    a[..., :, :n] = _flat_frame(space, z, w, ch, sch)
+    a[..., :n, n:] = (z * sch[..., None, :]) @ wnh
     a[..., n:, n:] = (wn * (ch - 1.0)[..., None, :]) @ wnh
     diag = np.arange(n, space.dim)
     a[..., diag, diag] += 1.0
     return a
+
+
+def _flat_frame(space: SpaceDescriptor, z, w, c, s) -> np.ndarray:
+    """The frame ``[z diag(c) z^H; w[:, :n] diag(s) z^H]`` (or a stack): the
+    image of the base point under ``diag(z, w)`` times a flat element
+    whose (i, n+i) planes have diagonal blocks ``c`` and off-diagonal
+    blocks ``s``: orthonormal when ``c^2 + s^2 = 1``, the boost's first n
+    columns at ``(ch, s ch)``."""
+    zh, wn = nk.herm(z), w[..., :, : space.n]
+    return np.concatenate(((z * c[..., None, :]) @ zh, (wn * s[..., None, :]) @ zh), axis=-2)
 
 
 def _block_diag(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -14,20 +14,19 @@ refuses fewer than one sample, so no report can pass over an empty batch,
 and a seed that is not a non-negative integer, so every report is
 reproducible from (property name, seed, samples).
 
-The triple, equivariance and round-trip checks of one space open with the
-same draw from ``default_rng(seed)``: the slope factors that
-:func:`_slope_factors` draws.  :func:`_shared_draw` takes that draw with what is
-built from it, all at once: the isotropy stack drawn next and the
-form-checked stack of moved and unmoved cosets ``[k a, a]``.  The stack
-keeps the p, g and f images that :func:`embed` gives of it, so the
-triple check, which compares the three images of the unmoved half, and
-the equivariance checks embed it once between them, whichever runs
-first.  The draw of the last ``(space, samples, seed)`` only is kept.
-Every image is a function of the stack alone, so each report is the one
-the check gives alone, in any order of calls.  :func:`run_suite` runs
-space by space and clears the draw once a space's checks have run.  The
-image, cut-radius, cut-loci and triangle checks each draw alone from
-their own generator.
+The triple, equivariance and round-trip checks of one space read one
+opening stack: :func:`_shared_draw` draws from ``default_rng(seed)`` the
+slope factors :func:`_slope_factors` draws, then the isotropy stack
+``k``, and builds the form-checked stack of moved and unmoved cosets
+``[k a, a]``.  The stack keeps its point, that point's frame and slope
+SVD, and its g and f images: the first check to read one computes it.
+Triple compares the three images of the unmoved half, equivariance the
+two halves, and the round trip maps the point of both halves back.  The
+draw of the last ``(space, samples, seed)`` only is kept.  All that is
+kept is a function of the stack alone, so each report is the one the
+check gives alone, in any order of calls.  :func:`run_suite` runs space
+by space and clears the draw once a space's checks have run.  The image,
+cut-radius, cut-loci and triangle checks each draw alone.
 
 :data:`CLAIMS` is the one table of which property is claimed on which
 family; :func:`run_suite` and the CLI read it.
@@ -172,11 +171,6 @@ def _slope_factors(space: SpaceDescriptor, rng, sigma_max, size):
     return k[..., n:, n:], sig, k[..., :n, :n]
 
 
-def _slope(space: SpaceDescriptor, w, sig, z) -> np.ndarray:
-    """The slope ``w[:, :n] diag(sig) z^H`` of factors, or of a stack."""
-    return (w[..., :, : space.n] * sig[..., None, :]) @ nk.herm(z)
-
-
 def random_coset(space: SpaceDescriptor, rng, sigma_max=None,
                  size: int | None = None) -> GroupElement:
     """Random noncompact coset, or a stack of ``size``: the boost of the
@@ -221,15 +215,12 @@ def _generator(samples: int, seed: int):
 
 class _Draw(NamedTuple):
     """The opening draw of the sampled checks on one space at one ``(seed,
-    samples)``, read-only: the factors ``(w, sig, z)`` that
-    :func:`_slope_factors` draws first from ``default_rng(seed)``, the
-    isotropy stack ``k`` the generator draws next, and the stack
-    ``[k a, a]``, form-checked once, of the cosets ``a`` that
-    :func:`random_coset` builds from those factors.  The stack keeps its
-    point, the frame and slope SVD read off it, and its g and f images,
-    for every check that embeds it."""
+    samples)``, read-only: the isotropy stack ``k`` and the stack ``[k a,
+    a]``, form-checked once, of the cosets ``a`` that :func:`random_coset`
+    draws first from ``default_rng(seed)``, ``k`` drawn after them.  The
+    stack keeps its point, the frame and slope SVD read off it, and its g
+    and f images, for every check that reads them."""
 
-    factors: tuple
     isotropy: np.ndarray
     moved_and_unmoved: GroupElement
 
@@ -240,14 +231,12 @@ def _shared_draw(space: SpaceDescriptor, samples: int, seed: int) -> _Draw:
     kept until another is asked for; the space is keyed by identity, and
     an exception is not kept, so a refused stack raises again."""
     rng = _generator(samples, seed)
-    factors = _slope_factors(space, rng, None, samples)
-    boost = _boost_factors(space, *factors)
+    boost = _boost_factors(space, *_slope_factors(space, rng, None, samples))
     k = random_isotropy(space, rng, size=samples)
+    k.flags.writeable = False
     both = _built(GroupElement, space=space, side=Side.NONCOMPACT,
                   a=np.concatenate([k @ boost, boost]))
-    for arr in (*factors, k, both.a):
-        arr.flags.writeable = False
-    return _Draw(factors, k, both)
+    return _Draw(k, both)
 
 
 def _report(name: str, samples: int, seed: int, tol, values, ok=None, **details) -> PropertyReport:
@@ -379,16 +368,15 @@ def check_cut_radius_agreement(space, samples: int = 1000,
 
 def check_round_trip(space, samples: int = 500, seed: int = DEFAULT_SEED,
                      tol: float = 1e-9) -> PropertyReport:
-    """exp(log(point)) reproduces random space-like points: the graphs of the
-    slopes of the space's opening draw."""
-    draw = _shared_draw(space, samples, seed)
-    rep = np.empty((samples, space.dim, space.n), dtype=space.dtype)
-    rep[:, : space.n] = np.eye(space.n)
-    rep[:, space.n :] = _slope(space, *draw.factors)
-    pt = _built(SubspacePoint, space=space, rep=rep)
+    """exp(log(point)) reproduces random space-like points: the point of the
+    space's opening stack ``[k a, a]``, the one p embeds and f reads its
+    slope off.  The residual of sample i is the worse of its two cosets
+    ``k_i a_i`` and ``a_i``."""
+    pt = _shared_draw(space, samples, seed).moved_and_unmoved.point()
     back = nk.exp_tangent(log_noncompact(space, pt).x, hermitian=True)[..., : space.n]
     resid = _built(SubspacePoint, space=space, rep=back).distance(pt)
-    return _report("round-trip/" + space.label(), samples, seed, tol, resid)
+    return _report("round-trip/" + space.label(), samples, seed, tol,
+                   resid.reshape(2, samples).max(axis=0))
 
 
 # ---------------------------------------------------------------------------

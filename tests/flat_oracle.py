@@ -62,4 +62,5 @@ def random_slope(space, rng, sigma_max=None, size=None):
     """The random space-like slope ``w[:, :n] diag(sig) z^H`` (or a stack of
     ``size``) whose boost ``verify.random_coset`` draws from the same
     generator: the slope of the factors ``verify._slope_factors`` draws."""
-    return verify._slope(space, *verify._slope_factors(space, rng, sigma_max, size))
+    w, sig, z = verify._slope_factors(space, rng, sigma_max, size)
+    return (w[..., :, : space.n] * sig[..., None, :]) @ nk.herm(z)

@@ -11,6 +11,7 @@ from dualspace import numkernel as nk
 from dualspace.embeddings import (
     GroupElement,
     b_embed_rank1,
+    coset_from_factors,
     embed,
     f_embed,
     f_flat_rank1,
@@ -37,7 +38,13 @@ from dualspace.spaces import (
     transitivity_element,
 )
 from dualspace.lattice import region_fraction
-from dualspace.verify import catalog_spaces, random_coset, random_orthogonal
+from dualspace.verify import (
+    _shared_draw,
+    catalog_spaces,
+    check_equivariance,
+    random_coset,
+    random_orthogonal,
+)
 
 from expm_oracle import expm
 from flat_oracle import base_point, flat_decompose, in_isotropy
@@ -595,6 +602,53 @@ def test_embed_keeps_the_g_and_f_images_read_only():
     # the g image owns a copy of its n columns, not a view of the whole factor
     frame = embed(GR23, "g", g).basis
     assert frame.flags.owndata and frame.shape == (3, GR23.dim, GR23.n)
+
+
+def held_arrays(obj, path, seen):
+    """(path, array) of every ndarray a value object holds, through tuples
+    and the kept entries of its ``__dict__``, each array once."""
+    if isinstance(obj, np.ndarray):
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            yield path, obj
+    elif isinstance(obj, tuple):
+        for i, item in enumerate(obj):
+            yield from held_arrays(item, f"{path}[{i}]", seen)
+    elif hasattr(obj, "__dataclass_fields__"):
+        for name, value in vars(obj).items():
+            yield from held_arrays(value, f"{path}.{name}", seen)
+
+
+@pytest.mark.parametrize("space", [GR23, GC12, SPHERE], ids=lambda sp: sp.label())
+def test_no_value_the_library_returns_holds_a_writable_array(space):
+    # an array is read-only whoever builds it, the library or a caller: a
+    # NaN written into one later would get past the checks run when its
+    # object was built.  The walk runs after every call, so it sees what
+    # each object keeps (a coset's point and images, a point's slope SVD)
+    rng = np.random.default_rng(61)
+    g = random_coset(space, rng, size=3)
+    f = f_embed(space, g)
+    y = 0.4 * rng.standard_normal((3, space.m, space.n))
+    values = {
+        "random_coset": g,
+        "coset_from_factors": coset_from_factors(space, *slope_svd(space, y)),
+        "p_embed": p_embed(space, g),
+        "g_embed": g_embed(space, g),
+        "g_embed.point": g_embed(space, g).point(),
+        "f_embed": f,
+        **{f"embed.{which}": embed(space, which, g) for which in ("p", "g", "f")},
+        "log_noncompact": log_noncompact(space, g.point()),
+        "log_compact": log_compact(space, f),
+        **{f"point_flat_coords.{side.value}": point_flat_coords(space, g.point(), side)
+           for side in Side},
+        "h_flat": h_flat(point_flat_coords(space, g.point(), Side.NONCOMPACT)),
+        "_shared_draw": _shared_draw(space, 3, 5),
+    }
+    check_equivariance(space, "f", samples=3, seed=5)  # the stack keeps its point and f image
+    seen = set()
+    writable = [path for name, value in values.items()
+                for path, arr in held_arrays(value, name, seen) if arr.flags.writeable]
+    assert writable == [], " ".join(writable)
 
 
 @pytest.mark.parametrize("which", ["p", "g", "f"])

@@ -157,15 +157,13 @@ def test_shared_draws_give_the_reports_of_fresh_ones(monkeypatch):
 
 
 def test_opening_draw_is_what_a_lone_generator_draws():
-    # the factors and the isotropy stack in the generator's order, and the
-    # boost of random_coset, bit for bit, as the unmoved half of the stack
+    # random_coset's cosets and then the isotropy stack, in the generator's
+    # order, bit for bit: the cosets as the unmoved half of the stack
     draw = verify._shared_draw(GR23, 4, 3)
     rng = np.random.default_rng(3)
-    factors = verify._slope_factors(GR23, rng, None, 4)
+    coset = verify.random_coset(GR23, rng, size=4)
     k = verify.random_isotropy(GR23, rng, size=4)
-    assert all(np.array_equal(a, b) for a, b in zip(draw.factors, factors))
     assert np.array_equal(draw.isotropy, k)
-    coset = verify.random_coset(GR23, np.random.default_rng(3), size=4)
     assert np.array_equal(draw.moved_and_unmoved.a, np.concatenate([k @ coset.a, coset.a]))
 
 
@@ -176,23 +174,25 @@ def test_stored_draws_are_read_only():
     both = draw.moved_and_unmoved
     # the stack's point keeps its slope and slope SVD read-only as every
     # kept point does (embeddings._kept), and so do its kept images
-    arrays = [*draw.factors, draw.isotropy, both.a, both.point().rep,
+    arrays = [draw.isotropy, both.a, both.point().rep,
               *_slope_factors(GR23, both.point()),
               *(getattr(verify.embed(GR23, which, both), name)
                 for which in ("g", "f") for name in ("rep", "basis"))]
     assert not any(arr.flags.writeable for arr in arrays)
     with pytest.raises(ValueError, match="read-only"):
-        draw.factors[1][0, 0] = 0.5
+        draw.isotropy[0, 0, 0] = 0.5
 
 
 @pytest.mark.parametrize("space", [GR23, make_space(Family.COMPLEX_GRASSMANNIAN, 2, 2)],
                          ids=lambda sp: sp.label())
 @pytest.mark.parametrize("samples", [2, 64])
 def test_triple_and_equivariance_reports_do_not_depend_on_the_order(space, samples):
-    # whichever of them embeds the shared stack first, the others read the
-    # images it kept: every report is the one the check gives alone
+    # whichever of them reads the shared stack first, the others read the
+    # point, frame, slope SVD and images it kept: every report is the one
+    # the check gives alone
     checks = [(verify.check_triple_equality, ())] + [
-        (verify.check_equivariance, (which,)) for which in ("p", "g", "f")]
+        (verify.check_equivariance, (which,)) for which in ("p", "g", "f")] + [
+        (verify.check_round_trip, ())]
 
     def report(check, extra):
         return check(space, *extra, samples=samples, seed=31).to_dict()
@@ -226,11 +226,12 @@ def test_a_new_seed_or_sample_count_drops_the_store():
                                  (GR23, 4, 4)):
         other = verify._shared_draw(space, samples, seed)
         assert other is not first and held() == 1
-        assert other.factors[1].shape == (samples, space.n)
+        assert other.isotropy.shape == (samples, space.dim, space.dim)
         assert verify._shared_draw(space, samples, seed) is other
     again = verify._shared_draw(GR23, 4, 3)
     assert again is not first
-    assert all(np.array_equal(a, b) for a, b in zip(again.factors, first.factors))
+    assert np.array_equal(again.isotropy, first.isotropy)
+    assert np.array_equal(again.moved_and_unmoved.a, first.moved_and_unmoved.a)
     verify._shared_draw.cache_clear()
     assert held() == 0
 
@@ -579,7 +580,9 @@ def test_round_trip_compares_points(monkeypatch):
     monkeypatch.setattr(nk, "orthonormal_basis", counted)
     r = verify.check_round_trip(GR23, samples=5, seed=3)
     assert r.passed
-    assert calls == [5, 5]  # one frame per point, two points per sample, one stack per side
+    # one frame per point, of both halves of the opening stack [k a, a] and
+    # of the points they map back to: one stack each
+    assert calls == [10, 10]
 
 
 def test_equivariance_counts_orientation(monkeypatch):
