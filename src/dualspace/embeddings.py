@@ -59,6 +59,7 @@ from .spaces import (
     _block_diag,
     _boost_factors,
     _built,
+    _fill,
     _flat_frame,
     in_group,
     slope_svd,
@@ -72,18 +73,15 @@ BOUNDARY_GUARD = 1e-13
 @dataclass(frozen=True, eq=False)
 class GroupElement:
     """A form-preserving matrix representing a coset point, or a stack of
-    them, read-only whoever builds it: built from a caller's array, it
-    keeps a read-only copy of it."""
+    them.  Its matrix is read-only, as every value's arrays are
+    (``spaces._fill``)."""
 
     space: SpaceDescriptor
     side: Side
     a: np.ndarray
 
     def __post_init__(self):
-        a = np.array(nk.as_matrix(self.a, dtype=self.space.dtype))  # a copy
-        a.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        self._check()
+        _fill(self, a=np.array(nk.as_matrix(self.a, dtype=self.space.dtype)))  # a copy
 
     def _check(self):
         if not in_group(self.space, self.a, self.side):
@@ -98,31 +96,29 @@ class GroupElement:
 def coset_from_factors(space: SpaceDescriptor, w: np.ndarray, s: np.ndarray,
                        z: np.ndarray) -> GroupElement:
     """The coset of the slope ``w[:, :n] diag(s) z^H`` (or a stack) from
-    factors in :func:`slope_svd`'s conventions, by :func:`_boost_factors`.
-    Its point keeps the frame ``[z C z^H; w[:, :n] S z^H]``,
-    ``C = 1/sqrt(1 + s^2)``, ``S = s C``, and the factors as its slope SVD,
-    read-only, as its matrix is."""
-    g = _built(GroupElement, space=space, side=Side.NONCOMPACT, a=_boost_factors(space, w, s, z))
+    factors in :func:`slope_svd`'s conventions, by :func:`_boost_factors`,
+    built together with the point it keeps.  That point keeps the frame
+    ``[z C z^H; w[:, :n] S z^H]``, ``C = 1/sqrt(1 + s^2)``, ``S = s C``, and
+    the factors as its slope SVD.  It takes ownership of ``w``, ``s`` and
+    ``z``, which it makes read-only."""
+    a = _boost_factors(space, w, s, z)
     c = 1.0 / np.sqrt(1.0 + s * s)
-    frame = _flat_frame(space, z, w, c, s * c)
-    point = _kept(g, "_point", lambda: _built(SubspacePoint, space=space, rep=g.a[..., : space.n],
-                                              basis=frame))
-    _kept(point, "_slope_svd", lambda: (w, s, z))
-    return g
+    point = _built(SubspacePoint, space=space, rep=a[..., : space.n],
+                   basis=_flat_frame(space, z, w, c, s * c),
+                   _slope_svd=tuple(map(nk.read_only, (w, s, z))))
+    return _built(GroupElement, space=space, side=Side.NONCOMPACT, a=a, _point=point)
 
 
 def _kept(obj, name: str, compute):
     """``compute()``, stored on the immutable ``obj`` under ``name`` on first
-    use and read back after, read-only: a frame or slope of a coset is
-    computed once for every map and check that reads it.  An exception is
-    not stored, so a refused point raises again on the next read."""
+    use and read back after: a frame or slope of a coset is computed once
+    for every map and check that reads it.  What it stores is read-only
+    already, as every array a value holds is: a value, or the slope SVD
+    :func:`_slope_factors` freezes.  An exception is not stored, so a
+    refused point raises again on the next read."""
     kept = obj.__dict__
     if name not in kept:
-        value = compute()
-        for arr in value if isinstance(value, tuple) else (value,):
-            if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
-        kept[name] = value
+        kept[name] = compute()
     return kept[name]
 
 
@@ -140,7 +136,7 @@ def h_flat(coords: FlatCoordinates) -> FlatCoordinates:
     """
     out = np.arctan(np.tanh(np.pi * coords.coords)) / np.pi
     limit = np.nextafter(0.25, 0.0)
-    return FlatCoordinates(coords.space, -np.clip(out, -limit, limit))
+    return _built(FlatCoordinates, space=coords.space, coords=-np.clip(out, -limit, limit))
 
 
 def _rank1_profile(t, k: float):
@@ -254,8 +250,9 @@ def _slope_block(space: SpaceDescriptor, point: SubspacePoint) -> np.ndarray:
 
 def _slope_factors(space: SpaceDescriptor, point: SubspacePoint):
     """:func:`slope_svd` of the point's slope, taken once per point and read
-    by the logs of both sides, f and :func:`space_like` alike."""
-    return _kept(point, "_slope_svd", lambda: slope_svd(space, _slope_block(space, point)))
+    by the logs of both sides, f and :func:`space_like` alike, read-only."""
+    return _kept(point, "_slope_svd", lambda: tuple(
+        map(nk.read_only, slope_svd(space, _slope_block(space, point)))))
 
 
 def _checked_slope_svd(space: SpaceDescriptor, point: SubspacePoint):
@@ -311,7 +308,7 @@ def _log_flat(space: SpaceDescriptor, point: SubspacePoint, side: Side):
         w, sig, z = _slope_factors(space, point)
         w, sig = _negated_factors(space, w, sig)
         cart = np.arctan(sig)
-    return z, w, FlatCoordinates(space, cart @ space.lattice_inv.T)
+    return z, w, _built(FlatCoordinates, space=space, coords=cart @ space.lattice_inv.T)
 
 
 def _log(space: SpaceDescriptor, point: SubspacePoint, side: Side) -> TangentVector:

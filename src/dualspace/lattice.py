@@ -54,11 +54,9 @@ class LatticeBasis:
         gens = np.array(self.generators, dtype=np.float64)
         if gens.ndim != 2 or gens.shape[0] != gens.shape[1]:
             raise DomainError("generators must form a square coordinate matrix")
-        gens.flags.writeable = False
-        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "generators", nk.read_only(gens))
         gram = gens.T @ gens
-        gram = 0.5 * (gram + gram.T)
-        gram.flags.writeable = False
+        gram = nk.read_only(0.5 * (gram + gram.T))
         eigs = np.linalg.eigvalsh(gram)
         if eigs[0] <= 0.0:
             raise DomainError("lattice Gram matrix must be positive definite")

@@ -6,8 +6,8 @@ operations follow numpy promotion (real operands are upcast to complex,
 never the other way around).  The kernels take a matrix or a stack of
 matrices: leading axes index samples, the last two are the matrix, and a
 stack is checked once, with every slice held to the test a single matrix
-meets.  Every function here is pure: arguments are never mutated, so
-values are safe to share across threads.
+meets.  Every function here but :func:`read_only` is pure: arguments are
+never mutated, so values are safe to share across threads.
 
 The library's exponentials are all of tangent vectors, which are
 Hermitian (noncompact side) or skew-Hermitian (compact side), and
@@ -46,6 +46,14 @@ def as_matrix(a, dtype=None) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise DomainError("matrix has non-finite entries")
     return out
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only in place: the one place the library sets an
+    array's ``writeable`` flag, for the arrays of every value, descriptor
+    and lattice it builds."""
+    a.flags.writeable = False
+    return a
 
 
 def is_real(a: np.ndarray) -> bool:

@@ -89,18 +89,25 @@ class SpaceDescriptor:
         return f"{self.family.value}({self.n},{self.m})"
 
 
-def _built(cls, **fields):
-    """An instance of one of the frozen value classes holding arrays the
-    library built itself, each made read-only as a caller's copy is:
-    ``as_matrix`` is skipped, and only the class's own invariant check
-    ``_check`` runs, once for a whole stack."""
-    obj = object.__new__(cls)
+def _fill(obj, **fields):
+    """The one constructor body of the value classes (tangent vectors, flat
+    coordinates, points and ``embeddings.GroupElement``): set ``fields`` on
+    ``obj``, make each array among them read-only, so every array a value
+    holds is, and run the class's invariant check ``_check``, once for a
+    whole stack.  A public constructor hands it a private copy of the
+    caller's array, :func:`_built` the arrays the library built."""
     for name, value in fields.items():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-        object.__setattr__(obj, name, value)
+        object.__setattr__(obj, name,
+                           nk.read_only(value) if isinstance(value, np.ndarray) else value)
     obj._check()
     return obj
+
+
+def _built(cls, **fields):
+    """An instance of a value class holding arrays the library built
+    itself, kept with no copy and no ``as_matrix``, read-only by
+    :func:`_fill`."""
+    return _fill(object.__new__(cls), **fields)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +117,8 @@ class TangentVector:
 
     The matrix has vanishing diagonal blocks and off-diagonal blocks tied
     by ``lower = -upper^H`` (compact side) or ``lower = +upper^H``
-    (noncompact side).  It is read-only whoever builds it: a vector built
-    from a caller's array keeps a read-only copy of it.
+    (noncompact side).  Its matrix is read-only, as every value's arrays
+    are (:func:`_fill`).
     """
 
     space: SpaceDescriptor
@@ -119,10 +126,7 @@ class TangentVector:
     x: np.ndarray
 
     def __post_init__(self):
-        x = np.array(nk.as_matrix(self.x, dtype=self.space.dtype))  # a copy
-        x.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        self._check()
+        _fill(self, x=np.array(nk.as_matrix(self.x, dtype=self.space.dtype)))  # a copy
 
     def _check(self):
         x = self.x
@@ -143,16 +147,18 @@ class TangentVector:
 @dataclass(frozen=True, eq=False)
 class FlatCoordinates:
     """Coordinates of a flat tangent vector in the lattice basis; a stack of
-    vectors has shape (..., rank).  The coordinates are a read-only copy of
-    the caller's array."""
+    vectors has shape (..., rank), checked by the lattice's coordinate
+    rule.  The coordinates are read-only, as every value's arrays are
+    (:func:`_fill`)."""
 
     space: SpaceDescriptor
     coords: np.ndarray
 
     def __post_init__(self):
-        c = _coords_array(np.array(self.coords, dtype=np.float64), self.space.lattice)  # a copy
-        c.flags.writeable = False
-        object.__setattr__(self, "coords", c)
+        _fill(self, coords=np.array(self.coords, dtype=np.float64))  # a copy
+
+    def _check(self):
+        _coords_array(self.coords, self.space.lattice)
 
     def cartan_coords(self) -> np.ndarray:
         """Coordinates with respect to the generators R_i."""
@@ -179,10 +185,10 @@ class SubspacePoint:
     The orthonormal frame ``basis`` of the span is computed once, at
     construction, and every comparison reads it; a frame the library built
     orthonormal by construction is passed in as ``basis`` and kept without
-    an SVD.  Both arrays are read-only whoever builds the point; one built
-    from a caller's array keeps a read-only copy of it as ``rep``.  Two
-    points are equal when their column spans coincide, and, for the
-    oriented families, when their frames ``rep`` carry the same orientation.
+    an SVD.  Both arrays are read-only, as every value's arrays are
+    (:func:`_fill`).  Two points are equal when their column spans
+    coincide, and, for the oriented families, when their frames ``rep``
+    carry the same orientation.
     """
 
     space: SpaceDescriptor
@@ -190,17 +196,13 @@ class SubspacePoint:
     basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rep = np.array(nk.as_matrix(self.rep, dtype=self.space.dtype))  # a copy
-        rep.flags.writeable = False
-        object.__setattr__(self, "rep", rep)
-        self._check()
+        _fill(self, rep=np.array(nk.as_matrix(self.rep, dtype=self.space.dtype)))  # a copy
 
     def _check(self):
         if self.rep.shape[-2:] != (self.space.dim, self.space.n):
             raise DomainError(f"representative must be {self.space.dim} x {self.space.n}")
         if "basis" not in vars(self):
-            object.__setattr__(self, "basis", nk.orthonormal_basis(self.rep))
-        self.basis.flags.writeable = False
+            object.__setattr__(self, "basis", nk.read_only(nk.orthonormal_basis(self.rep)))
 
     def distance(self, other: "SubspacePoint"):
         return nk.frame_distance(self.basis, other.basis)
@@ -251,19 +253,14 @@ class FamilyRow(NamedTuple):
     lattice_coeff: np.ndarray | None = None
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 FAMILIES = {
     Family.REAL_GRASSMANNIAN: FamilyRow("real", 0.5, False),
     Family.COMPLEX_GRASSMANNIAN: FamilyRow("complex", 0.5, False),
     # generators pi*(R_1 + R_2) and pi*(R_1 - R_2): orthogonal, equal length
-    Family.ORIENTED_TWO_PLANE: FamilyRow("real", 0.5, True, ("oriented2",), 2, _read_only(
+    Family.ORIENTED_TWO_PLANE: FamilyRow("real", 0.5, True, ("oriented2",), 2, nk.read_only(
         np.pi * np.array([[1.0, 1.0], [1.0, -1.0]]))),
     Family.CIRCLE_SPHERE: FamilyRow("real", 2.0, True, ("circle",), 1,
-                                    _read_only(2.0 * np.pi * np.eye(1))),
+                                    nk.read_only(2.0 * np.pi * np.eye(1))),
 }
 
 
@@ -308,7 +305,7 @@ def make_space(family: Family, n: int, m: int) -> SpaceDescriptor:
     if row.fixed_n not in (None, n):
         raise DomainError(f"the {family.value} family needs n = {row.fixed_n}, got n={n}")
 
-    coeff = _read_only(np.pi * np.eye(n)) if row.lattice_coeff is None else row.lattice_coeff
+    coeff = nk.read_only(np.pi * np.eye(n)) if row.lattice_coeff is None else row.lattice_coeff
     gen_norm = np.sqrt(2.0 * row.metric_scale)  # |R_i| under the family metric
     return SpaceDescriptor(
         family=family,
@@ -318,9 +315,9 @@ def make_space(family: Family, n: int, m: int) -> SpaceDescriptor:
         field=row.field,
         metric_scale=row.metric_scale,
         oriented=row.oriented,
-        form_j=_read_only(np.diag(np.concatenate([np.ones(n), -np.ones(m)]))),
+        form_j=nk.read_only(np.diag(np.concatenate([np.ones(n), -np.ones(m)]))),
         lattice_coeff=coeff,
-        lattice_inv=_read_only(np.linalg.inv(coeff)),
+        lattice_inv=nk.read_only(np.linalg.inv(coeff)),
         lattice=LatticeBasis(generators=gen_norm * coeff),
     )
 

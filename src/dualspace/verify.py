@@ -10,9 +10,9 @@ under test are exact, so a single bad sample is a failure, and a NaN is a
 failure and the worst.  ``failures`` counts failing samples, and the worst
 sample is a failing one whenever any fails; :func:`_report` builds every
 report by this rule.  Every check draws from :func:`_generator`, which
-refuses fewer than one sample, so no report can pass over an empty batch,
-and a seed that is not a non-negative integer, so every report is
-reproducible from (property name, seed, samples).
+refuses a sample count that is not an integer of at least one, so no
+report passes over an empty batch, and a seed that is not a non-negative
+integer, so every report is reproducible from (property name, seed, samples).
 
 The triple, equivariance and round-trip checks of one space read one
 opening stack: :func:`_shared_draw` draws from ``default_rng(seed)`` the
@@ -200,16 +200,16 @@ def random_unit_flat(space: SpaceDescriptor, rng, size: int | None = None) -> np
 
 
 def _generator(samples: int, seed: int):
-    """The seeded generator of one check, which must draw at least one
-    sample from a non-negative integer seed."""
-    if samples < 1:
-        raise DomainError(f"a check needs at least one sample, got {samples}")
-    try:
-        ok = operator.index(seed) >= 0
-    except TypeError:
-        ok = False
-    if not ok:
-        raise DomainError(f"a check needs a non-negative integer seed, got {seed!r}")
+    """The seeded generator of one check, which must draw an integer count
+    of at least one sample from a non-negative integer seed."""
+    for what, value, least in (("an integer count of at least one sample", samples, 1),
+                               ("a non-negative integer seed", seed, 0)):
+        try:
+            ok = operator.index(value) >= least
+        except TypeError:
+            ok = False
+        if not ok:
+            raise DomainError(f"a check needs {what}, got {value!r}")
     return np.random.default_rng(seed)
 
 
@@ -232,8 +232,7 @@ def _shared_draw(space: SpaceDescriptor, samples: int, seed: int) -> _Draw:
     an exception is not kept, so a refused stack raises again."""
     rng = _generator(samples, seed)
     boost = _boost_factors(space, *_slope_factors(space, rng, None, samples))
-    k = random_isotropy(space, rng, size=samples)
-    k.flags.writeable = False
+    k = nk.read_only(random_isotropy(space, rng, size=samples))
     both = _built(GroupElement, space=space, side=Side.NONCOMPACT,
                   a=np.concatenate([k @ boost, boost]))
     return _Draw(k, both)
@@ -349,7 +348,7 @@ def check_cut_loci_grassmannian(space, samples: int = 100,
     rng = _generator(samples, seed)
     xl = random_unit_flat(space, rng, size=samples)
     t0 = cut_radius_closed(xl, space.lattice)
-    flat = FlatCoordinates(space, xl).matrix(Side.COMPACT)
+    flat = _built(FlatCoordinates, space=space, coords=xl).matrix(Side.COMPACT)
     times = np.stack([t0, t0 - 0.01])[..., None, None]
     frames = nk.exp_tangent(times * flat, hermitian=False)[..., : space.n]
     deficient, full = np.linalg.svd(frames[..., : space.n, :], compute_uv=False)[..., -1]

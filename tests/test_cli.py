@@ -73,24 +73,37 @@ def test_cli_reads_no_private_name_of_the_library():
     assert found == []
 
 
-def calls_in_scopes(node, name, scope="<module>"):
-    """The innermost def or class around each call of ``name`` under node."""
+def scopes_of(node, hit, scope):
+    """The qualified name of the innermost def or class around each node
+    under ``node`` that ``hit`` accepts, ``scope`` at the top."""
     for child in ast.iter_child_nodes(node):
-        inner = child.name if isinstance(
+        inner = f"{scope}.{child.name}" if isinstance(
             child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope
-        if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
-                                                    getattr(child.func, "attr", None)):
+        if hit(child):
             yield inner
-        yield from calls_in_scopes(child, name, inner)
+        yield from scopes_of(child, hit, inner)
+
+
+def library_scopes(hit):
+    """``module.scope`` of each node of the library's source that ``hit`` accepts."""
+    return [scope for path in sorted(Path(dualspace.__file__).parent.glob("*.py"))
+            for scope in scopes_of(ast.parse(path.read_text()), hit, path.stem)]
 
 
 def test_only_the_report_rule_builds_a_report():
     # what failures counts and which sample is worst has one implementation:
     # every check reports through verify._report
-    found = [f"{path.stem}.{scope}"
-             for path in sorted(Path(dualspace.__file__).parent.glob("*.py"))
-             for scope in calls_in_scopes(ast.parse(path.read_text()), "PropertyReport")]
+    found = library_scopes(lambda node: isinstance(node, ast.Call) and "PropertyReport" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
     assert found == ["verify._report"]
+
+
+def test_only_one_function_makes_an_array_read_only():
+    # "every array a value holds is read-only" has one implementation:
+    # values, descriptors and lattices freeze through numkernel.read_only
+    found = library_scopes(lambda node: isinstance(node, ast.Attribute)
+                           and node.attr == "writeable" and isinstance(node.ctx, ast.Store))
+    assert found == ["numkernel.read_only"]
 
 
 # numkernel.projector is called by the acceptance suite (criterion 8)

@@ -241,10 +241,8 @@ def test_a_check_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
     # a report is reproducible from (property, seed, samples) only, so no
     # check draws from fresh entropy, and none keeps a draw it refused
     for _, check, extra, families in verify.CLAIMS:
-        target = () if families is None else (
-            next(sp for sp in verify.catalog_spaces() if sp.family in families),)
         with pytest.raises(DomainError, match="non-negative integer seed"):
-            check(*target, *extra, samples=4, seed=seed)
+            check(*claimed_target(families), *extra, samples=4, seed=seed)
     assert held() == 0
 
 
@@ -554,14 +552,33 @@ def test_failures_count_samples_in_every_report():
     assert trig.failures == trig.samples == 10
 
 
-@pytest.mark.parametrize("samples", [0, -1])
-@pytest.mark.parametrize("check, extra, families", [row[1:] for row in verify.CLAIMS],
-                         ids=["-".join((row[0],) + row[2]) for row in verify.CLAIMS])
-def test_every_claimed_check_refuses_empty_batches(check, extra, families, samples):
-    target = () if families is None else (
+every_claimed_check = pytest.mark.parametrize(
+    "check, extra, families", [row[1:] for row in verify.CLAIMS],
+    ids=["-".join((row[0],) + row[2]) for row in verify.CLAIMS])
+
+
+def claimed_target(families):
+    """The space argument of a check claimed on ``families``: none for the
+    space-free row, else the first catalog space of those families."""
+    return () if families is None else (
         next(sp for sp in verify.catalog_spaces() if sp.family in families),)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+@every_claimed_check
+def test_every_claimed_check_refuses_empty_batches(check, extra, families, samples):
     with pytest.raises(DomainError, match="at least one sample"):
-        check(*target, *extra, samples=samples)
+        check(*claimed_target(families), *extra, samples=samples)
+
+
+@pytest.mark.parametrize("samples", [2.5, 2.0, "3"])
+@every_claimed_check
+def test_every_claimed_check_refuses_a_sample_count_that_is_not_an_integer(
+        check, extra, families, samples):
+    # refused as the seed is, before any draw: not a numpy or comparison TypeError
+    with pytest.raises(DomainError, match="integer count of at least one sample"):
+        check(*claimed_target(families), *extra, samples=samples)
+    assert held() == 0
 
 
 def test_run_suite_refuses_zero_samples():
