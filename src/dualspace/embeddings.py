@@ -68,6 +68,8 @@ from .spaces import (
 # the library's only space-like tolerance: the logs and f refuse slope
 # singular values in [1 - 1e-13, 1), where artanh amplifies roundoff
 BOUNDARY_GUARD = 1e-13
+# the largest double below 1/4, the bound of h_flat's open quarter box
+_QUARTER_INSIDE = np.nextafter(0.25, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,8 +137,8 @@ def h_flat(coords: FlatCoordinates) -> FlatCoordinates:
     so the image stays open.
     """
     out = np.arctan(np.tanh(np.pi * coords.coords)) / np.pi
-    limit = np.nextafter(0.25, 0.0)
-    return _built(FlatCoordinates, space=coords.space, coords=-np.clip(out, -limit, limit))
+    out = np.minimum(np.maximum(out, -_QUARTER_INSIDE), _QUARTER_INSIDE)
+    return _built(FlatCoordinates, space=coords.space, coords=-out)
 
 
 def _rank1_profile(t, k: float):
@@ -144,10 +146,10 @@ def _rank1_profile(t, k: float):
     t, an array over an array.  |tanh(t/k)| >= 1 - ``BOUNDARY_GUARD`` raises
     NumericalError: tanh rounds to 1 soon after, and the angle to the wall."""
     t = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise DomainError("need a finite flat parameter")
     h = np.tanh(t / k)
-    if np.any(np.abs(h) >= 1.0 - BOUNDARY_GUARD):
+    if (np.abs(h) >= 1.0 - BOUNDARY_GUARD).any():
         raise NumericalError("flat parameter too close to the boundary for double precision")
     return nk.per_slice(k * np.arctan(h))
 

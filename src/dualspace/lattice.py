@@ -97,7 +97,7 @@ def _coords_array(coords, basis: LatticeBasis):
     x = np.asarray(coords, dtype=np.float64)
     if x.ndim < 1 or x.shape[-1] != basis.rank:
         raise DomainError(f"expected {basis.rank} flat coordinates, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DomainError("non-finite flat coordinates")
     return x
 
@@ -111,7 +111,7 @@ def _unit_direction(x, gram):
     # scaled to max |x_i| = 1 first, so the Gram norm of a finite nonzero x
     # neither overflows nor underflows
     scale = np.abs(x).max(axis=-1, keepdims=True)
-    if not np.all(scale > 0.0):
+    if not (scale > 0.0).all():
         raise DomainError("zero flat direction")
     x = x / scale
     return x / np.sqrt(_norm2(x, gram))[..., None]

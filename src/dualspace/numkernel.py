@@ -37,13 +37,13 @@ def as_matrix(a, dtype=None) -> np.ndarray:
         raise DomainError(f"unsupported entry type {out.dtype}")
     if dtype is not None:
         if out.dtype.kind == "c" and np.dtype(dtype).kind != "c":
-            if np.any(out.imag != 0.0):
+            if (out.imag != 0.0).any():
                 raise DomainError("complex entries where a real matrix is expected")
             out = out.real
         out = out.astype(dtype, copy=False)
     if out.ndim < 2:
         raise DomainError(f"expected a matrix, got array of ndim {out.ndim}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise DomainError("matrix has non-finite entries")
     return out
 
@@ -61,8 +61,15 @@ def is_real(a: np.ndarray) -> bool:
 
 
 def herm(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix, or of each slice of a stack."""
-    return a.conj().swapaxes(-1, -2)
+    """Conjugate transpose of a matrix, or of each slice of a stack: a view
+    of a real ``a``."""
+    return (a.conj() if a.dtype.kind == "c" else a).swapaxes(-1, -2)
+
+
+def norm(a: np.ndarray, axis):
+    """The 2-norm along one axis, or the Frobenius norm over two, by the
+    formula ``np.linalg.norm`` evaluates, without its dispatch."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=axis))
 
 
 def per_slice(x):
@@ -143,4 +150,4 @@ def frame_distance(q1: np.ndarray, q2: np.ndarray):
     frames, an array over stacks of them."""
     if q1.shape[-2] != q2.shape[-2]:
         raise DomainError(f"ambient dimensions differ: {q1.shape[-2]} vs {q2.shape[-2]}")
-    return per_slice(np.linalg.norm(q1 @ herm(q1) - q2 @ herm(q2), axis=(-2, -1)))
+    return per_slice(norm(q1 @ herm(q1) - q2 @ herm(q2), (-2, -1)))

@@ -12,21 +12,28 @@ sample is a failing one whenever any fails; :func:`_report` builds every
 report by this rule.  Every check draws from :func:`_generator`, which
 refuses a sample count that is not an integer of at least one, so no
 report passes over an empty batch, and a seed that is not a non-negative
-integer, so every report is reproducible from (property name, seed, samples).
+integer, so every report is reproducible from (property name, seed,
+samples); a bool is neither.
 
-The triple, equivariance and round-trip checks of one space read one
-opening stack: :func:`_shared_draw` draws from ``default_rng(seed)`` the
-slope factors :func:`_slope_factors` draws, then the isotropy stack
-``k``, and builds the form-checked stack of moved and unmoved cosets
-``[k a, a]``.  The stack keeps its point, that point's frame and slope
-SVD, and its g and f images: the first check to read one computes it.
-Triple compares the three images of the unmoved half, equivariance the
-two halves, and the round trip maps the point of both halves back.  The
-draw of the last ``(space, samples, seed)`` only is kept.  All that is
-kept is a function of the stack alone, so each report is the one the
-check gives alone, in any order of calls.  :func:`run_suite` runs space
-by space and clears the draw once a space's checks have run.  The image,
-cut-radius, cut-loci and triangle checks each draw alone.
+The triple, equivariance, round-trip and image checks of one space read
+one opening draw: :func:`_shared_draw` draws from ``default_rng(seed)``
+the slope factors :func:`_slope_factors` draws, then the isotropy stack
+``k``, and keeps both.  The image check builds its cosets from those
+factors, with the top singular value of every fifth slope set to 1 -
+1e-6, next to the boundary.  The triple, equivariance and round-trip
+checks read the form-checked stack of moved and unmoved cosets
+``[k a, a]``, built from the same factors when the first of them reads
+it, so a lone image check builds none.  The stack keeps its point, that
+point's frame and slope SVD, and its g and f images, each computed by
+the first check to read it.  Triple compares the three images of the
+unmoved half, equivariance the two halves, and the round trip maps the
+point of both halves back.  The draw of the last ``(space, samples,
+seed)`` only is kept, and a check refuses a bad sample count or seed
+before it reads the memo.  All that is kept is a function of the draw
+alone, so each report is the one the check gives alone, in any order of
+calls.  :func:`run_suite` runs space by space and clears the draw once a
+space's checks have run.  The cut-radius, cut-loci, stereographic image
+and triangle checks each draw alone.
 
 :data:`CLAIMS` is the one table of which property is claimed on which
 family; :func:`run_suite` and the CLI read it.
@@ -137,8 +144,10 @@ def random_orthogonal(rng, k, complex_: bool = False, special: bool = False,
         raise NumericalError("singular Gaussian draw: its polar factor is not unique")
     q = u @ vh
     for span in spans:
-        q[..., span, : span.start] = 0.0
-        q[..., span, span.stop :] = 0.0
+        if span.start:
+            q[..., span, : span.start] = 0.0
+        if span.stop < q.shape[-1]:
+            q[..., span, span.stop :] = 0.0
     if special:
         for span in spans:
             q[..., :, span.stop - 1] /= np.linalg.det(q[..., span, span])[..., None]
@@ -152,33 +161,44 @@ def random_isotropy(space: SpaceDescriptor, rng, size: int | None = None) -> np.
                              special=space.oriented, size=size)
 
 
-def _slope_factors(space: SpaceDescriptor, rng, sigma_max, size):
-    """The factors ``(w, sig, z)`` of a random space-like slope ``w[:, :n]
-    diag(sig) z^H``, or a stack of ``size``, drawn in this order: the
-    singular values, descending as :func:`slope_svd` gives them, the
-    largest ``sigma_max`` (a value, or one per slope) or uniform in [0,
-    0.95], then a random isotropy element diag(z, w).  The n - 1 values
-    below ``sig[0]`` are the order statistics of as many uniform draws,
-    built from them by Renyi's representation: ``D_j = D_(j-1)
-    u_j^(1/(n-j))``."""
+class _Slopes(NamedTuple):
+    """The drawn factors of a random space-like slope ``w[:, :n] diag(sig)
+    z^H``, or of a stack: the top singular values ``top``, the ratios
+    ``sig[1:] / sig[0]`` of the lower ones to it, and the isotropy blocks
+    ``w`` and ``z``."""
+
+    top: np.ndarray
+    ratios: np.ndarray
+    w: np.ndarray
+    z: np.ndarray
+
+    def svd(self, top) -> tuple:
+        """``(w, sig, z)`` in :func:`slope_svd`'s conventions, with top
+        singular values ``top`` (the drawn ones, or a value or one per
+        slope in their place) and the lower ones the kept ratios times
+        them; ``sig`` is a new array."""
+        sig = np.empty(self.ratios.shape[:-1] + (self.ratios.shape[-1] + 1,))
+        sig[..., 0] = top
+        sig[..., 1:] = self.ratios * sig[..., :1]
+        return self.w, sig, self.z
+
+
+def _slope_factors(space: SpaceDescriptor, rng, size) -> _Slopes:
+    """The :class:`_Slopes` of a random space-like slope, or of a stack of
+    ``size``, drawn in this order: the top singular values, uniform in
+    [0, 0.95], then n - 1 uniforms ``u``, then a random isotropy element
+    diag(z, w).  The n - 1 values below the top are the order statistics
+    of as many uniform draws, descending as :func:`slope_svd` gives them,
+    built by Renyi's representation ``D_j = D_(j-1) u_j^(1/(n-j))``: the
+    ratios are the cumulative products of the ``u_j^(1/(n-j))``."""
     shape = () if size is None else (size,)
     n = space.n
-    sig = np.empty(shape + (n,))
-    sig[..., 0] = rng.uniform(0.0, 0.95, size=shape) if sigma_max is None else sigma_max
+    top = rng.uniform(0.0, 0.95, size=shape)
     u = rng.uniform(0.0, 1.0, size=shape + (n - 1,))
-    sig[..., 1:] = np.cumprod(u ** (1.0 / np.arange(n - 1, 0, -1)), axis=-1) * sig[..., :1]
+    ratios = np.cumprod(u ** (1.0 / np.arange(n - 1, 0, -1)), axis=-1)
     k = random_isotropy(space, rng, size)
-    return k[..., n:, n:], sig, k[..., :n, :n]
-
-
-def random_coset(space: SpaceDescriptor, rng, sigma_max=None,
-                 size: int | None = None) -> GroupElement:
-    """Random noncompact coset, or a stack of ``size``: the boost of the
-    slope whose factors :func:`_slope_factors` draws, built by
-    :func:`coset_from_factors` from those factors, so no SVD is taken and
-    its point keeps its frame and slope SVD.  The form check runs once on
-    the whole stack."""
-    return coset_from_factors(space, *_slope_factors(space, rng, sigma_max, size))
+    # copies of the blocks, so a kept draw does not hold k's zero blocks
+    return _Slopes(top, ratios, k[..., n:, n:].copy(), k[..., :n, :n].copy())
 
 
 def random_unit_flat(space: SpaceDescriptor, rng, size: int | None = None) -> np.ndarray:
@@ -187,8 +207,8 @@ def random_unit_flat(space: SpaceDescriptor, rng, size: int | None = None) -> np
     shape = (space.rank,) if size is None else (size, space.rank)
     x = rng.standard_normal(shape)
     while True:
-        short = np.linalg.norm(x, axis=-1) < 1e-3
-        if not np.any(short):
+        short = nk.norm(x, -1) < 1e-3
+        if not short.any():
             break
         x[short] = rng.standard_normal((int(np.count_nonzero(short)), space.rank))
     g = space.lattice.gram
@@ -199,43 +219,68 @@ def random_unit_flat(space: SpaceDescriptor, rng, size: int | None = None) -> np
 # property checks
 
 
-def _generator(samples: int, seed: int):
-    """The seeded generator of one check, which must draw an integer count
-    of at least one sample from a non-negative integer seed."""
+def _checked(samples, seed) -> tuple:
+    """``(samples, seed)`` as Python ints: a check draws an integer count of
+    at least one sample from a non-negative integer seed, and refuses
+    anything else, a bool included, with DomainError before it draws or
+    reads a kept draw."""
+    if type(samples) is int and type(seed) is int and samples >= 1 and seed >= 0:
+        return samples, seed
+    counts = []
     for what, value, least in (("an integer count of at least one sample", samples, 1),
                                ("a non-negative integer seed", seed, 0)):
         try:
-            ok = operator.index(value) >= least
+            count = operator.index(value)
         except TypeError:
-            ok = False
-        if not ok:
+            count = None
+        if count is None or isinstance(value, bool) or count < least:
             raise DomainError(f"a check needs {what}, got {value!r}")
-    return np.random.default_rng(seed)
+        counts.append(count)
+    return tuple(counts)
 
 
-class _Draw(NamedTuple):
+def _generator(samples, seed):
+    """The seeded generator of one check, refusing what :func:`_checked`
+    refuses."""
+    return np.random.default_rng(_checked(samples, seed)[1])
+
+
+@dataclass(frozen=True, eq=False)
+class _Draw:
     """The opening draw of the sampled checks on one space at one ``(seed,
-    samples)``, read-only: the isotropy stack ``k`` and the stack ``[k a,
-    a]``, form-checked once, of the cosets ``a`` that :func:`random_coset`
-    draws first from ``default_rng(seed)``, ``k`` drawn after them.  The
-    stack keeps its point, the frame and slope SVD read off it, and its g
-    and f images, for every check that reads them."""
+    samples)``, read-only: the factors ``slopes`` that
+    :func:`_slope_factors` draws first from ``default_rng(seed)``, and the
+    isotropy stack ``isotropy`` (``k``) drawn after them.  The image check
+    builds its cosets from the factors; the others read the stack
+    :attr:`moved_and_unmoved`."""
 
+    space: SpaceDescriptor
+    slopes: _Slopes
     isotropy: np.ndarray
-    moved_and_unmoved: GroupElement
+
+    @functools.cached_property
+    def moved_and_unmoved(self) -> GroupElement:
+        """The stack ``[k a, a]`` of moved and unmoved cosets ``a``, the
+        boosts of the drawn slopes, form-checked once and built when first
+        read.  It keeps its point, the frame and slope SVD read off it, and
+        its g and f images, for every check that reads them.  A refused
+        stack is not kept, so it raises again on the next read."""
+        boost = _boost_factors(self.space, *self.slopes.svd(self.slopes.top))
+        k = self.isotropy
+        return _built(GroupElement, space=self.space, side=Side.NONCOMPACT,
+                      a=np.concatenate([k @ boost, boost]))
 
 
 @functools.lru_cache(maxsize=1)
 def _shared_draw(space: SpaceDescriptor, samples: int, seed: int) -> _Draw:
     """The :class:`_Draw` of the last ``(space, samples, seed)`` asked for,
-    kept until another is asked for; the space is keyed by identity, and
-    an exception is not kept, so a refused stack raises again."""
+    kept until another is asked for; the space is keyed by identity.  The
+    isotropy stack is drawn at once, so no generator state is kept.  A
+    caller passes counts :func:`_checked` has returned, so the memo never
+    hashes a value a check refuses."""
     rng = _generator(samples, seed)
-    boost = _boost_factors(space, *_slope_factors(space, rng, None, samples))
-    k = nk.read_only(random_isotropy(space, rng, size=samples))
-    both = _built(GroupElement, space=space, side=Side.NONCOMPACT,
-                  a=np.concatenate([k @ boost, boost]))
-    return _Draw(k, both)
+    slopes = _Slopes(*map(nk.read_only, _slope_factors(space, rng, samples)))
+    return _Draw(space, slopes, nk.read_only(random_isotropy(space, rng, size=samples)))
 
 
 def _report(name: str, samples: int, seed: int, tol, values, ok=None, **details) -> PropertyReport:
@@ -247,12 +292,12 @@ def _report(name: str, samples: int, seed: int, tol, values, ok=None, **details)
     ok = values <= tol if ok is None else np.asarray(ok)
     if values.shape != (samples,) or ok.shape != (samples,):
         raise ValueError(f"{name}: {values.shape} values, {ok.shape} verdicts, {samples} samples")
-    failures = int(np.count_nonzero(~ok))
+    failures = ok.size - int(ok.sum())
     score = values if tol is not None else -values
-    worst = int(np.argmax(score))
+    worst = int(score.argmax())
     if failures:
         failing = np.flatnonzero(~ok)
-        worst = int(failing[np.argmax(score[failing])])
+        worst = int(failing[score[failing].argmax()])
     return PropertyReport(name, samples, failures, float(values[worst]), seed, tol,
                           details={**details, "worst_index": worst})
 
@@ -261,12 +306,12 @@ def check_triple_equality(space, samples: int = 200, seed: int = DEFAULT_SEED,
                           tol: float = 1e-9) -> PropertyReport:
     """Pairwise agreement of the three embeddings on random cosets, the
     three distances of the batch taken in one stacked call.  The cosets are
-    those :func:`random_coset` draws, the unmoved half ``a`` of the space's
-    opening stack ``[k a, a]``, whose p, g and f images the equivariance
-    checks read too.  p's frame is the SVD frame of the coset's first n
-    columns, and f reads its slope off that frame; the closed-form frame
-    and the drawn factors a coset built from them keeps are not read."""
-    stack = _shared_draw(space, samples, seed).moved_and_unmoved
+    the unmoved half ``a`` of the space's opening stack ``[k a, a]``, whose
+    p, g and f images the equivariance checks read too.  p's frame is the
+    SVD frame of the coset's first n columns, and f reads its slope off
+    that frame; the closed-form frame and the drawn factors a coset built
+    from them keeps are not read."""
+    stack = _shared_draw(space, *_checked(samples, seed)).moved_and_unmoved
     p, q, f = (embed(space, which, stack).basis[samples:] for which in ("p", "g", "f"))
     resid = nk.frame_distance(np.stack([p, p, q]), np.stack([q, f, f])).max(axis=0)
     return _report("triple-equality/" + space.label(), samples, seed, tol, resid)
@@ -277,15 +322,15 @@ def check_equivariance(space, embedding_id: str, samples: int = 200,
     """embed(k . x) == k . embed(x) for random isotropy elements k; images of
     opposite orientation (oriented families) have residual inf.
 
-    The cosets ``a`` and then ``k`` are drawn as :func:`random_coset` and
-    :func:`random_isotropy` would draw them: the space's opening draw and
-    the stack drawn after it.  The moved cosets ``k a`` and the cosets
+    The cosets ``a`` and then ``k`` are the space's opening draw: the
+    boosts of the slopes :func:`_slope_factors` draws, and the isotropy
+    stack drawn after them.  The moved cosets ``k a`` and the cosets
     ``a`` form one stack, with one form check, shared by the three maps
     at one ``(seed, samples)``, and are embedded in one pass; the
     right-hand side moves the frames of the second half by ``k``, with no
     SVD.
     """
-    draw = _shared_draw(space, samples, seed)
+    draw = _shared_draw(space, *_checked(samples, seed))
     k = draw.isotropy
     images = embed(space, embedding_id, draw.moved_and_unmoved)
     rep, basis = images.rep, images.basis
@@ -305,13 +350,20 @@ def check_image_region(space, embedding_id: str, samples: int = 500,
     samples are drawn at slope 1 - 1e-6 to probe the boundary: those must
     approach the quarter-lattice box within 1e-5 without crossing it.  The
     reported value is the smallest margin, of a failing sample if any, and
-    ``details["worst_index"]`` the sample it came from."""
-    rng = _generator(samples, seed)
+    ``details["worst_index"]`` the sample it came from.
+
+    The cosets of p, g and f are built from the slope factors of the
+    space's opening draw, those of the stack ``[k a, a]`` the other
+    sampled checks read, with the top singular value of every fifth slope
+    set to 1 - 1e-6 and its lower values rescaled with it, so the report
+    is the same alone, after those checks or in :func:`run_suite`."""
+    counts = _checked(samples, seed)
     near_boundary = np.arange(samples) % 5 == 0
 
     if embedding_id == "b":
         if space.family is not Family.CIRCLE_SPHERE:
             raise DomainError("the stereographic check runs on the circle/sphere family")
+        rng = _generator(*counts)
         quarter = np.pi / 2.0  # quarter of the cut radius 2*pi in arc length
         t = np.where(near_boundary, rng.choice([-14.0, 14.0], samples),
                      rng.uniform(-20.0, 20.0, samples))
@@ -319,8 +371,9 @@ def check_image_region(space, embedding_id: str, samples: int = 500,
         return _report("image-region-b/" + space.label(), samples, seed, None, margins,
                        margins > 0.0, region_fraction=0.25)
 
-    sigma = np.where(near_boundary, 1.0 - 1e-6, rng.uniform(0.0, 0.95, samples))
-    pt = embed(space, embedding_id, random_coset(space, rng, sigma_max=sigma, size=samples))
+    slopes = _shared_draw(space, *counts).slopes
+    top = np.where(near_boundary, 1.0 - 1e-6, slopes.top)
+    pt = embed(space, embedding_id, coset_from_factors(space, *slopes.svd(top)))
     coords = point_flat_coords(space, pt, Side.COMPACT)
     # distance from the largest lattice coordinate to the 1/4 box wall
     gap = 0.25 - np.max(np.abs(coords.coords), axis=-1)
@@ -371,7 +424,7 @@ def check_round_trip(space, samples: int = 500, seed: int = DEFAULT_SEED,
     space's opening stack ``[k a, a]``, the one p embeds and f reads its
     slope off.  The residual of sample i is the worse of its two cosets
     ``k_i a_i`` and ``a_i``."""
-    pt = _shared_draw(space, samples, seed).moved_and_unmoved.point()
+    pt = _shared_draw(space, *_checked(samples, seed)).moved_and_unmoved.point()
     back = nk.exp_tangent(log_noncompact(space, pt).x, hermitian=True)[..., : space.n]
     resid = _built(SubspacePoint, space=space, rep=back).distance(pt)
     return _report("round-trip/" + space.label(), samples, seed, tol,
@@ -405,8 +458,9 @@ def _measure(p1, p2, p3, kappa):
     tw = w - kappa * inner(u, w)[..., None] * u
     cos = inner(tv, tw) / np.sqrt(inner(tv, tv) * inner(tw, tw))
     dots = kappa * inner(v, w)
-    sides = np.arccos(np.clip(dots, -1.0, 1.0)) if kappa > 0 else np.arccosh(np.maximum(dots, 1.0))
-    return sides, np.arccos(np.clip(cos, -1.0, 1.0))
+    sides = (np.arccos(np.minimum(np.maximum(dots, -1.0), 1.0)) if kappa > 0
+             else np.arccosh(np.maximum(dots, 1.0)))
+    return sides, np.arccos(np.minimum(np.maximum(cos, -1.0), 1.0))
 
 
 def _law_residuals(sides, angles, kappa):

@@ -1,13 +1,15 @@
 """Test oracles written out once more, independent of the library: the flat
 generators one matrix each, the base point, the isotropy test block by
 block, and a second SVD, of the free block of a tangent matrix, beside the
-slope SVD the library's logs read.  Beside them, ``random_slope``, the
-slope behind verify's random cosets, which only tests form."""
+slope SVD the library's logs read.  Beside them, ``random_slope`` and
+``random_coset``, the slopes and cosets of the factors verify's opening
+draw draws, which only tests use."""
 
 import numpy as np
 
 from dualspace import numkernel as nk
 from dualspace import verify
+from dualspace.embeddings import coset_from_factors
 from dualspace.spaces import FlatCoordinates, Side, SubspacePoint, _block_diag, special_svd
 
 
@@ -58,9 +60,23 @@ def flat_decompose(space, x):
     return k, FlatCoordinates(space, np.linalg.solve(space.lattice_coeff, s[..., None])[..., 0])
 
 
+def random_factors(space, rng, sigma_max=None, size=None):
+    """The factors ``(w, sig, z)`` of the random space-like slope (or a
+    stack of ``size``) that ``verify._slope_factors`` draws, the top
+    singular value ``sigma_max`` (a value, or one per slope) in place of
+    the drawn one if given, and the lower values scaled with it."""
+    slopes = verify._slope_factors(space, rng, size)
+    return slopes.svd(slopes.top if sigma_max is None else sigma_max)
+
+
 def random_slope(space, rng, sigma_max=None, size=None):
-    """The random space-like slope ``w[:, :n] diag(sig) z^H`` (or a stack of
-    ``size``) whose boost ``verify.random_coset`` draws from the same
-    generator: the slope of the factors ``verify._slope_factors`` draws."""
-    w, sig, z = verify._slope_factors(space, rng, sigma_max, size)
+    """The slope ``w[:, :n] diag(sig) z^H`` of :func:`random_factors`."""
+    w, sig, z = random_factors(space, rng, sigma_max, size)
     return (w[..., :, : space.n] * sig[..., None, :]) @ nk.herm(z)
+
+
+def random_coset(space, rng, sigma_max=None, size=None):
+    """The boost of :func:`random_slope`'s slope from the same generator,
+    built by ``coset_from_factors`` from its factors, so no SVD is taken
+    and its point keeps its frame and slope SVD."""
+    return coset_from_factors(space, *random_factors(space, rng, sigma_max, size))

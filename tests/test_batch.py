@@ -33,7 +33,7 @@ from dualspace.spaces import (
     transitivity_element,
 )
 
-from flat_oracle import random_slope
+from flat_oracle import random_coset, random_slope
 
 SPACES = verify.catalog_spaces() + [make_space(Family.REAL_GRASSMANNIAN, 16, 48)]
 STACK = 5
@@ -167,9 +167,10 @@ class CallCounter:
     (verify.check_equivariance, ("p",), {"svd": 3}),
     (verify.check_equivariance, ("g",), {"svd": 2, "qr": 1}),
     (verify.check_equivariance, ("f",), {"svd": 5, "inv": 1}),
-    # the coset draw, then the frame, the graph check and the one slope SVD
-    # of f's image, which its compact coordinates and space_like both read
-    (verify.check_image_region, ("f",), {"svd": 3, "inv": 1}),
+    # the opening draw (the slope draw and the isotropy draw), then the
+    # graph check and the one slope SVD of f's image, which its compact
+    # coordinates and space_like both read; no stack is built
+    (verify.check_image_region, ("f",), {"svd": 4, "inv": 1}),
     # the opening draw (the slope draw and the isotropy draw); the frame,
     # graph check and slope SVD of the stack's point; the exponential; the
     # frame of the point it maps back to
@@ -200,6 +201,9 @@ def test_checks_after_the_first_read_its_opening_draw(monkeypatch, space):
         (verify.check_equivariance, ("p",), {}),
         (verify.check_equivariance, ("g",), {}),
         (verify.check_equivariance, ("f",), {}),
+        # the graph check and slope SVD of f's image of the cosets built
+        # from the drawn slope factors, with no draw
+        (verify.check_image_region, ("f",), {"svd": 2, "inv": 1}),
         # the exponential and the frame of the point it maps back to: the
         # stack's point, frame and slope SVD are the ones triple read
         (verify.check_round_trip, (), {"svd": 1, "eigh": 1}),
@@ -225,8 +229,9 @@ SPHERE = make_space(Family.CIRCLE_SPHERE, 1, 2)
 # the triple and equivariance checks share the images of one stack; the
 # graph inverses of the read slopes; the exponentials of the round trips
 # and the cut loci (eigh).  The round trip reads the point, frame and
-# slope SVD of the stack triple embedded
-CATALOG_PASS_CALLS = {"svd": 77, "qr": 8, "inv": 16, "eigh": 11}
+# slope SVD of the stack triple embedded, and the image check the slope
+# factors of the opening draw
+CATALOG_PASS_CALLS = {"svd": 69, "qr": 8, "inv": 16, "eigh": 11}
 
 
 def catalog_pass(seed: int):
@@ -251,10 +256,10 @@ def catalog_pass(seed: int):
     verify.check_trig_duality_random(2, seed)
 
 
-def test_catalog_pass_makes_three_haar_draws_per_grassmannian(monkeypatch):
-    # each Grassmannian's seven checks draw the opening factors, the
-    # isotropy stack and the image cosets, 3 Haar draws instead of 9, and
-    # the triangle laws 2 at this seed, 26 in all
+def test_catalog_pass_makes_two_haar_draws_per_grassmannian(monkeypatch):
+    # each Grassmannian's seven checks draw the opening factors, which the
+    # image check reads too, and the isotropy stack, 2 Haar draws instead
+    # of 9, and the triangle laws 2 at this seed, 18 in all
     draws = []
     haar = verify.random_orthogonal
 
@@ -265,9 +270,30 @@ def test_catalog_pass_makes_three_haar_draws_per_grassmannian(monkeypatch):
     monkeypatch.setattr(verify, "random_orthogonal", counted)
     before = 0
     for space in catalog_pass(seed=2):
-        assert len(draws) - before == 3, space.label()
+        assert len(draws) - before == 2, space.label()
         before = len(draws)
-    assert len(draws) == 26
+    assert len(draws) == 18
+
+
+def test_catalog_pass_opens_two_generators_per_grassmannian(monkeypatch):
+    # each Grassmannian's seven checks open the opening draw's generator,
+    # which triple, equivariance, image and round trip read, and the
+    # cut-radius check's; the cut loci, the stereographic image and the
+    # triangle laws one each, 21 in all.  A check that opens a generator
+    # again for a draw the opening draw serves raises the count
+    opened = []
+    default_rng = np.random.default_rng
+
+    def counted(seed):
+        opened.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    before = 0
+    for space in catalog_pass(seed=2):
+        assert len(opened) - before == 2, space.label()
+        before = len(opened)
+    assert len(opened) == 21
 
 
 def test_catalog_pass_kernel_counts_are_pinned(monkeypatch):
@@ -311,7 +337,7 @@ FRAME_SPACES = verify.catalog_spaces() + [make_space(Family.REAL_GRASSMANNIAN, 1
 
 @pytest.mark.parametrize("space", FRAME_SPACES, ids=lambda sp: sp.label())
 def test_frames_kept_without_an_svd_are_orthonormal(monkeypatch, space):
-    g = verify.random_coset(space, np.random.default_rng(83), size=64)
+    g = random_coset(space, np.random.default_rng(83), size=64)
     counter = CallCounter(monkeypatch)
     for which, svds in (("p", 0), ("g", 0), ("f", 0)):  # p and f read what the coset keeps
         counter.calls = {}
@@ -327,7 +353,7 @@ def test_kept_factors_equal_the_factors_read_off_the_coset(space):
     rng = np.random.default_rng(97)
     y = random_slope(space, rng, size=4)
     y[1::2, :, 0] *= -1.0  # for m = n this flips the sign of det(y) on every other slice
-    cosets = [verify.random_coset(space, rng, size=16)]
+    cosets = [random_coset(space, rng, size=16)]
     cosets += [cli.coset_from_matrix(space, y[i]) for i in range(len(y))]
     # the read frame's SVD rounds by a few dim * eps: 2.8e-14 at dimension 64
     tol = max(1e-14, 4 * space.dim * np.finfo(float).eps)
@@ -351,5 +377,5 @@ def test_random_coset_takes_one_svd_and_no_qr(monkeypatch, space):
     # boost is built from the drawn factors, with no slope SVD
     counter = CallCounter(monkeypatch)
     for size in (2, 64):
-        assert counter.run(verify.random_coset, space, np.random.default_rng(89),
+        assert counter.run(random_coset, space, np.random.default_rng(89),
                            size=size) == {"svd": 1}, size

@@ -14,6 +14,8 @@ from dualspace import numkernel as nk
 from dualspace.embeddings import _negated_factors, _slope_factors, point_flat_coords
 from dualspace.spaces import FAMILIES, Family, Side, _boost_factors, make_space
 
+from flat_oracle import random_coset, random_factors
+
 SPACES = verify.catalog_spaces() + [make_space(Family.REAL_GRASSMANNIAN, 16, 48),
                                     make_space(Family.COMPLEX_GRASSMANNIAN, 16, 16)]
 EPS = np.finfo(float).eps
@@ -76,7 +78,7 @@ def test_lattice_units_through_the_kept_inverse_match_a_solve(space):
     assert np.abs(space.lattice_inv @ space.lattice_coeff - np.eye(space.rank)).max() <= 4 * EPS
     rng = np.random.default_rng(7)
     for size in (5, None):
-        point = verify.random_coset(space, rng, size=size).point()
+        point = random_coset(space, rng, size=size).point()
         w, sig, _ = _slope_factors(space, point)
         carts = {Side.NONCOMPACT: np.arctanh(sig),
                  Side.COMPACT: np.arctan(_negated_factors(space, w, sig)[1])}
@@ -91,7 +93,7 @@ def test_lattice_units_through_the_kept_inverse_match_a_solve(space):
 def test_boost_adds_the_identity_in_place(space):
     rng = np.random.default_rng(11)
     for size in (5, None):
-        w, s, z = verify._slope_factors(space, rng, None, size)
+        w, s, z = random_factors(space, rng, size=size)
         a = _boost_factors(space, w, s, z)
         n = space.n
         wn = w[..., :, :n]

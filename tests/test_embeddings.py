@@ -42,12 +42,11 @@ from dualspace.verify import (
     _shared_draw,
     catalog_spaces,
     check_equivariance,
-    random_coset,
     random_orthogonal,
 )
 
 from expm_oracle import expm
-from flat_oracle import base_point, flat_decompose, in_isotropy
+from flat_oracle import base_point, flat_decompose, in_isotropy, random_coset
 
 GR11 = make_space(Family.REAL_GRASSMANNIAN, 1, 1)
 GR22 = make_space(Family.REAL_GRASSMANNIAN, 2, 2)

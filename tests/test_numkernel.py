@@ -9,10 +9,10 @@ from dualspace import numkernel as nk
 from dualspace.embeddings import log_noncompact
 from dualspace.errors import DomainError, NumericalError
 from dualspace.spaces import Family, FlatCoordinates, Side, SubspacePoint, make_space
-from dualspace.verify import catalog_spaces, random_coset, random_unit_flat
+from dualspace.verify import catalog_spaces, random_unit_flat
 
 from expm_oracle import expm
-from flat_oracle import random_slope
+from flat_oracle import random_coset, random_slope
 
 # angle of the rotation produced by orthonormalizing the unit boost:
 # tan(theta) = -tanh(1), evaluated independently of the kernel under test
@@ -305,3 +305,20 @@ def test_projector_distance_pseudometric(key):
 def test_projector_distance_rank_deficient_raises():
     with pytest.raises(DomainError):
         projector_distance(np.zeros((3, 2)), np.eye(3)[:, :2])
+
+
+# ---------------------------------------------------------------------------
+# numpy's formulas without its dispatch
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_norm_and_herm_give_numpys_bits(complex_):
+    rng = np.random.default_rng(43)
+    a = rng.standard_normal((6, 4, 3))
+    if complex_:
+        a = a + 1j * rng.standard_normal(a.shape)
+    for axis in (-1, (-2, -1)):
+        assert np.array_equal(nk.norm(a, axis), np.linalg.norm(a, axis=axis)), axis
+    assert np.array_equal(nk.herm(a), np.conj(a).swapaxes(-1, -2))
+    # a real matrix is transposed in place of a copy, so nothing is allocated
+    assert (nk.herm(a).base is a) is not complex_

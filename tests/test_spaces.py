@@ -9,7 +9,6 @@ from dualspace import cli
 from dualspace import numkernel as nk
 from dualspace.embeddings import GroupElement
 from dualspace.errors import DomainError
-from dualspace.verify import random_coset
 from dualspace.spaces import (
     CATALOG,
     MAX_DIM,
@@ -28,7 +27,7 @@ from dualspace.spaces import (
 )
 
 from expm_oracle import expm
-from flat_oracle import base_point, cartan_basis, flat_decompose, in_isotropy
+from flat_oracle import base_point, cartan_basis, flat_decompose, in_isotropy, random_coset
 
 GRASSMANNIANS = [
     make_space(Family.REAL_GRASSMANNIAN, 1, 1),

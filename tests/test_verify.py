@@ -6,6 +6,7 @@ import functools
 import numpy as np
 import pytest
 
+from dualspace import embeddings
 from dualspace import numkernel as nk
 from dualspace import verify
 from dualspace.embeddings import _slope_factors
@@ -20,7 +21,7 @@ from dualspace.spaces import (
 )
 
 from expm_oracle import expm
-from flat_oracle import cartan_basis, random_slope
+from flat_oracle import cartan_basis, random_coset, random_slope
 
 GR23 = make_space(Family.REAL_GRASSMANNIAN, 2, 3)
 
@@ -95,7 +96,7 @@ def test_random_orthogonal_refuses_a_singular_draw():
 @pytest.mark.parametrize("space", verify.catalog_spaces(), ids=lambda sp: sp.label())
 def test_random_coset_is_the_boost_of_random_slope(space):
     for seed in (107, 109):
-        got = verify.random_coset(space, np.random.default_rng(seed), size=200).a
+        got = random_coset(space, np.random.default_rng(seed), size=200).a
         y = random_slope(space, np.random.default_rng(seed), size=200)
         want = transitivity_element(space, y)
         scale = np.abs(want).max(axis=(-2, -1))
@@ -161,7 +162,7 @@ def test_opening_draw_is_what_a_lone_generator_draws():
     # order, bit for bit: the cosets as the unmoved half of the stack
     draw = verify._shared_draw(GR23, 4, 3)
     rng = np.random.default_rng(3)
-    coset = verify.random_coset(GR23, rng, size=4)
+    coset = random_coset(GR23, rng, size=4)
     k = verify.random_isotropy(GR23, rng, size=4)
     assert np.array_equal(draw.isotropy, k)
     assert np.array_equal(draw.moved_and_unmoved.a, np.concatenate([k @ coset.a, coset.a]))
@@ -174,7 +175,7 @@ def test_stored_draws_are_read_only():
     both = draw.moved_and_unmoved
     # the stack's point keeps its slope and slope SVD read-only as every
     # kept point does (embeddings._kept), and so do its kept images
-    arrays = [draw.isotropy, both.a, both.point().rep,
+    arrays = [draw.isotropy, *draw.slopes, both.a, both.point().rep,
               *_slope_factors(GR23, both.point()),
               *(getattr(verify.embed(GR23, which, both), name)
                 for which in ("g", "f") for name in ("rep", "basis"))]
@@ -236,10 +237,11 @@ def test_a_new_seed_or_sample_count_drops_the_store():
     assert held() == 0
 
 
-@pytest.mark.parametrize("seed", [None, 1.5, -1])
+@pytest.mark.parametrize("seed", [None, 1.5, -1, [1], True])
 def test_a_check_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
     # a report is reproducible from (property, seed, samples) only, so no
-    # check draws from fresh entropy, and none keeps a draw it refused
+    # check draws from fresh entropy, and none keeps a draw it refused: the
+    # seed is refused before the memo of opening draws hashes it
     for _, check, extra, families in verify.CLAIMS:
         with pytest.raises(DomainError, match="non-negative integer seed"):
             check(*claimed_target(families), *extra, samples=4, seed=seed)
@@ -248,7 +250,8 @@ def test_a_check_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
 
 def test_a_refused_stack_is_not_kept(monkeypatch):
     # an isotropy stack outside the group makes the stack fail its form
-    # check: the failure is raised again on the next call, never stored
+    # check: the draw is kept, but its stack is not, and the failure is
+    # raised again on the next read
     def scaled(space, rng, size=None):
         return np.broadcast_to(2.0 * np.eye(space.dim), (size, space.dim, space.dim))
 
@@ -256,9 +259,54 @@ def test_a_refused_stack_is_not_kept(monkeypatch):
     for which in ("p", "g"):
         with pytest.raises(DomainError, match="defining form"):
             verify.check_equivariance(GR23, which, samples=4, seed=3)
-        assert held() == 0
+        assert held() == 1
+        assert "moved_and_unmoved" not in vars(verify._shared_draw(GR23, 4, 3))
     monkeypatch.undo()
+    verify._shared_draw.cache_clear()
     assert verify.check_equivariance(GR23, "p", samples=4, seed=3).passed
+
+
+GRASSMANNIANS = [sp for sp in verify.catalog_spaces() if sp.family in verify.GRASSMANNIANS]
+
+
+@pytest.mark.parametrize("space", GRASSMANNIANS, ids=lambda sp: sp.label())
+@pytest.mark.parametrize("which", ["p", "f"])
+def test_image_reports_do_not_depend_on_the_checks_before_them(monkeypatch, space, which):
+    # the image cosets are built from the factors of the opening draw, which
+    # the checks before it in a pass read too: the report is the one the
+    # check gives alone, after triple has built the stack, and in run_suite,
+    # whose table gains a row for image p
+    def image():
+        return verify.check_image_region(space, which, samples=10, seed=37).to_dict()
+
+    alone = image()
+    verify._shared_draw.cache_clear()
+    verify.check_triple_equality(space, samples=10, seed=37)
+    assert image() == alone
+    row = ("image", verify.check_image_region, (which,), verify.GRASSMANNIANS)
+    monkeypatch.setattr(verify, "CLAIMS", verify.CLAIMS + (row,))
+    suite = [r.to_dict() for r in verify.run_suite(10, 37, spaces=[space])]
+    images = [r for r in suite if r["property"] == alone["property"]]
+    assert images and all(r == alone for r in images)
+
+
+def test_a_lone_image_check_builds_one_boost_and_no_stack(monkeypatch):
+    # the image cosets are the one boost built; the stack [k a, a] waits
+    # for the first check that reads it
+    boosts = []
+    boost_factors = verify._boost_factors
+
+    def counted(*args):
+        boosts.append(len(args[2]))
+        return boost_factors(*args)
+
+    for module in (verify, embeddings):
+        monkeypatch.setattr(module, "_boost_factors", counted)
+    assert verify.check_image_region(GR23, "f", samples=10, seed=37).passed
+    assert boosts == [10]
+    assert "moved_and_unmoved" not in vars(verify._shared_draw(GR23, 10, 37))
+    verify.check_triple_equality(GR23, samples=10, seed=37)
+    assert boosts == [10, 10]
 
 
 def test_triple_equality_report():
@@ -571,11 +619,12 @@ def test_every_claimed_check_refuses_empty_batches(check, extra, families, sampl
         check(*claimed_target(families), *extra, samples=samples)
 
 
-@pytest.mark.parametrize("samples", [2.5, 2.0, "3"])
+@pytest.mark.parametrize("samples", [2.5, 2.0, "3", [3], True])
 @every_claimed_check
 def test_every_claimed_check_refuses_a_sample_count_that_is_not_an_integer(
         check, extra, families, samples):
-    # refused as the seed is, before any draw: not a numpy or comparison TypeError
+    # refused as the seed is, before any draw or memo lookup: not a numpy,
+    # comparison or hashing TypeError, and a bool is not a count
     with pytest.raises(DomainError, match="integer count of at least one sample"):
         check(*claimed_target(families), *extra, samples=samples)
     assert held() == 0
