@@ -408,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cutlocus-grid", help="sample the cut radius over flat directions")
     _add_space_args(p)
-    p.add_argument("--samples", type=int, default=360)
+    p.add_argument("--samples", type=int, default=360,
+                   help="N rows on a rank-2 flat, max(floor(sqrt(N)), 2)^2 on a rank-3 flat "
+                        "and one on a rank-1 flat")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_cutlocus_grid)
 

@@ -1,7 +1,7 @@
 """Executable property suites with reproducible seeds.
 
-Each check draws its whole batch of samples at once from a seeded
-generator, runs the batch through the stacked kernels (one SVD, QR or
+Each check draws its whole batch of samples at once from seeded
+streams, runs the batch through the stacked kernels (one SVD, QR or
 exponential per stage, not per sample), evaluates a pointwise identity
 per sample, and returns a :class:`PropertyReport` with the worst residual
 (or margin) seen and, in ``details["worst_index"]``, the index of the
@@ -9,31 +9,25 @@ sample that gave it.  Aggregation is worst-case, not mean: the identities
 under test are exact, so a single bad sample is a failure, and a NaN is a
 failure and the worst.  ``failures`` counts failing samples, and the worst
 sample is a failing one whenever any fails; :func:`_report` builds every
-report by this rule.  Every check draws from :func:`_generator`, which
-refuses a sample count that is not an integer of at least one, so no
-report passes over an empty batch, and a seed that is not a non-negative
-integer, so every report is reproducible from (property name, seed,
-samples); a bool is neither.
+report by this rule.  :func:`_checked` refuses a sample count that is
+not an integer of at least one, so no report passes over an empty batch,
+and a seed that is not a non-negative integer, so every report is
+reproducible from (property name, seed, samples); a bool is neither.
+
+Each drawn quantity has its own stream, :func:`_stream` of the seed and
+the quantity's key, drawn one record per sample, so sample i of a run is
+sample i of every longer run with the same seed; a draw that rejects
+candidates keeps the first ones accepted (:func:`_first_accepted`).
 
 The triple, equivariance, round-trip and image checks of one space read
-one opening draw: :func:`_shared_draw` draws from ``default_rng(seed)``
-the slope factors :func:`_slope_factors` draws, then the isotropy stack
-``k``, and keeps both.  The image check builds its cosets from those
-factors, with the top singular value of every fifth slope set to 1 -
-1e-6, next to the boundary.  The triple, equivariance and round-trip
-checks read the form-checked stack of moved and unmoved cosets
-``[k a, a]``, built from the same factors when the first of them reads
-it, so a lone image check builds none.  The stack keeps its point, that
-point's frame and slope SVD, and its g and f images, each computed by
-the first check to read it.  Triple compares the three images of the
-unmoved half, equivariance the two halves, and the round trip maps the
-point of both halves back.  The draw of the last ``(space, samples,
-seed)`` only is kept, and a check refuses a bad sample count or seed
-before it reads the memo.  All that is kept is a function of the draw
-alone, so each report is the one the check gives alone, in any order of
-calls.  :func:`run_suite` runs space by space and clears the draw once a
-space's checks have run.  The cut-radius, cut-loci, stereographic image
-and triangle checks each draw alone.
+one opening draw, :func:`_shared_draw`: the slope factors, from which the
+image check builds its cosets, and, when the first of the others reads
+it, the isotropy stack ``k`` and the form-checked stack ``[k a, a]`` of
+moved and unmoved cosets, which keeps its point, that point's frame and
+slope SVD, and its g and f images.  Only the draw of the last ``(space,
+samples, seed)`` is kept, and only what is a function of it, so each
+report is the one the check gives alone, in any order of calls, and
+:func:`run_suite` clears it once a space's checks have run.
 
 :data:`CLAIMS` is the one table of which property is claimed on which
 family; :func:`run_suite` and the CLI read it.
@@ -43,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -109,6 +104,17 @@ class PropertyReport:
 # ---------------------------------------------------------------------------
 # seeded sampling helpers
 
+# the keys of the streams, one per drawn quantity: slope values, slope
+# frames, k, flat directions, stereographic t, and each kind of triangle
+_VALUES, _FRAMES, _ISOTROPY, _FLATS, _STEREO, _SPHERES, _HYPERBOLAS = range(7)
+
+
+def _stream(seed: int, quantity: int) -> np.random.Generator:
+    """The stream of one drawn quantity at ``seed``, the one place the
+    library opens a generator: it depends on ``(seed, quantity)`` alone, so
+    opening it twice gives the same numbers."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(quantity,)))
+
 
 def random_orthogonal(rng, k, complex_: bool = False, special: bool = False,
                       size: int | None = None) -> np.ndarray:
@@ -133,24 +139,22 @@ def random_orthogonal(rng, k, complex_: bool = False, special: bool = False,
     """
     blocks = k if isinstance(k, tuple) else (k,)
     shape = () if size is None else (size,)
-    g = np.zeros(shape + (sum(blocks),) * 2, dtype=np.complex128 if complex_ else np.float64)
-    spans = [slice(sum(blocks[:i]), sum(blocks[:i + 1])) for i in range(len(blocks))]
-    for b, span in zip(blocks, spans):
-        g[..., span, span] = rng.standard_normal(shape + (b, b))
-        if complex_:
-            g[..., span, span] += 1j * rng.standard_normal(shape + (b, b))
+    owner = np.array([i for i, b in enumerate(blocks) for _ in range(b)])
+    diagonal = owner[:, None] == owner
+    # one record per matrix: the blocks' entries row by row, complex ones as (re, im)
+    entries = (sum(b * b for b in blocks),) + ((2,) if complex_ else ())
+    record = rng.standard_normal(shape + entries)
+    g = np.zeros(shape + diagonal.shape, dtype=np.complex128 if complex_ else np.float64)
+    g[..., diagonal] = record.view(np.complex128)[..., 0] if complex_ else record
     u, sv, vh = np.linalg.svd(g)
     if (sv[..., -1] <= 1e-12 * sv[..., 0]).any():
         raise NumericalError("singular Gaussian draw: its polar factor is not unique")
     q = u @ vh
-    for span in spans:
-        if span.start:
-            q[..., span, : span.start] = 0.0
-        if span.stop < q.shape[-1]:
-            q[..., span, span.stop :] = 0.0
+    np.copyto(q, 0.0, where=~diagonal)
     if special:
-        for span in spans:
-            q[..., :, span.stop - 1] /= np.linalg.det(q[..., span, span])[..., None]
+        for b, stop in zip(blocks, itertools.accumulate(blocks)):
+            span = slice(stop - b, stop)
+            q[..., :, stop - 1] /= np.linalg.det(q[..., span, span])[..., None]
     return q
 
 
@@ -183,36 +187,44 @@ class _Slopes(NamedTuple):
         return self.w, sig, self.z
 
 
-def _slope_factors(space: SpaceDescriptor, rng, size) -> _Slopes:
-    """The :class:`_Slopes` of a random space-like slope, or of a stack of
-    ``size``, drawn in this order: the top singular values, uniform in
-    [0, 0.95], then n - 1 uniforms ``u``, then a random isotropy element
-    diag(z, w).  The n - 1 values below the top are the order statistics
-    of as many uniform draws, descending as :func:`slope_svd` gives them,
-    built by Renyi's representation ``D_j = D_(j-1) u_j^(1/(n-j))``: the
-    ratios are the cumulative products of the ``u_j^(1/(n-j))``."""
+def _drawn_slopes(space: SpaceDescriptor, seed: int, size) -> _Slopes:
+    """The :class:`_Slopes` of a random space-like slope at ``seed``, or of
+    a stack of ``size``: n uniforms per slope from the values stream, the
+    first scaled to [0, 0.95] as the top singular value, and a random
+    isotropy element diag(z, w) from the frames stream.  The ratios are
+    the cumulative products of the ``u_j^(1/(n-j))`` of the other uniforms
+    ``u``: by Renyi's representation ``D_j = D_(j-1) u_j^(1/(n-j))`` the
+    lower values are the order statistics of n - 1 uniform draws,
+    descending as :func:`slope_svd` gives them."""
     shape = () if size is None else (size,)
     n = space.n
-    top = rng.uniform(0.0, 0.95, size=shape)
-    u = rng.uniform(0.0, 1.0, size=shape + (n - 1,))
-    ratios = np.cumprod(u ** (1.0 / np.arange(n - 1, 0, -1)), axis=-1)
-    k = random_isotropy(space, rng, size)
+    values = _stream(seed, _VALUES).random(shape + (n,))
+    ratios = np.cumprod(values[..., 1:] ** (1.0 / np.arange(n - 1, 0, -1)), axis=-1)
+    k = random_isotropy(space, _stream(seed, _FRAMES), size)
     # copies of the blocks, so a kept draw does not hold k's zero blocks
-    return _Slopes(top, ratios, k[..., n:, n:].copy(), k[..., :n, :n].copy())
+    return _Slopes(0.95 * values[..., 0], ratios, k[..., n:, n:].copy(), k[..., :n, :n].copy())
 
 
-def random_unit_flat(space: SpaceDescriptor, rng, size: int | None = None) -> np.ndarray:
-    """Random unit direction in the flat, in lattice coordinates, or a stack
-    of ``size`` of them; draws of norm below 1e-3 are drawn again."""
-    shape = (space.rank,) if size is None else (size, space.rank)
-    x = rng.standard_normal(shape)
-    while True:
-        short = nk.norm(x, -1) < 1e-3
-        if not short.any():
-            break
-        x[short] = rng.standard_normal((int(np.count_nonzero(short)), space.rank))
-    g = space.lattice.gram
-    return x / np.sqrt(np.sum((x @ g) * x, axis=-1))[..., None]
+def _first_accepted(rng, samples: int, draw, accept) -> np.ndarray:
+    """The first ``samples`` candidates that ``accept`` keeps, in the order
+    ``draw(rng, count)`` reads them from the stream ``rng``, sample axis
+    first.  Each pass reads as many candidates as are still missing, so the
+    candidates a shorter run keeps are the first ones a longer run keeps."""
+    kept, missing = [], samples
+    while missing:
+        batch = draw(rng, missing)
+        kept.append(batch[accept(batch)])
+        missing -= len(kept[-1])
+    return np.concatenate(kept)
+
+
+def random_unit_flat(space: SpaceDescriptor, rng, size: int) -> np.ndarray:
+    """A stack of ``size`` random unit directions in the flat, in lattice
+    coordinates: the Gaussian draws of norm at least 1e-3, in the stream's
+    order, scaled to unit length."""
+    x = _first_accepted(rng, size, lambda rng, count: rng.standard_normal((count, space.rank)),
+                        lambda x: nk.norm(x, -1) >= 1e-3)
+    return x / np.sqrt(np.sum((x @ space.lattice.gram) * x, axis=-1))[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -239,24 +251,24 @@ def _checked(samples, seed) -> tuple:
     return tuple(counts)
 
 
-def _generator(samples, seed):
-    """The seeded generator of one check, refusing what :func:`_checked`
-    refuses."""
-    return np.random.default_rng(_checked(samples, seed)[1])
-
-
 @dataclass(frozen=True, eq=False)
 class _Draw:
     """The opening draw of the sampled checks on one space at one ``(seed,
-    samples)``, read-only: the factors ``slopes`` that
-    :func:`_slope_factors` draws first from ``default_rng(seed)``, and the
-    isotropy stack ``isotropy`` (``k``) drawn after them.  The image check
-    builds its cosets from the factors; the others read the stack
-    :attr:`moved_and_unmoved`."""
+    samples)``, read-only: the slope factors ``slopes`` of
+    :func:`_drawn_slopes`, and the isotropy stack :attr:`isotropy` and the
+    stack :attr:`moved_and_unmoved`, each built when first read.  It keeps
+    its seed, no generator state."""
 
     space: SpaceDescriptor
+    samples: int
+    seed: int
     slopes: _Slopes
-    isotropy: np.ndarray
+
+    @functools.cached_property
+    def isotropy(self) -> np.ndarray:
+        """The isotropy stack ``k``, from the isotropy stream."""
+        k = random_isotropy(self.space, _stream(self.seed, _ISOTROPY), self.samples)
+        return nk.read_only(k)
 
     @functools.cached_property
     def moved_and_unmoved(self) -> GroupElement:
@@ -274,13 +286,11 @@ class _Draw:
 @functools.lru_cache(maxsize=1)
 def _shared_draw(space: SpaceDescriptor, samples: int, seed: int) -> _Draw:
     """The :class:`_Draw` of the last ``(space, samples, seed)`` asked for,
-    kept until another is asked for; the space is keyed by identity.  The
-    isotropy stack is drawn at once, so no generator state is kept.  A
+    kept until another is asked for; the space is keyed by identity.  A
     caller passes counts :func:`_checked` has returned, so the memo never
     hashes a value a check refuses."""
-    rng = _generator(samples, seed)
-    slopes = _Slopes(*map(nk.read_only, _slope_factors(space, rng, samples)))
-    return _Draw(space, slopes, nk.read_only(random_isotropy(space, rng, size=samples)))
+    slopes = _Slopes(*map(nk.read_only, _drawn_slopes(space, seed, samples)))
+    return _Draw(space, samples, seed, slopes)
 
 
 def _report(name: str, samples: int, seed: int, tol, values, ok=None, **details) -> PropertyReport:
@@ -322,13 +332,12 @@ def check_equivariance(space, embedding_id: str, samples: int = 200,
     """embed(k . x) == k . embed(x) for random isotropy elements k; images of
     opposite orientation (oriented families) have residual inf.
 
-    The cosets ``a`` and then ``k`` are the space's opening draw: the
-    boosts of the slopes :func:`_slope_factors` draws, and the isotropy
-    stack drawn after them.  The moved cosets ``k a`` and the cosets
-    ``a`` form one stack, with one form check, shared by the three maps
-    at one ``(seed, samples)``, and are embedded in one pass; the
-    right-hand side moves the frames of the second half by ``k``, with no
-    SVD.
+    The cosets ``a`` and ``k`` are the space's opening draw: the boosts of
+    the slopes :func:`_drawn_slopes` draws, and the isotropy stack.  The
+    moved cosets ``k a`` and the cosets ``a`` form one stack, with one form
+    check, shared by the three maps at one ``(seed, samples)``, and are
+    embedded in one pass; the right-hand side moves the frames of the
+    second half by ``k``, with no SVD.
     """
     draw = _shared_draw(space, *_checked(samples, seed))
     k = draw.isotropy
@@ -353,25 +362,23 @@ def check_image_region(space, embedding_id: str, samples: int = 500,
     ``details["worst_index"]`` the sample it came from.
 
     The cosets of p, g and f are built from the slope factors of the
-    space's opening draw, those of the stack ``[k a, a]`` the other
-    sampled checks read, with the top singular value of every fifth slope
-    set to 1 - 1e-6 and its lower values rescaled with it, so the report
-    is the same alone, after those checks or in :func:`run_suite`."""
-    counts = _checked(samples, seed)
+    space's opening draw, with the top singular value of every fifth slope
+    set to 1 - 1e-6 and its lower values rescaled with it."""
+    samples, seed = _checked(samples, seed)
     near_boundary = np.arange(samples) % 5 == 0
 
     if embedding_id == "b":
         if space.family is not Family.CIRCLE_SPHERE:
             raise DomainError("the stereographic check runs on the circle/sphere family")
-        rng = _generator(*counts)
         quarter = np.pi / 2.0  # quarter of the cut radius 2*pi in arc length
-        t = np.where(near_boundary, rng.choice([-14.0, 14.0], samples),
-                     rng.uniform(-20.0, 20.0, samples))
+        t = _stream(seed, _STEREO).uniform(-20.0, 20.0, samples)
+        # a boundary probe keeps the sign of its draw, at |t| = 14
+        t = np.where(near_boundary, np.copysign(14.0, t), t)
         margins = quarter - np.abs(b_embed_rank1(t))
         return _report("image-region-b/" + space.label(), samples, seed, None, margins,
                        margins > 0.0, region_fraction=0.25)
 
-    slopes = _shared_draw(space, *counts).slopes
+    slopes = _shared_draw(space, samples, seed).slopes
     top = np.where(near_boundary, 1.0 - 1e-6, slopes.top)
     pt = embed(space, embedding_id, coset_from_factors(space, *slopes.svd(top)))
     coords = point_flat_coords(space, pt, Side.COMPACT)
@@ -398,8 +405,8 @@ def check_cut_loci_grassmannian(space, samples: int = 100,
     """
     if space.family is not Family.REAL_GRASSMANNIAN:
         raise DomainError("cut loci structure check runs on real Grassmannians")
-    rng = _generator(samples, seed)
-    xl = random_unit_flat(space, rng, size=samples)
+    samples, seed = _checked(samples, seed)
+    xl = random_unit_flat(space, _stream(seed, _FLATS), size=samples)
     t0 = cut_radius_closed(xl, space.lattice)
     flat = _built(FlatCoordinates, space=space, coords=xl).matrix(Side.COMPACT)
     times = np.stack([t0, t0 - 0.01])[..., None, None]
@@ -413,7 +420,8 @@ def check_cut_radius_agreement(space, samples: int = 1000,
                                seed: int = DEFAULT_SEED, tol: float = 1e-12) -> PropertyReport:
     """Brute-force lattice minimization equals the closed form (orthonormal
     case); the brute search walks its shells once for the whole batch."""
-    x = random_unit_flat(space, _generator(samples, seed), size=samples)
+    samples, seed = _checked(samples, seed)
+    x = random_unit_flat(space, _stream(seed, _FLATS), size=samples)
     resid = np.abs(cut_radius_closed(x, space.lattice) - cut_radius_brute(x, space.lattice))
     return _report("cut-radius-agreement/" + space.label(), samples, seed, tol, resid)
 
@@ -485,37 +493,24 @@ def _plus_sign_residual(sides, angles):
 
 
 def _sphere_triangles(rng, count):
-    """Vertices of ``count`` random spherical triangles, three rotated copies
-    of the pole each: the last columns of one stack of 3 * count rotations."""
+    """The side opposite and the angle at each vertex of ``count`` random
+    spherical triangles, shape (count, 3, 2): the vertices are three
+    rotated copies of the pole, the last columns of one stack of three
+    rotations per triangle."""
     pts = random_orthogonal(rng, 3, special=True, size=3 * count)[..., 2]
-    return pts.reshape(count, 3, 3).swapaxes(0, 1)
+    return np.stack(_measure(*pts.reshape(count, 3, 3).swapaxes(0, 1), 1.0)).T
 
 
 def _hyperbolic_triangles(rng, count):
-    """Vertices of ``count`` random hyperbolic triangles, three boosted and
-    rotated copies of the apex each: the apex boosted along x by a rapidity
-    r and turned about the z axis by an angle t is
-    ``(cos t sinh r, sin t sinh r, cosh r)``."""
-    turn = rng.uniform(0, 2 * np.pi, size=(3, count))
-    rapidity = rng.uniform(0.2, 1.6, size=(3, count))
+    """As :func:`_sphere_triangles`, of random hyperbolic triangles whose
+    vertices are three boosted and rotated copies of the apex, from one
+    record of an angle t and a rapidity r per vertex: the apex boosted
+    along x by r and turned about the z axis by t is ``(cos t sinh r, sin
+    t sinh r, cosh r)``."""
+    turn, rapidity = (rng.random((count, 3, 2)) * (2 * np.pi, 1.4) + (0.0, 0.2)).T
     sh = np.sinh(rapidity)
-    return np.stack([np.cos(turn) * sh, np.sin(turn) * sh, np.cosh(rapidity)], axis=-1)
-
-
-def _accepted_triangles(rng, samples, draw, kappa, rejected):
-    """Sides and angles, each of shape (3, samples), of ``samples`` accepted
-    random triangles of curvature ``kappa``.  Every pending triangle is
-    drawn and measured at once, and only the rejected ones are drawn again;
-    accepted triangles keep the order they were drawn in."""
-    sides, angles = np.empty((3, samples)), np.empty((3, samples))
-    done = 0
-    while done < samples:
-        sm, am = _measure(*draw(rng, samples - done), kappa)
-        keep = ~rejected(sm, am)
-        new = done + int(np.count_nonzero(keep))
-        sides[:, done:new], angles[:, done:new] = sm[:, keep], am[:, keep]
-        done = new
-    return sides, angles
+    pts = np.stack([np.cos(turn) * sh, np.sin(turn) * sh, np.cosh(rapidity)], axis=-1)
+    return np.stack(_measure(*pts, -1.0)).T
 
 
 def check_trig_duality_random(samples: int = 100, seed: int = DEFAULT_SEED,
@@ -526,15 +521,18 @@ def check_trig_duality_random(samples: int = 100, seed: int = DEFAULT_SEED,
     and measured in batches, and the i-th of each form pair i, whose
     residual is the worst of its four laws; ``failures`` counts pairs.
     ``details["worst_index"]`` is the worst pair, i.e. the number of
-    accepted pairs before it.
+    accepted pairs before it.  A triangle with a side or an angle out of
+    bounds is rejected; one with a NaN is not.
     """
-    rng = _generator(samples, seed)
-    sphere = _accepted_triangles(
-        rng, samples, _sphere_triangles, 1.0,
-        lambda s, a: (s.min(0) < 0.2) | (s.max(0) > 2.5) | (a.min(0) < 0.2) | (a.max(0) > 2.9))
-    hyper = _accepted_triangles(
-        rng, samples, _hyperbolic_triangles, -1.0,
-        lambda s, a: (s.min(0) < 0.2) | (s.max(0) > 4.0) | (a.min(0) < 0.05))
+    samples, seed = _checked(samples, seed)
+
+    def scan(key, draw, low, high):
+        # sides and angles, each (3, samples), of the triangles kept
+        return _first_accepted(_stream(seed, key), samples, draw, lambda t: ~(
+            (t.min(1) < low) | (t.max(1) > high)).any(1)).T
+
+    sphere = scan(_SPHERES, _sphere_triangles, (0.2, 0.2), (2.5, 2.9))
+    hyper = scan(_HYPERBOLAS, _hyperbolic_triangles, (0.2, 0.05), (4.0, np.inf))
     resid = np.stack(_law_residuals(*sphere, 1.0) + _law_residuals(*hyper, -1.0))
     return _report("trig-duality-random", samples, seed, tol, resid.max(axis=0),
                    hyperbolic_plus_sign_worst=float(np.max(_plus_sign_residual(*hyper))))

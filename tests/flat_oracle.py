@@ -60,23 +60,24 @@ def flat_decompose(space, x):
     return k, FlatCoordinates(space, np.linalg.solve(space.lattice_coeff, s[..., None])[..., 0])
 
 
-def random_factors(space, rng, sigma_max=None, size=None):
+def random_factors(space, seed, sigma_max=None, size=None):
     """The factors ``(w, sig, z)`` of the random space-like slope (or a
-    stack of ``size``) that ``verify._slope_factors`` draws, the top
-    singular value ``sigma_max`` (a value, or one per slope) in place of
-    the drawn one if given, and the lower values scaled with it."""
-    slopes = verify._slope_factors(space, rng, size)
+    stack of ``size``) that ``verify._drawn_slopes`` draws from the values
+    and frames streams of ``seed``, the top singular value ``sigma_max`` (a
+    value, or one per slope) in place of the drawn one if given, and the
+    lower values scaled with it."""
+    slopes = verify._drawn_slopes(space, seed, size)
     return slopes.svd(slopes.top if sigma_max is None else sigma_max)
 
 
-def random_slope(space, rng, sigma_max=None, size=None):
+def random_slope(space, seed, sigma_max=None, size=None):
     """The slope ``w[:, :n] diag(sig) z^H`` of :func:`random_factors`."""
-    w, sig, z = random_factors(space, rng, sigma_max, size)
+    w, sig, z = random_factors(space, seed, sigma_max, size)
     return (w[..., :, : space.n] * sig[..., None, :]) @ nk.herm(z)
 
 
-def random_coset(space, rng, sigma_max=None, size=None):
-    """The boost of :func:`random_slope`'s slope from the same generator,
-    built by ``coset_from_factors`` from its factors, so no SVD is taken
-    and its point keeps its frame and slope SVD."""
-    return coset_from_factors(space, *random_factors(space, rng, sigma_max, size))
+def random_coset(space, seed, sigma_max=None, size=None):
+    """The boost of :func:`random_slope`'s slope at the same seed, built by
+    ``coset_from_factors`` from its factors, so no SVD is taken and its
+    point keeps its frame and slope SVD."""
+    return coset_from_factors(space, *random_factors(space, seed, sigma_max, size))

@@ -45,7 +45,7 @@ def assert_close(stacked, single):
 
 
 def slopes(space, seed, sigma_max=None):
-    return random_slope(space, np.random.default_rng(seed), sigma_max, size=STACK)
+    return random_slope(space, seed, sigma_max, size=STACK)
 
 
 def graph_points(space, y):
@@ -167,10 +167,10 @@ class CallCounter:
     (verify.check_equivariance, ("p",), {"svd": 3}),
     (verify.check_equivariance, ("g",), {"svd": 2, "qr": 1}),
     (verify.check_equivariance, ("f",), {"svd": 5, "inv": 1}),
-    # the opening draw (the slope draw and the isotropy draw), then the
-    # graph check and the one slope SVD of f's image, which its compact
-    # coordinates and space_like both read; no stack is built
-    (verify.check_image_region, ("f",), {"svd": 4, "inv": 1}),
+    # the slope draw of the opening draw, then the graph check and the one
+    # slope SVD of f's image, which its compact coordinates and space_like
+    # both read; no isotropy stack is drawn and no stack is built
+    (verify.check_image_region, ("f",), {"svd": 3, "inv": 1}),
     # the opening draw (the slope draw and the isotropy draw); the frame,
     # graph check and slope SVD of the stack's point; the exponential; the
     # frame of the point it maps back to
@@ -231,7 +231,7 @@ SPHERE = make_space(Family.CIRCLE_SPHERE, 1, 2)
 # and the cut loci (eigh).  The round trip reads the point, frame and
 # slope SVD of the stack triple embedded, and the image check the slope
 # factors of the opening draw
-CATALOG_PASS_CALLS = {"svd": 69, "qr": 8, "inv": 16, "eigh": 11}
+CATALOG_PASS_CALLS = {"svd": 70, "qr": 8, "inv": 16, "eigh": 11}
 
 
 def catalog_pass(seed: int):
@@ -259,7 +259,7 @@ def catalog_pass(seed: int):
 def test_catalog_pass_makes_two_haar_draws_per_grassmannian(monkeypatch):
     # each Grassmannian's seven checks draw the opening factors, which the
     # image check reads too, and the isotropy stack, 2 Haar draws instead
-    # of 9, and the triangle laws 2 at this seed, 18 in all
+    # of 9, and the triangle laws 3 at this seed, 19 in all
     draws = []
     haar = verify.random_orthogonal
 
@@ -272,28 +272,38 @@ def test_catalog_pass_makes_two_haar_draws_per_grassmannian(monkeypatch):
     for space in catalog_pass(seed=2):
         assert len(draws) - before == 2, space.label()
         before = len(draws)
-    assert len(draws) == 18
+    assert len(draws) == 19
 
 
-def test_catalog_pass_opens_two_generators_per_grassmannian(monkeypatch):
-    # each Grassmannian's seven checks open the opening draw's generator,
-    # which triple, equivariance, image and round trip read, and the
-    # cut-radius check's; the cut loci, the stereographic image and the
-    # triangle laws one each, 21 in all.  A check that opens a generator
-    # again for a draw the opening draw serves raises the count
-    opened = []
-    default_rng = np.random.default_rng
+def test_catalog_pass_opens_one_stream_per_drawn_quantity(monkeypatch):
+    # each Grassmannian's seven checks open the values, frames and isotropy
+    # streams of the opening draw, which triple, equivariance, image and
+    # round trip read, and the cut-radius check's flat stream; the cut loci
+    # their flat streams, the stereographic image its stream and the
+    # triangle laws one per kind of triangle, 38 in all.  A check that
+    # opens a stream again for a draw the opening draw serves, or a
+    # generator of its own, raises a count
+    opened, generators = [], []
+    stream, default_rng = verify._stream, np.random.default_rng
+
+    def counted_stream(seed, quantity):
+        opened.append(quantity)
+        return stream(seed, quantity)
 
     def counted(seed):
-        opened.append(seed)
+        generators.append(seed)
         return default_rng(seed)
 
+    monkeypatch.setattr(verify, "_stream", counted_stream)
     monkeypatch.setattr(np.random, "default_rng", counted)
+    opening = [verify._VALUES, verify._FRAMES, verify._ISOTROPY, verify._FLATS]
     before = 0
     for space in catalog_pass(seed=2):
-        assert len(opened) - before == 2, space.label()
+        assert opened[before:] == opening, space.label()
         before = len(opened)
-    assert len(opened) == 21
+    assert opened[before:] == [verify._FLATS] * 3 + [verify._STEREO, verify._SPHERES,
+                                                     verify._HYPERBOLAS]
+    assert len(opened) == len(generators) == 38
 
 
 def test_catalog_pass_kernel_counts_are_pinned(monkeypatch):
@@ -337,7 +347,7 @@ FRAME_SPACES = verify.catalog_spaces() + [make_space(Family.REAL_GRASSMANNIAN, 1
 
 @pytest.mark.parametrize("space", FRAME_SPACES, ids=lambda sp: sp.label())
 def test_frames_kept_without_an_svd_are_orthonormal(monkeypatch, space):
-    g = random_coset(space, np.random.default_rng(83), size=64)
+    g = random_coset(space, 83, size=64)
     counter = CallCounter(monkeypatch)
     for which, svds in (("p", 0), ("g", 0), ("f", 0)):  # p and f read what the coset keeps
         counter.calls = {}
@@ -350,10 +360,9 @@ def test_frames_kept_without_an_svd_are_orthonormal(monkeypatch, space):
 def test_kept_factors_equal_the_factors_read_off_the_coset(space):
     # a coset built from its slope SVD keeps the frame, slope and SVD of its
     # point; a point made from the coset's matrix reads them off its frame
-    rng = np.random.default_rng(97)
-    y = random_slope(space, rng, size=4)
+    y = random_slope(space, 97, size=4)
     y[1::2, :, 0] *= -1.0  # for m = n this flips the sign of det(y) on every other slice
-    cosets = [random_coset(space, rng, size=16)]
+    cosets = [random_coset(space, 98, size=16)]
     cosets += [cli.coset_from_matrix(space, y[i]) for i in range(len(y))]
     # the read frame's SVD rounds by a few dim * eps: 2.8e-14 at dimension 64
     tol = max(1e-14, 4 * space.dim * np.finfo(float).eps)
@@ -377,5 +386,4 @@ def test_random_coset_takes_one_svd_and_no_qr(monkeypatch, space):
     # boost is built from the drawn factors, with no slope SVD
     counter = CallCounter(monkeypatch)
     for size in (2, 64):
-        assert counter.run(random_coset, space, np.random.default_rng(89),
-                           size=size) == {"svd": 1}, size
+        assert counter.run(random_coset, space, 89, size=size) == {"svd": 1}, size

@@ -106,6 +106,18 @@ def test_only_one_function_makes_an_array_read_only():
     assert found == ["numkernel.read_only"]
 
 
+GENERATORS = {"default_rng", "Generator", "RandomState"} | {
+    bits.__name__ for bits in np.random.BitGenerator.__subclasses__()}
+
+
+def test_only_one_function_opens_a_generator():
+    # a draw depends on its seed and quantity alone: verify._stream opens
+    # every generator of the library, keyed by both
+    found = library_scopes(lambda node: isinstance(node, ast.Call) and GENERATORS & {
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)})
+    assert found == ["verify._stream"]
+
+
 # numkernel.projector is called by the acceptance suite (criterion 8)
 UNREFERENCED_BY_DESIGN = {"projector"}
 
@@ -512,7 +524,7 @@ def test_slopes_accepted_at_the_boundary_are_space_like(tmp_path, capsys, space)
     f = tmp_path / "y.json"
     accepted = 0
     for seed in range(50):
-        y = random_slope(sp, np.random.default_rng(seed), sigma_max=1.0 - 1e-15)
+        y = random_slope(sp, seed, sigma_max=1.0 - 1e-15)
         f.write_text(matrix_json(y))
         argv = ("embed", family, str(n), str(m), "--input", str(f), "--method")
         code, out, err = run_cli(capsys, *argv, "p")
@@ -779,6 +791,17 @@ def test_seed_env_override(capsys, monkeypatch):
     monkeypatch.setenv("DUALSPACE_SEED", "0x2A")
     payload = run_json(capsys, "lattice-info", "gr-real", "1", "1")
     assert payload["seed"] == 42
+
+
+def test_verify_takes_a_seed_of_any_size(capsys, monkeypatch):
+    # --seed and DUALSPACE_SEED give the same reproducible report for 2**200
+    argv = ("verify", "--space", "gr-real:2:3", "--samples", "3")
+    outs = [run_cli(capsys, *argv, "--seed", str(2**200)) for _ in range(2)]
+    monkeypatch.setenv("DUALSPACE_SEED", hex(2**200))
+    outs.append(run_cli(capsys, *argv))
+    assert [code for code, _, _ in outs] == [0, 0, 0]
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0][1])["seed"] == 2**200
 
 
 def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):

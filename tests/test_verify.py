@@ -96,11 +96,95 @@ def test_random_orthogonal_refuses_a_singular_draw():
 @pytest.mark.parametrize("space", verify.catalog_spaces(), ids=lambda sp: sp.label())
 def test_random_coset_is_the_boost_of_random_slope(space):
     for seed in (107, 109):
-        got = random_coset(space, np.random.default_rng(seed), size=200).a
-        y = random_slope(space, np.random.default_rng(seed), size=200)
+        got = random_coset(space, seed, size=200).a
+        y = random_slope(space, seed, size=200)
         want = transitivity_element(space, y)
         scale = np.abs(want).max(axis=(-2, -1))
         assert (np.abs(got - want).max(axis=(-2, -1)) <= 1e-13 * scale).all()
+
+
+# ---------------------------------------------------------------------------
+# streams: sample i of a run is sample i of every longer run
+
+
+def last_of_each_family(families):
+    """The last catalog space of each family in ``families``."""
+    return list({sp.family: sp for sp in verify.catalog_spaces() if sp.family in families}.values())
+
+
+SAMPLED_ROWS = [(row, target) for row in verify.CLAIMS
+                for target in ([()] if row[3] is None else
+                               [(sp,) for sp in last_of_each_family(row[3])])]
+
+
+def reported_values(monkeypatch, check, target, extra, samples, seed):
+    """The per-sample values a check hands to verify._report."""
+    handed = []
+    report = verify._report
+
+    def capturing(name, samples, seed, tol, values, ok=None, **details):
+        handed.append(np.asarray(values, dtype=np.float64))
+        return report(name, samples, seed, tol, values, ok, **details)
+
+    monkeypatch.setattr(verify, "_report", capturing)
+    check(*target, *extra, samples=samples, seed=seed)
+    monkeypatch.undo()
+    values, = handed
+    return values
+
+
+@pytest.mark.parametrize("row, target", SAMPLED_ROWS,
+                         ids=["-".join((row[0],) + row[2] + tuple(sp.label() for sp in target))
+                              for row, target in SAMPLED_ROWS])
+def test_a_shorter_run_is_a_prefix_of_a_longer_one(monkeypatch, row, target):
+    _, check, extra, _ = row
+    for seed in (3, 2**200):
+        few = reported_values(monkeypatch, check, target, extra, 7, seed)
+        many = reported_values(monkeypatch, check, target, extra, 50, seed)
+        assert np.array_equal(few, many[:7], equal_nan=True), seed
+
+
+@pytest.mark.parametrize("space", [GR23, make_space(Family.COMPLEX_GRASSMANNIAN, 2, 2)],
+                         ids=lambda sp: sp.label())
+def test_the_opening_stack_halves_are_prefixes(space):
+    few = verify._shared_draw(space, 7, 3).moved_and_unmoved.a
+    many = verify._shared_draw(space, 50, 3).moved_and_unmoved.a
+    assert np.array_equal(few[:7], many[:7])  # the moved half k a
+    assert np.array_equal(few[7:], many[50:57])  # the unmoved half a
+
+
+def test_rejection_scans_keep_a_prefix():
+    # half the candidates rejected: the kept ones of a shorter run are the
+    # first kept ones of a longer run, for any batch the scan reads
+    def draw(rng, count):
+        return rng.standard_normal((count, 2))
+
+    def scan(samples):
+        return verify._first_accepted(verify._stream(5, verify._FLATS), samples, draw,
+                                      lambda x: x[:, 0] > 0.0)
+
+    few, many = scan(7), scan(50)
+    assert len(many) == 50 and (many[:, 0] > 0.0).all()
+    assert np.array_equal(few, many[:7])
+    flats = [verify.random_unit_flat(space, verify._stream(5, verify._FLATS), size)
+             for space in (make_space(Family.REAL_GRASSMANNIAN, 1, 1), GR23) for size in (7, 50)]
+    assert np.array_equal(flats[0], flats[1][:7]) and np.array_equal(flats[2], flats[3][:7])
+    for key, draw in ((verify._SPHERES, verify._sphere_triangles),
+                      (verify._HYPERBOLAS, verify._hyperbolic_triangles)):
+        few, many = (verify._first_accepted(verify._stream(5, key), samples, draw,
+                                            lambda t: t.min(1)[:, 1] >= 0.6)
+                     for samples in (7, 50))
+        assert np.array_equal(few, many[:7])
+
+
+def test_a_seed_of_any_size_gives_a_reproducible_report():
+    seed = 2**200
+    first = [r.to_dict() for r in verify.run_suite(3, seed)]
+    assert all(r["failures"] == 0 and r["seed"] == seed for r in first)
+    verify._shared_draw.cache_clear()
+    assert [r.to_dict() for r in verify.run_suite(3, seed)] == first
+    alone = verify.check_equivariance(GR23, "g", samples=3, seed=seed).to_dict()
+    assert alone in first
 
 
 def test_reports_are_reproducible():
@@ -157,13 +241,13 @@ def test_shared_draws_give_the_reports_of_fresh_ones(monkeypatch):
     assert sorted(by_space, key=str) == sorted(shared[1], key=str)
 
 
-def test_opening_draw_is_what_a_lone_generator_draws():
-    # random_coset's cosets and then the isotropy stack, in the generator's
-    # order, bit for bit: the cosets as the unmoved half of the stack
+def test_opening_draw_is_what_its_streams_draw():
+    # bit for bit: the unmoved half of the stack is random_coset's cosets,
+    # built from the values and frames streams, and k the isotropy stream's
+    # draw
     draw = verify._shared_draw(GR23, 4, 3)
-    rng = np.random.default_rng(3)
-    coset = random_coset(GR23, rng, size=4)
-    k = verify.random_isotropy(GR23, rng, size=4)
+    coset = random_coset(GR23, 3, size=4)
+    k = verify.random_isotropy(GR23, verify._stream(3, verify._ISOTROPY), size=4)
     assert np.array_equal(draw.isotropy, k)
     assert np.array_equal(draw.moved_and_unmoved.a, np.concatenate([k @ coset.a, coset.a]))
 
@@ -291,22 +375,29 @@ def test_image_reports_do_not_depend_on_the_checks_before_them(monkeypatch, spac
 
 
 def test_a_lone_image_check_builds_one_boost_and_no_stack(monkeypatch):
-    # the image cosets are the one boost built; the stack [k a, a] waits
-    # for the first check that reads it
-    boosts = []
-    boost_factors = verify._boost_factors
+    # the image cosets are the one boost built; the isotropy stream and the
+    # stack [k a, a] wait for the first check that reads them
+    boosts, opened = [], []
+    boost_factors, stream = verify._boost_factors, verify._stream
 
     def counted(*args):
         boosts.append(len(args[2]))
         return boost_factors(*args)
 
+    def opening(seed, quantity):
+        opened.append(quantity)
+        return stream(seed, quantity)
+
     for module in (verify, embeddings):
         monkeypatch.setattr(module, "_boost_factors", counted)
+    monkeypatch.setattr(verify, "_stream", opening)
     assert verify.check_image_region(GR23, "f", samples=10, seed=37).passed
     assert boosts == [10]
-    assert "moved_and_unmoved" not in vars(verify._shared_draw(GR23, 10, 37))
+    assert opened == [verify._VALUES, verify._FRAMES]
+    assert not {"isotropy", "moved_and_unmoved"} & set(vars(verify._shared_draw(GR23, 10, 37)))
     verify.check_triple_equality(GR23, samples=10, seed=37)
     assert boosts == [10, 10]
+    assert opened == [verify._VALUES, verify._FRAMES, verify._ISOTROPY]
 
 
 def test_triple_equality_report():
@@ -654,13 +745,16 @@ def test_round_trip_compares_points(monkeypatch):
 def test_equivariance_counts_orientation(monkeypatch):
     embed = verify.embed
 
-    def flipping_embed(space, which, g):
-        # same span everywhere, reversed frame orientation on some inputs
+    def flipping_embed(space, which, g, flip=True):
+        # same span everywhere, as a fresh point of the image's frame, with
+        # reversed frame orientation on some inputs
         pt = embed(space, which, g)
         rep = pt.rep.copy()
-        rep[g.a[..., -1, 0] <= 0, :, -1] *= -1.0
+        if flip:
+            rep[g.a[..., -1, 0] <= 0, :, -1] *= -1.0
         return SubspacePoint(space, rep)
 
+    monkeypatch.setattr(verify, "embed", functools.partial(flipping_embed, flip=False))
     grassmannian = verify.check_equivariance(GR23, "f", samples=20, seed=13)
     monkeypatch.setattr(verify, "embed", flipping_embed)
     for sp in (make_space(Family.ORIENTED_TWO_PLANE, 2, 2), make_space(Family.CIRCLE_SPHERE, 1, 2)):
@@ -670,7 +764,9 @@ def test_equivariance_counts_orientation(monkeypatch):
             assert r.worst_residual == np.inf
     flipped = verify.check_equivariance(GR23, "f", samples=20, seed=13)
     assert flipped.passed
-    assert flipped.worst_residual == pytest.approx(grassmannian.worst_residual, abs=1e-15)
+    # the frame of a fresh point, from an SVD, flips with its column: the
+    # residual is the one the unflipped fresh points give, bit for bit
+    assert flipped.worst_residual == grassmannian.worst_residual
 
 
 def test_equivariance_fails_a_map_that_is_not_equivariant(monkeypatch):
